@@ -1,8 +1,7 @@
-"""Simulator wall-clock regression guard — monolithic and sharded paths.
+"""Simulator wall-clock regression guard.
 
-Compares measured ``events_per_sec`` on the pinned ``small`` (monolithic)
-and ``n16-shard`` (sharded-engine) scenarios against the committed
-baseline (``BENCH_sim.json``, written by ``python -m repro bench``).  A
+Compares measured ``events_per_sec`` on the pinned ``small`` and
+``zoned-n8`` scenarios against the committed baseline (``BENCH_sim.json``, written by ``python -m repro bench``).  A
 regression of more than 25% fails; when no baseline has been recorded
 (fresh clone, or a host that never ran the bench) the guard skips rather
 than guessing.
@@ -10,15 +9,9 @@ than guessing.
 Wall-clock measurements on shared CI hosts are noisy, so a miss is
 confirmed before failing: the scenario is re-measured once with more
 repetitions and only a repeated miss is reported.  The schedules
-themselves are deterministic (see ``tests/test_golden_schedules.py`` and
-``tests/test_shard_equivalence.py``), so the event-count cross-checks
-below are exact, and only host speed varies between runs.
-
-The sharded guard also pins the *relative* cost of the sync rounds: on a
-single core the sequential shard backend pays bounded overhead over the
-monolithic heap (it cannot be faster without parallel hardware — see
-``benchmarks/perf/ab_shard.py`` and DESIGN.md §14), and that overhead
-ratio must not silently grow.
+themselves are deterministic (see ``tests/test_golden_schedules.py``),
+so the event-count cross-checks below are exact, and only host speed
+varies between runs.
 """
 
 from __future__ import annotations
@@ -59,35 +52,6 @@ def test_events_per_sec_within_regression_budget():
     )
 
 
-def test_sharded_events_per_sec_within_regression_budget():
-    """The sharded engine's round loop, guarded the same way."""
-    baseline = load_bench_json()
-    if baseline is None:
-        pytest.skip("no BENCH_sim.json baseline recorded (run: python -m repro bench)")
-    recorded = baseline["scenarios"].get("n16-shard")
-    if recorded is None:
-        pytest.skip("baseline has no 'n16-shard' scenario; re-record with "
-                    "python -m repro bench --scenario n16-shard")
-
-    floor = recorded["events_per_sec"] * REGRESSION_FLOOR
-    result = run_scenario(SCENARIOS["n16-shard"], repeat=2)
-    assert result.shards == recorded["shards"]
-    # Determinism cross-check: the sharded schedule (host + cell events of
-    # the synchronized round loop) must replay the recorded count exactly.
-    assert result.events == recorded["events"], (
-        f"sharded event count drifted ({result.events} vs "
-        f"{recorded['events']}): the round schedule changed, so events/sec "
-        f"is not comparable — re-record the baseline and explain the drift"
-    )
-    if result.events_per_sec < floor:
-        result = run_scenario(SCENARIOS["n16-shard"], repeat=4)
-    assert result.events_per_sec >= floor, (
-        f"sharded engine throughput regressed: {result.events_per_sec:,.0f} "
-        f"events/s vs baseline {recorded['events_per_sec']:,.0f} "
-        f"(floor {floor:,.0f})"
-    )
-
-
 def test_zoned_events_per_sec_within_regression_budget():
     """The zoned (ZNS) backend's lane, guarded the same way.
 
@@ -118,33 +82,4 @@ def test_zoned_events_per_sec_within_regression_budget():
         f"zoned backend throughput regressed: {result.events_per_sec:,.0f} "
         f"events/s vs baseline {recorded['events_per_sec']:,.0f} "
         f"(floor {floor:,.0f})"
-    )
-
-
-def test_shard_overhead_ratio_is_bounded():
-    """Sync rounds must stay cheap relative to the monolithic heap.
-
-    Cross-checks the recorded n16 (monolithic) and n16-shard baselines:
-    the sequential shard backend on one core is pure overhead versus the
-    single heap, and that overhead is bounded — the sharded run must keep
-    at least half the monolithic per-event rate.  (On multi-core hosts the
-    process backend turns the same rounds into wall-clock speedup; this
-    guard pins the single-core cost floor the speedup is paid from.)
-    """
-    baseline = load_bench_json()
-    if baseline is None:
-        pytest.skip("no BENCH_sim.json baseline recorded (run: python -m repro bench)")
-    scenarios = baseline["scenarios"]
-    if "n16" not in scenarios or "n16-shard" not in scenarios:
-        pytest.skip("baseline lacks the n16/n16-shard pair; re-record with "
-                    "python -m repro bench --scenario n16 n16-shard")
-    mono = run_scenario(SCENARIOS["n16"], repeat=2)
-    shard = run_scenario(SCENARIOS["n16-shard"], repeat=2)
-    assert mono.events == scenarios["n16"]["events"]
-    assert shard.events == scenarios["n16-shard"]["events"]
-    ratio = shard.events_per_sec / mono.events_per_sec
-    assert ratio >= 0.5, (
-        f"shard sync overhead grew: sharded runs at {ratio:.2f}x the "
-        f"monolithic per-event rate (floor 0.50x) — profile the round loop "
-        f"(benchmarks/perf/ab_shard.py) before re-recording"
     )

@@ -51,8 +51,7 @@ def backend_cell(
     (the form job kwargs travel in, so it participates in the matrix cache
     key).  The cell replaces only the scenario's ``device.backend`` — any
     zoned knobs (``zone_blocks``, ``max_open_zones``) set on the scenario
-    are honoured — and runs the monolithic engine regardless of
-    ``sharding`` so every backend sees an identical workload.
+    are honoured — so every backend sees an identical workload.
 
     Returns a JSON-encodable dict with the throughput, an order-sensitive
     digest of every minion's ``status``/``stdout``, and the per-device
@@ -68,7 +67,7 @@ def backend_cell(
     else:
         config = scenario_from_dict(scenario)
     base = config.device if config.device is not None else DeviceBackendConfig()
-    config = replace(config, device=replace(base, backend=backend), sharding=None)
+    config = replace(config, device=replace(base, backend=backend))
 
     functional = config.flash.store_data
     spec = replace(config.corpus, files=config.corpus.files * devices)

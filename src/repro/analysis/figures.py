@@ -224,53 +224,6 @@ def _fig6_one(
     return count, throughput_mb_s(_input_bytes(books, app), seconds)
 
 
-def _fig6_one_sharded(
-    app: str,
-    count: int,
-    config: ScenarioConfig,
-    scale_dataset_with_devices: bool = True,
-) -> tuple[int, float]:
-    """One Fig. 6 cell on the sharded engine.
-
-    ``config.sharding`` picks grouping and backend; the cell itself is the
-    same weak-scaling measurement, with throughput derived from the job
-    drill's makespan.  Decompression apps need compressed staging, which
-    shard cells do not perform — the monolithic path covers those.
-    """
-    from repro.sim.shard import ShardRun
-
-    if app in ("gunzip", "bunzip2"):
-        raise ValueError(
-            f"sharded fig6 does not support compressed-input app {app!r}"
-        )
-    spec = config.corpus
-    if scale_dataset_with_devices:
-        spec = replace(spec, files=spec.files * count)
-    cell = replace(
-        config,
-        corpus=spec,
-        fleet=replace(
-            config.fleet,
-            nodes=1,
-            devices_per_node=count,
-            replicas=1,
-            with_baseline_ssd=False,
-        ),
-    )
-    run = ShardRun(cell, workload="jobs", apps=(app,))
-    run.prepare()
-    try:
-        run.execute()
-        payload = run.finish()
-    finally:
-        run.close()
-    scorecard = payload["result"]["scorecard"]
-    if scorecard["lost"]:
-        raise RuntimeError(f"fig6 shard run lost {scorecard['lost']} jobs")
-    seconds = scorecard["makespan_ms"] / 1e3
-    return count, throughput_mb_s(_input_bytes(run.books, app), seconds)
-
-
 def fig6_cell(
     app: str,
     devices: int,
@@ -292,11 +245,6 @@ def fig6_cell(
     """
     if scenario is not None:
         config = scenario_from_dict(scenario)
-        if config.sharding is not None:
-            count, throughput = _fig6_one_sharded(
-                app, devices, config, scale_dataset_with_devices
-            )
-            return [count, throughput]
         count, throughput = _fig6_one(
             app, devices, config.corpus, config.flash.store_data,
             config.flash.capacity_bytes, scale_dataset_with_devices, config,

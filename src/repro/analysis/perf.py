@@ -62,17 +62,9 @@ class BenchScenario:
     Weak scaling like Fig. 6: ``files_per_device`` is constant, so the
     total corpus grows with the device count and per-device work is fixed.
 
-    ``shards > 0`` selects the sharded engine (:mod:`repro.sim.shard`)
-    instead of the monolithic simulator: the same gzip-then-grep workload
-    runs as a :class:`~repro.sim.shard.JobDrill` over per-device cells,
-    and only the synchronized round loop (``ShardRun.execute``) is timed.
-    ``shards == 0`` is the legacy monolithic path, byte-identical to the
-    scenarios recorded before sharding existed.
-
-    ``device_backend`` selects the translation backend (``backend`` already
-    names the *shard execution* backend); ``"page"`` leaves the scenario's
-    ``device`` section unset, keeping pre-backend configs — and their
-    digests — byte-identical.
+    ``device_backend`` selects the translation backend; ``"page"`` leaves
+    the scenario's ``device`` section unset, keeping pre-backend configs —
+    and their digests — byte-identical.
     """
 
     name: str
@@ -80,9 +72,6 @@ class BenchScenario:
     files_per_device: int = 6
     mean_file_bytes: int = 64 * 1024
     seed: int = 1234
-    shards: int = 0
-    backend: str = "sequential"
-    window_us: float = 0.0
     device_backend: str = "page"
 
     @property
@@ -100,17 +89,6 @@ class BenchScenario:
             device_capacity=48 * 1024 * 1024,
             store_data=True,
         )
-        if self.shards:
-            from repro.config.schema import ShardingConfig
-
-            base = replace(
-                base,
-                sharding=ShardingConfig(
-                    shards=self.shards,
-                    backend=self.backend,
-                    window_us=self.window_us,
-                ),
-            )
         if self.device_backend != "page":
             from repro.config.schema import DeviceBackendConfig
 
@@ -158,12 +136,7 @@ class BenchScenario:
 
 @dataclass(frozen=True, slots=True)
 class BenchResult:
-    """One scenario's measurement (best run of ``repeat``).
-
-    ``shards == 0`` marks a monolithic-kernel measurement; nonzero means
-    the sharded engine ran, and ``events`` counts host + cell events of
-    the synchronized round loop.
-    """
+    """One scenario's measurement (best run of ``repeat``)."""
 
     scenario: str
     devices: int
@@ -174,7 +147,6 @@ class BenchResult:
     events_per_sec: float
     minions: int
     runs: int
-    shards: int = 0
 
     def row(self) -> list:
         return [
@@ -191,49 +163,8 @@ SCENARIOS: dict[str, BenchScenario] = {
     "n8": BenchScenario("n8", devices=8),
     "n16": BenchScenario("n16", devices=16),
     "n64": BenchScenario("n64", devices=64),
-    "n16-shard": BenchScenario("n16-shard", devices=16, shards=4),
-    "n64-shard": BenchScenario("n64-shard", devices=64, shards=8),
     "zoned-n8": BenchScenario("zoned-n8", devices=8, device_backend="zoned"),
 }
-
-
-def _run_sharded_once(scenario: BenchScenario, repeat: int) -> BenchResult:
-    """One sharded measurement: prepare excluded, ``execute()`` timed.
-
-    The measured region is exactly the conservative round loop — corpus
-    generation, cell staging, fault arming, and fingerprint collection all
-    happen outside the clock, mirroring the monolithic path's exclusion of
-    build/stage work.
-    """
-    from repro.sim.shard import ShardRun
-
-    run = ShardRun(scenario.config(), workload="jobs", apps=("gzip", "grep"))
-    run.prepare()
-    try:
-        t0 = time.perf_counter()
-        stats = run.execute()
-        wall = time.perf_counter() - t0
-        payload = run.finish()
-    finally:
-        run.close()
-    scorecard = payload["result"]["scorecard"]
-    if scorecard.get("lost"):
-        raise RuntimeError(
-            f"bench scenario {scenario.name!r} lost {scorecard['lost']} jobs"
-        )
-    events = stats.host_events + stats.cell_events
-    return BenchResult(
-        scenario=scenario.name,
-        devices=scenario.devices,
-        files=scenario.files,
-        events=events,
-        wall_seconds=wall,
-        sim_seconds=scorecard["makespan_ms"] / 1e3,
-        events_per_sec=events / wall if wall > 0 else 0.0,
-        minions=scorecard["dispatched"],
-        runs=repeat,
-        shards=run.shards,
-    )
 
 
 def run_scenario(scenario: BenchScenario, repeat: int = 1) -> BenchResult:
@@ -247,11 +178,6 @@ def run_scenario(scenario: BenchScenario, repeat: int = 1) -> BenchResult:
         raise ValueError("repeat must be >= 1")
     best: BenchResult | None = None
     for _ in range(repeat):
-        if scenario.shards:
-            result = _run_sharded_once(scenario, repeat)
-            if best is None or result.wall_seconds < best.wall_seconds:
-                best = result
-            continue
         node, books = scenario.build()
         sim = node.sim
         events_before = sim.events_processed
@@ -366,7 +292,6 @@ def write_bench_json(
                 "sim_seconds": r.sim_seconds,
                 "events_per_sec": round(r.events_per_sec, 1),
                 "runs": r.runs,
-                **({"shards": r.shards} if r.shards else {}),
             }
             for r in results
         },

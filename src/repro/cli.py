@@ -35,6 +35,7 @@ from typing import Sequence
 
 from repro.analysis.experiments import format_series_table
 from repro.analysis.figures import FIG8_APPS, Fig1Row, Fig8Row, fig6_linearity
+from repro.analysis.perf import SCENARIOS
 from repro.baselines import table1_rows
 from repro.config import DEVICE_BACKENDS
 from repro.config.cli import (
@@ -50,27 +51,10 @@ __all__ = ["main"]
 def _scenario_payload(args: argparse.Namespace):
     """``(config, to_dict(config))`` for a verb's scenario flags, or Nones.
 
-    Verbs that carry ``--shards``/``--shard-backend`` (see
-    :func:`_add_shard_args`) get the override folded into the scenario's
-    ``sharding`` section here, so it rides through cache keys and worker
-    processes exactly like any ``--set`` override.  The header is printed
-    here — in the parent process, before any tables — so stdout stays
-    byte-identical at every ``--workers`` count.
+    The header is printed here — in the parent process, before any
+    tables — so stdout stays byte-identical at every ``--workers`` count.
     """
     config = scenario_from_args(args)
-    shards = getattr(args, "shards", None)
-    backend = getattr(args, "shard_backend", None)
-    if config is not None and (isinstance(shards, int) or backend):
-        from dataclasses import replace
-
-        from repro.config.schema import ShardingConfig
-
-        current = config.sharding or ShardingConfig()
-        config = replace(config, sharding=ShardingConfig(
-            shards=shards if isinstance(shards, int) else current.shards,
-            backend=backend or current.backend,
-            window_us=current.window_us,
-        ))
     if config is None:
         return None, None
     from repro.config import to_dict
@@ -102,20 +86,6 @@ def _add_parallel_args(
             help="accepted for symmetry; this verb never caches (its wall "
                  "clock is the measurement)",
         )
-
-
-def _add_shard_args(parser: argparse.ArgumentParser) -> None:
-    """``--shards``/``--shard-backend``: run this verb's cells on the
-    sharded engine (``repro.sim.shard``) with the given grouping."""
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the simulation into N device-shard event loops "
-             "(digest-equivalent to the monolithic run)",
-    )
-    parser.add_argument(
-        "--shard-backend", default=None, choices=["sequential", "process"],
-        help="shard execution backend (default: scenario's, else sequential)",
-    )
 
 
 def _run_matrix(specs, args: argparse.Namespace, cached: bool = True):
@@ -225,9 +195,7 @@ def _cmd_smart(args: argparse.Namespace) -> None:
     from repro.workloads import BookCorpus, CorpusSpec
 
     config, _ = _scenario_payload(args)
-    config = replace(
-        config, fleet=replace(config.fleet, devices_per_node=1), sharding=None
-    )
+    config = replace(config, fleet=replace(config.fleet, devices_per_node=1))
     node = build_node(config)
     sim = node.sim
     books = BookCorpus(CorpusSpec(files=args.files, mean_file_bytes=64 * 1024)).generate()
@@ -393,9 +361,6 @@ def _cmd_traffic(args: argparse.Namespace) -> None:
     from repro.parallel import payload_digest, traffic_jobs
 
     _, payload = _scenario_payload(args)
-    if getattr(args, "shards", None) or getattr(args, "shard_backend", None):
-        _traffic_sharded(args, payload)
-        return
     report = _run_matrix(traffic_jobs(payload, mixes=tuple(args.mixes)), args)
     values = report.values()
     rows = []
@@ -419,98 +384,6 @@ def _cmd_traffic(args: argparse.Namespace) -> None:
     print(f"scorecard digest={payload_digest(values)}")
     if lost:
         print(f"{lost} requests lost in dispatch", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _traffic_sharded(args: argparse.Namespace, payload: dict) -> None:
-    """Serve each arrival mix on the sharded engine, one hermetic cell per
-    mix (the ``--shards`` override is already folded into ``payload``)."""
-    from repro.parallel import payload_digest
-    from repro.parallel.jobs import JobSpec
-
-    if payload.get("traffic") is None:
-        print("scenario has no traffic section; nothing to serve", file=sys.stderr)
-        raise SystemExit(2)
-    specs = [
-        JobSpec(
-            name=f"traffic.shard.{mix}",
-            target="repro.sim.shard.engine:run_shard_cell",
-            kwargs={
-                "scenario": dict(
-                    payload, traffic=dict(payload["traffic"], pattern=mix)
-                )
-            },
-        )
-        for mix in args.mixes
-    ]
-    report = _run_matrix(specs, args)
-    values = report.values()
-    rows = []
-    for mix, value in zip(args.mixes, values):
-        result = value["result"]
-        classes = result["scorecard"]["classes"]
-        total = {
-            key: sum(cls[key] for cls in classes.values())
-            for key in ("offered", "admitted", "shed", "completed", "lost")
-        }
-        rows.append([
-            mix, total["offered"], total["admitted"], total["shed"],
-            total["completed"], total["lost"], result["rounds"],
-            result["events"]["total"], result["digest"][:12],
-        ])
-    print(format_series_table(
-        "sharded traffic scorecard (per arrival mix)",
-        ["mix", "offered", "admitted", "shed", "completed", "lost",
-         "rounds", "events", "digest"],
-        rows,
-    ))
-    scorecards = [value["result"]["scorecard"] for value in values]
-    print(f"scorecard digest={payload_digest(scorecards)}")
-
-
-def _cmd_shard(args: argparse.Namespace) -> None:
-    """Run one scenario across shard counts on the conservative engine.
-
-    Every count (and both backends) must produce the same scorecard
-    digest — shard count is an execution-grouping knob, not a model
-    parameter — so the verb exits 1 on any divergence.  Cells are
-    hermetic matrix jobs: they shard across ``--workers`` and cache, and
-    a cached rerun reports ``executed=0`` in the stderr summary.
-    """
-    from repro.parallel import shard_jobs
-
-    _, payload = _scenario_payload(args)
-    report = _run_matrix(
-        shard_jobs(
-            payload,
-            shard_counts=tuple(args.counts),
-            backend=args.backend,
-            window_us=args.window_us,
-        ),
-        args,
-    )
-    values = report.values()
-    rows = []
-    digests = []
-    for value in values:
-        result = value["result"]
-        run = value["run"]
-        digests.append(result["digest"])
-        rows.append([
-            run["shards"], run["backend"],
-            "+".join(str(size) for size in run["groups"]),
-            result["rounds"], result["events"]["total"],
-            result["messages"]["sent"], result["digest"][:12],
-        ])
-    print(format_series_table(
-        f"sharded runs — {result['workload']} workload, {result['cells']} cells",
-        ["shards", "backend", "groups", "rounds", "events", "msgs", "digest"],
-        rows,
-    ))
-    if len(set(digests)) == 1:
-        print(f"scorecard digest={digests[0]} (identical across shard counts)")
-    else:
-        print("digest mismatch across shard counts", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -767,11 +640,9 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     ``benchmarks/test_perf_guard.py`` regresses against.
     """
     from repro.analysis.perf import (
-        SCENARIOS,
         load_bench_json,
         profile_scenario,
         run_bench,
-        run_scenario,
         write_bench_json,
     )
 
@@ -779,33 +650,6 @@ def _cmd_bench(args: argparse.Namespace) -> None:
         for name in args.scenario or ["n8"]:
             print(f"# == profile: {name} ==")
             print(profile_scenario(SCENARIOS[name], limit=args.profile_limit))
-        return
-
-    if getattr(args, "shards", None):
-        # Ad-hoc sharded variants of the pinned scenarios.  These are
-        # exploration, not baselines (the pinned *-shard scenarios are the
-        # recorded ones), so never write BENCH_sim.json here.
-        from dataclasses import replace
-
-        names = args.scenario or ["n1", "n4", "n8"]
-        results = [
-            run_scenario(
-                replace(
-                    SCENARIOS[name],
-                    name=f"{name}-s{args.shards}",
-                    shards=args.shards,
-                    backend=args.shard_backend or "sequential",
-                ),
-                repeat=args.repeat,
-            )
-            for name in names
-        ]
-        print(format_series_table(
-            f"sharded simulator throughput (best of {args.repeat})",
-            ["scenario", "devices", "minions", "events", "wall ms",
-             "events/sec"],
-            [r.row() for r in results],
-        ))
         return
 
     if args.workers > 1:
@@ -896,14 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["grep", "gawk", "gzip", "gunzip", "bzip2", "bunzip2"])
     p.add_argument("--devices", type=int, nargs="+", default=[1, 2, 4])
     _add_parallel_args(p)
-    _add_shard_args(p)
     add_scenario_args(p, default_preset="fig6")
     p.set_defaults(func=_cmd_fig6)
 
     p = sub.add_parser("fig7", help="aggregate host+devices bzip2 (Fig. 7)")
     p.add_argument("--devices", type=int, nargs="+", default=[1, 2, 4])
     _add_parallel_args(p)
-    _add_shard_args(p)
     add_scenario_args(p, default_preset="fig6")
     p.set_defaults(func=_cmd_fig7)
 
@@ -965,7 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival mixes to serve, one matrix cell each",
     )
     _add_parallel_args(p)
-    _add_shard_args(p)
     add_scenario_args(p, default_preset="traffic-smoke")
     p.set_defaults(func=_cmd_traffic)
 
@@ -1011,24 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p, default_preset="smoke")
     p.set_defaults(func=_cmd_backends)
 
-    p = sub.add_parser(
-        "shard",
-        help="sharded scale-out run (conservative time sync; digests must "
-             "match at every shard count)",
-    )
-    p.add_argument("--shards", dest="counts", type=int, nargs="+",
-                   default=[1, 2, 4],
-                   help="shard counts to sweep; scorecard digests must match")
-    p.add_argument("--backend", default=None,
-                   choices=["sequential", "process"],
-                   help="execution backend override (default: scenario's)")
-    p.add_argument("--window-us", dest="window_us", type=float, default=None,
-                   help="host dispatch window in simulated us "
-                        "(default: workload's)")
-    _add_parallel_args(p)
-    add_scenario_args(p, default_preset="smoke")
-    p.set_defaults(func=_cmd_shard)
-
     p = sub.add_parser("metrics", help="observability dump: metrics + span tree")
     p.add_argument("--workload", default="grep",
                    choices=["grep", "gawk", "gzip", "bzip2"])
@@ -1038,8 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="simulator wall-clock perf harness")
     p.add_argument("--scenario", nargs="+", default=None,
-                   choices=["small", "n1", "n4", "n8", "n16", "n64",
-                            "n16-shard", "n64-shard", "zoned-n8"],
+                   choices=list(SCENARIOS),
                    help="pinned scenarios to run (default: n1 n4 n8)")
     p.add_argument("--repeat", type=int, default=3,
                    help="repetitions per scenario; fastest run is kept")
@@ -1052,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-limit", type=int, default=25,
                    help="rows of the profile table to print")
     _add_parallel_args(p, cached=False)
-    _add_shard_args(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("validate", help="grade every paper claim (scorecard)")

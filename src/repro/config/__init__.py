@@ -54,7 +54,6 @@ from repro.config.schema import (
     OverloadConfig,
     PcieConfig,
     ScenarioConfig,
-    ShardingConfig,
 )
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "PRESETS",
     "PcieConfig",
     "ScenarioConfig",
-    "ShardingConfig",
     "apply_overrides",
     "bind_metrics_clock",
     "build_corpus",

@@ -119,7 +119,6 @@ def build_node(
     registry: "ExecutableRegistry | None" = None,
     tracer: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    device_names: "tuple[str, ...] | None" = None,
 ) -> "StorageNode":
     """Host + fabric + ``fleet.devices_per_node`` CompStors, per the scenario.
 
@@ -127,10 +126,7 @@ def build_node(
     step-for-step (meter, fabric, devices, baseline, host, client) so
     schedules — and the golden digests over them — are bit-for-bit stable.
     ``geometry`` overrides ``config.flash`` for callers that hold a
-    pre-built :class:`~repro.flash.FlashGeometry`.  ``device_names``
-    overrides both the device count and the default ``compstor{i}`` naming —
-    shard cells use it to build a one-device node whose drive keeps its
-    fleet-global name.
+    pre-built :class:`~repro.flash.FlashGeometry`.
     """
     from repro.cluster.node import StorageNode
     from repro.cpu.models import resolve_cpu
@@ -140,12 +136,7 @@ def build_node(
     from repro.sim import Simulator
     from repro.ssd import CompStorSSD, ConventionalSSD
 
-    names = (
-        tuple(f"compstor{i}" for i in range(config.fleet.devices_per_node))
-        if device_names is None
-        else tuple(device_names)
-    )
-    devices = len(names)
+    devices = config.fleet.devices_per_node
     sim = sim or Simulator(seed=config.seed)
     bind_metrics_clock(metrics, sim)
     meter = PowerMeter(sim, metrics=metrics)
@@ -163,7 +154,7 @@ def build_node(
     compstors = [
         CompStorSSD(
             sim,
-            name=names[i],
+            name=f"compstor{i}",
             geometry=geometry,
             port=fabric.ports[i],
             meter=meter,

@@ -20,7 +20,6 @@ from repro.config.schema import (
     OverloadConfig,
     ScenarioConfig,
     ServiceConfig,
-    ShardingConfig,
     TrafficConfig,
 )
 from repro.faults.retry import BreakerConfig, RetryPolicy
@@ -202,10 +201,8 @@ def _traffic_soak() -> ScenarioConfig:
     a seeded Poisson stream long enough to shake out slow state leaks
     (queue residue, id drift, horizon creep) that short drills never see.
     No faults — the soak isolates the steady-state serving path, so any
-    digest drift between runs or shard counts is a determinism bug, not
-    recovery noise.  Ships with a sharding section so the scale-out engine
-    is the default execution; ``--shards``/``--set`` can still re-group
-    it without changing the scorecard digest."""
+    digest drift between runs or worker counts is a determinism bug, not
+    recovery noise."""
     return ScenarioConfig(
         name="traffic-soak",
         flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
@@ -216,7 +213,6 @@ def _traffic_soak() -> ScenarioConfig:
         service=ServiceConfig(queue_depth=64, concurrency=16),
         traffic=TrafficConfig(pattern="poisson", requests=100_000, rate=40_000.0,
                               tenants=1_000_000, skew=1.2, seed=0),
-        sharding=ShardingConfig(shards=4, backend="sequential", window_us=50.0),
     )
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "PriorityClassConfig",
     "ScenarioConfig",
     "ServiceConfig",
-    "ShardingConfig",
     "TrafficConfig",
 ]
 
@@ -574,40 +573,6 @@ class ObjstoreConfig:
         )
 
 
-#: Execution backends the sharded simulation engine understands.
-SHARD_BACKENDS: tuple[str, ...] = ("sequential", "process")
-
-
-@dataclass(frozen=True, slots=True)
-class ShardingConfig:
-    """Partitioned execution of one scenario (:mod:`repro.sim.shard`).
-
-    ``shards`` is the number of event-loop groups the per-device cells are
-    packed into (purely an execution knob: results are byte-identical at any
-    value); ``backend`` selects in-process sequential execution (the oracle)
-    or one spawn worker per shard.  ``window_us`` adds a modeled cross-shard
-    dispatch latency on top of the PCIe link hop: conservative synchronization
-    can only run a shard ahead by the minimum cross-boundary latency, so
-    widening it trades response-latency fidelity for fewer, fatter windows —
-    essential for open-loop traffic, irrelevant for batch jobs.
-    """
-
-    shards: int = 1
-    backend: str = "sequential"
-    window_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"unknown shard backend {self.backend!r}; "
-                f"use {', '.join(SHARD_BACKENDS)}"
-            )
-        if self.window_us < 0:
-            raise ValueError("window_us must be non-negative")
-
-
 @dataclass(frozen=True, slots=True)
 class DeviceBackendConfig:
     """The translation backend every device in the scenario is built on.
@@ -687,9 +652,6 @@ class ScenarioConfig:
         default=None, metadata={"omit_if_none": True}
     )
     overload: OverloadConfig | None = field(
-        default=None, metadata={"omit_if_none": True}
-    )
-    sharding: ShardingConfig | None = field(
         default=None, metadata={"omit_if_none": True}
     )
     objstore: ObjstoreConfig | None = field(

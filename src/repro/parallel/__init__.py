@@ -39,7 +39,6 @@ from repro.parallel.matrix import (
     full_matrix,
     objstore_jobs,
     objstore_sweep_jobs,
-    shard_jobs,
     traffic_jobs,
     validation_jobs,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "objstore_sweep_jobs",
     "payload_digest",
     "run_jobs",
-    "shard_jobs",
     "traffic_jobs",
     "validation_jobs",
 ]

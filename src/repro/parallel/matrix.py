@@ -29,7 +29,6 @@ __all__ = [
     "full_matrix",
     "objstore_jobs",
     "objstore_sweep_jobs",
-    "shard_jobs",
     "traffic_jobs",
     "validation_jobs",
 ]
@@ -221,34 +220,6 @@ def objstore_sweep_jobs(
             kwargs={"dedup_ratio": dial, **_scenario_kwargs(scenario)},
         )
         for dial in dials
-    ]
-
-
-def shard_jobs(
-    scenario: dict | None = None,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    backend: str | None = None,
-    window_us: float | None = None,
-) -> list[JobSpec]:
-    """One sharded run per shard count — the equivalence sweep as cells.
-
-    Each cell is hermetic (scenario dict plus overrides are the whole
-    input) and caches like any matrix cell; the scorecard digest printed
-    per cell is shard-count-independent by construction, so a sweep whose
-    digests differ is a sync-protocol bug surfacing in CI.
-    """
-    extra: dict[str, Any] = {}
-    if backend is not None:
-        extra["backend"] = backend
-    if window_us is not None:
-        extra["window_us"] = window_us
-    return [
-        JobSpec(
-            name=f"shard.s{count}",
-            target="repro.sim.shard.engine:run_shard_cell",
-            kwargs={"shards": count, **_scenario_kwargs(scenario), **extra},
-        )
-        for count in shard_counts
     ]
 
 

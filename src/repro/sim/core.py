@@ -544,34 +544,6 @@ class Simulator:
             self._now = horizon
         return None
 
-    def run_window(self, horizon: float, stop_when_idle: bool = False) -> int:
-        """Drain every event strictly before ``horizon``; return the count.
-
-        The windowed twin of ``run(until=...)`` built for shard event loops
-        (:mod:`repro.sim.shard`): the horizon is *exclusive* and the clock is
-        **not** advanced to it — ``now`` stays at the last processed event, so
-        a later window (or a cross-shard delivery landing inside the gap) can
-        still schedule work between ``now`` and ``horizon``.  With
-        ``stop_when_idle`` the drain also stops once no non-daemon events
-        remain (the windowed equivalent of an unbounded ``run()``), leaving
-        background housekeeping timers pending rather than spinning on them.
-        """
-        if horizon < self._now:
-            raise ValueError(f"horizon={horizon} is in the past (now={self._now})")
-        queue = self._queue
-        count = 0
-        while queue and queue[0][0] < horizon:
-            if stop_when_idle and self._live == 0:
-                break
-            when, _prio, _seq, daemon, event = _heappop(queue)
-            if not daemon:
-                self._live -= 1
-            self._now = when
-            self.events_processed += 1
-            event._run_callbacks()
-            count += 1
-        return count
-
     @staticmethod
     def _raise(event: Event) -> Any:
         raise event._value

@@ -37,6 +37,13 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["definitely-not-a-command"])
 
 
+def test_shard_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["shard"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'shard'" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_app():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig6", "--app", "fortnite"])

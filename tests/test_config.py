@@ -177,6 +177,18 @@ def test_override_unknown_key_names_valid_fields():
         apply_overrides(ScenarioConfig(), ["turbo=on"])
 
 
+def test_removed_sharding_section_is_rejected():
+    """``sharding`` is not a schema section: an override or a scenario
+    dict naming it fails loudly instead of riding along silently."""
+    from repro.cli import main
+
+    with pytest.raises(ConfigError, match="no field 'sharding'"):
+        main(["config", "show", "smoke", "--set", "sharding.shards=2"])
+    payload = dict(to_dict(preset("traffic-soak")), sharding={"shards": 4})
+    with pytest.raises(ConfigError, match="unknown key.*sharding"):
+        scenario_from_dict(payload)
+
+
 def test_override_type_errors_are_loud():
     with pytest.raises(ConfigError, match="expected an integer"):
         apply_overrides(ScenarioConfig(), ["fleet.nodes=many"])

@@ -57,7 +57,6 @@ ALLOWLIST = {
     "benchmarks/test_obs_overhead.py",  # best-of-N wall timing
     "benchmarks/test_perf_guard.py",  # consumes the perf harness
     "benchmarks/perf/ab_compare.py",  # interleaved A/B wall timing
-    "benchmarks/perf/ab_shard.py",  # interleaved A/B wall timing (shard)
     "tests/test_rng_wallclock_lint.py",  # this file quotes the patterns
 }
 
