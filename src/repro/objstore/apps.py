@@ -62,7 +62,8 @@ class ChunkSumApp(StreamingApp):
 
     def begin(self, ctx: ExecContext) -> None:
         self._chunker = Chunker(self._params)
-        self._tail = b""  # bytes since the last boundary (<= max_size)
+        self._tail = hashlib.sha1()  # digest of the bytes since the last boundary
+        self._tail_len = 0
         self._chunks: list[tuple[str, int]] = []
         self._analytic = False
 
@@ -70,13 +71,19 @@ class ChunkSumApp(StreamingApp):
         if chunk is None:
             self._analytic = True
             return
-        # Completed chunks are prefixes of tail+page; whatever the chunker
-        # holds back stays in the tail for the next page (page-seam safety).
-        pending = self._tail + chunk
+        # A chunk that spans a page seam is hashed incrementally: only the
+        # open chunk's SHA-1 state crosses to the next page, never its bytes.
+        page = memoryview(chunk)
+        offset = 0
         for length in self._chunker.update(chunk):
-            blob, pending = pending[:length], pending[length:]
-            self._chunks.append((hashlib.sha1(blob).hexdigest(), length))
-        self._tail = pending
+            end = offset + length - self._tail_len
+            self._tail.update(page[offset:end])
+            self._chunks.append((self._tail.hexdigest(), length))
+            self._tail = hashlib.sha1()
+            self._tail_len = 0
+            offset = end
+        self._tail.update(page[offset:])
+        self._tail_len += len(page) - offset
 
     def finish(self, ctx: ExecContext, path: str, total_bytes: int) -> Generator:
         if self._analytic:
@@ -85,7 +92,7 @@ class ChunkSumApp(StreamingApp):
             )
         tail_len = self._chunker.finish()
         if tail_len is not None:
-            self._chunks.append((hashlib.sha1(self._tail).hexdigest(), tail_len))
+            self._chunks.append((self._tail.hexdigest(), tail_len))
         out = "\n".join(f"{digest} {length}" for digest, length in self._chunks)
         return ExitStatus(
             code=0,

@@ -17,21 +17,31 @@ bounds:
 - a forced boundary at ``max_size`` (bounds the worst case on
   pathological content such as long runs of one byte).
 
-The hash state resets at every boundary, so chunking is *self-synchronising*:
+The hash resets at every boundary, so chunking is *self-synchronising*:
 cutting a payload at any emitted boundary and chunking the halves separately
 reproduces exactly the original chunk sequence.  The Hypothesis suite pins
 that property (``tests/test_chunking.py``), and the in-situ minion app
 (:class:`repro.objstore.apps.ChunkSumApp`) feeds pages through the same
 incremental :class:`Chunker`, so device-side and host-side boundaries are
 identical by construction.
+
+Boundaries are found without a per-byte loop.  Since
+``h = (h << 1) + gear[byte]``, the low ``k`` bits of ``h`` depend only on
+the last ``k`` bytes; once a chunk is ``k`` bytes long, whether a position
+is a boundary no longer depends on where the chunk began.  One numpy pass
+per buffer marks every such candidate, and the cut walk only picks the
+first candidate past ``min_size``.  The per-byte loop survives in the tests
+as the reference this search must match.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 __all__ = ["ChunkParams", "Chunker", "chunk_digests", "chunk_spans"]
 
@@ -39,7 +49,9 @@ __all__ = ["ChunkParams", "Chunker", "chunk_digests", "chunk_spans"]
 #: module-load determinism, never the global RNG.
 _GEAR_RNG = random.Random(0x9E3779B97F4A7C15)
 _GEAR: tuple[int, ...] = tuple(_GEAR_RNG.getrandbits(64) for _ in range(256))
-_MASK64 = (1 << 64) - 1
+_GEAR_TABLE = np.array(_GEAR, dtype=np.uint64)
+#: Bytes scanned per numpy pass; bounds the uint64 temporaries to a few MiB.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,43 +74,92 @@ class ChunkParams:
         return (1 << max(1, self.avg_size.bit_length() - 1)) - 1
 
 
+def _window_hashes(buf: np.ndarray, bits: int) -> np.ndarray:
+    """Per index ``j``, ``sum(gear[buf[j - d]] << d)`` over ``d < bits``
+    (and possibly more, which the low ``bits`` bits never see), mod 2**64.
+
+    Bytes before the buffer count as absent, so at ``j < bits - 1`` this is
+    the hash of ``buf[:j + 1]`` alone.  Built by doubling the window:
+    ``w_2s[j] = w_s[j] + (w_s[j - s] << s)``, uint64 wrap-around included.
+    """
+    window = _GEAR_TABLE[buf]
+    span = 1
+    while span < bits:
+        window[span:] += window[:-span] << np.uint64(span)
+        span *= 2
+    return window
+
+
 class Chunker:
     """Incremental content-defined chunker (page-seam safe).
 
-    Feed bytes in any fragmentation via :meth:`update`; each call yields the
-    lengths of the chunks completed by those bytes.  :meth:`finish` flushes
-    the trailing partial chunk.  Boundary decisions depend only on the bytes
-    since the previous boundary, never on fragment sizes, so streaming a
-    file page by page produces the same chunks as one whole-buffer pass.
+    Feed bytes in any fragmentation via :meth:`update`; each call returns
+    the lengths of the chunks completed by those bytes.  :meth:`finish`
+    flushes the trailing partial chunk.  Boundary decisions depend only on
+    the bytes since the previous boundary, never on fragment sizes, so
+    streaming a file page by page produces the same chunks as one
+    whole-buffer pass.
     """
 
     def __init__(self, params: ChunkParams):
         self.params = params
-        self._hash = 0
-        self._length = 0
+        # h is 64 bits wide, so a wider mask tests no more bits than this
+        self._bits = min(params.mask.bit_length(), 64)
+        self._mask = (1 << self._bits) - 1
+        self._length = 0  # bytes since the last boundary
+        self._recent = b""  # the last min(_length, _bits - 1) of them
 
-    def update(self, data: bytes) -> Iterator[int]:
-        gear = _GEAR
-        mask = self.params.mask
-        min_size = self.params.min_size
-        max_size = self.params.max_size
-        h = self._hash
-        length = self._length
-        for byte in data:
-            h = ((h << 1) + gear[byte]) & _MASK64
-            length += 1
-            if (length >= min_size and (h & mask) == 0) or length >= max_size:
-                yield length
-                h = 0
-                length = 0
-        self._hash = h
-        self._length = length
+    def update(self, data: bytes) -> list[int]:
+        cuts: list[int] = []
+        view = memoryview(data)
+        for offset in range(0, len(view), _BLOCK):
+            cuts += self._scan(view[offset:offset + _BLOCK])
+        return cuts
+
+    def _scan(self, data: memoryview) -> list[int]:
+        bits, mask = self._bits, self._mask
+        min_size, max_size = self.params.min_size, self.params.max_size
+        # carrying the last bits-1 bytes makes every window in `buf` whole
+        buf = self._recent + data
+        carried = len(self._recent)
+        end = len(buf)
+        octets = np.frombuffer(buf, dtype=np.uint8)
+        low = np.uint64(mask)
+        window = _window_hashes(octets, bits)
+        candidates = np.flatnonzero((window & low) == 0).tolist()
+        cuts: list[int] = []
+        start = carried - self._length  # buf index of the open chunk's first byte
+        while True:
+            first = max(start + min_size - 1, carried)  # earliest untested index
+            forced = start + max_size - 1
+            warm = start + bits - 1  # from here the window holds only chunk bytes
+            cut = -1
+            if first < warm:
+                # min_size < bits: positions this close to the chunk start hash
+                # fewer bytes than the window, so hash exactly those bytes
+                head = _window_hashes(octets[start:min(warm, forced + 1, end)], bits)
+                hits = np.flatnonzero((head[first - start:] & low) == 0)
+                if hits.size:
+                    cut = first + int(hits[0])
+            if cut < 0:
+                at = bisect_left(candidates, max(first, warm))
+                if at < len(candidates) and candidates[at] <= forced:
+                    cut = candidates[at]
+                elif forced < end:
+                    cut = forced
+                else:
+                    break
+            cuts.append(cut + 1 - start)
+            start = cut + 1
+        self._length = end - start
+        self._recent = buf[max(start, end - bits + 1):]
+        return cuts
 
     def finish(self) -> int | None:
         """The trailing partial chunk's length (``None`` if flush-aligned)."""
         length = self._length if self._length else None
-        self._hash = 0
         self._length = 0
+        self._recent = b""
         return length
 
 

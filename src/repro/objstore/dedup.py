@@ -398,7 +398,7 @@ class DedupObjectStore:
         back, so unavailability is not loss.  Also re-derives refcounts from
         the manifests and reports any index drift.
         """
-        lost: list[str] = []
+        lost: set[str] = set()
         present: set[str] = set()
         for node_index, device in self.ring:
             fs = self._ssd(node_index, device).fs
@@ -409,8 +409,8 @@ class DedupObjectStore:
         for manifest in self.manifests.values():
             for digest, _ in manifest.recipe:
                 want[digest] = want.get(digest, 0) + 1
-                if digest not in present and digest not in lost:
-                    lost.append(digest)
+                if digest not in present:
+                    lost.add(digest)
         drift = sorted(
             digest
             for digest in set(want) | set(self.index)

@@ -1,19 +1,94 @@
 """Property-based tests for content-defined chunking (Gear rolling hash)."""
 
 import hashlib
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.objstore import ChunkParams, Chunker, chunk_digests, chunk_spans
+from repro.objstore.chunking import _BLOCK, _GEAR
 
 PARAMS = ChunkParams(min_size=64, avg_size=256, max_size=1024)
 
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_lengths(data: bytes, params: ChunkParams) -> list[int]:
+    """The per-byte Gear loop: the oracle the vectorised chunker must match."""
+    lengths: list[int] = []
+    h = length = 0
+    for byte in data:
+        h = ((h << 1) + _GEAR[byte]) & _MASK64
+        length += 1
+        if (length >= params.min_size and (h & params.mask) == 0) or (
+            length >= params.max_size
+        ):
+            lengths.append(length)
+            h = length = 0
+    if length:
+        lengths.append(length)
+    return lengths
+
+
+@st.composite
+def chunk_params(draw) -> ChunkParams:
+    """Bounds including ``min_size=1``, ``min_size`` below the mask width,
+    ``min == avg`` and ``avg == max``; small averages cut often, so every
+    branch of the cut walk runs many times per payload."""
+    min_size = draw(st.sampled_from([1, 2, 3, 5, 11, 64]) | st.integers(1, 600))
+    avg_size = draw(
+        st.just(min_size)
+        | st.integers(min_size, min_size + 64)
+        | st.integers(min_size, 4096)
+    )
+    max_size = draw(st.just(avg_size) | st.integers(avg_size, 4 * avg_size))
+    return ChunkParams(min_size, avg_size, max_size)
+
+
 payloads = st.binary(min_size=0, max_size=16 * 1024)
+
+# seeded random bytes (Hypothesis' own binary draws stay short and
+# low-entropy), single-byte runs (forced max_size cuts), all zeros, and mixes
+random_bytes = st.builds(
+    lambda seed, size: random.Random(seed).randbytes(size),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12 * 1024),
+)
+contents = st.one_of(
+    random_bytes,
+    st.binary(max_size=4 * 1024),
+    st.builds(lambda b, n: bytes([b]) * n, st.integers(0, 255), st.integers(0, 20_000)),
+    st.integers(0, 20_000).map(bytes),
+    st.lists(random_bytes | st.integers(0, 3000).map(bytes), max_size=4).map(b"".join),
+)
+
+# page-like steps, or arbitrary cut points
+fragmentations = st.sampled_from([1, 7, 101, 16384]) | st.lists(
+    st.integers(0, 20_000), max_size=8
+)
 
 
 def lengths(data: bytes, params: ChunkParams = PARAMS) -> list[int]:
     return [length for _, length in chunk_spans(data, params)]
+
+
+def streamed_lengths(pieces, params: ChunkParams) -> list[int]:
+    chunker = Chunker(params)
+    out: list[int] = []
+    for piece in pieces:
+        out.extend(chunker.update(piece))
+    tail = chunker.finish()
+    if tail is not None:
+        out.append(tail)
+    return out
+
+
+def fragments(data: bytes, fragmentation) -> list[bytes]:
+    if isinstance(fragmentation, int):
+        return [data[i:i + fragmentation] for i in range(0, len(data), fragmentation)]
+    cuts = sorted({min(cut, len(data)) for cut in fragmentation} | {0, len(data)})
+    return [data[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def test_empty_input_produces_no_chunks():
@@ -23,17 +98,32 @@ def test_empty_input_produces_no_chunks():
     assert chunker.finish() is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(payloads)
-def test_chunking_is_deterministic(data):
-    assert lengths(data) == lengths(data)
-    assert chunk_digests(data, PARAMS) == chunk_digests(data, PARAMS)
+@settings(max_examples=150, deadline=None)
+@given(chunk_params(), contents, fragmentations)
+def test_vectorised_chunker_matches_reference_loop(params, data, fragmentation):
+    expected = _reference_lengths(data, params)
+    assert lengths(data, params) == expected
+    assert streamed_lengths(fragments(data, fragmentation), params) == expected
+
+
+def test_reference_agreement_across_scan_blocks():
+    """A buffer longer than one numpy pass is cut where the loop cuts it."""
+    params = ChunkParams(min_size=512, avg_size=2048, max_size=8192)
+    data = random.Random(13).randbytes(_BLOCK + 70_000)
+    assert lengths(data, params) == _reference_lengths(data, params)
 
 
 @settings(max_examples=60, deadline=None)
-@given(payloads)
-def test_chunks_cover_input_exactly(data):
-    spans = chunk_spans(data, PARAMS)
+@given(chunk_params(), payloads)
+def test_chunking_is_deterministic(params, data):
+    assert lengths(data, params) == lengths(data, params)
+    assert chunk_digests(data, params) == chunk_digests(data, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_params(), payloads)
+def test_chunks_cover_input_exactly(params, data):
+    spans = chunk_spans(data, params)
     assert sum(length for _, length in spans) == len(data)
     offset = 0
     for start, length in spans:
@@ -42,55 +132,43 @@ def test_chunks_cover_input_exactly(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(payloads)
-def test_chunk_sizes_respect_bounds(data):
-    sizes = lengths(data)
-    assert all(size <= PARAMS.max_size for size in sizes)
+@given(chunk_params(), payloads)
+def test_chunk_sizes_respect_bounds(params, data):
+    sizes = lengths(data, params)
+    assert all(size <= params.max_size for size in sizes)
     # every chunk but the (possibly short) final tail honours the floor
-    assert all(size >= PARAMS.min_size for size in sizes[:-1])
+    assert all(size >= params.min_size for size in sizes[:-1])
 
 
 @settings(max_examples=60, deadline=None)
-@given(payloads, st.binary(min_size=0, max_size=4 * 1024))
-def test_concatenation_stable_at_chunk_boundaries(prefix, suffix):
+@given(chunk_params(), payloads, st.binary(min_size=0, max_size=4 * 1024))
+def test_concatenation_stable_at_chunk_boundaries(params, prefix, suffix):
     """Splitting the stream at an emitted boundary never changes the chunks:
     the rolling hash resets per chunk, so boundaries are self-synchronising."""
-    whole = lengths(prefix + suffix)
-    spans = chunk_spans(prefix, PARAMS)
+    whole = lengths(prefix + suffix, params)
+    spans = chunk_spans(prefix, params)
     if not spans:
         return
     # feed the data in two pieces split at the first boundary; the chunk
     # sequence must match the one-shot pass byte for byte
     cut = spans[0][1]
-    chunker = Chunker(PARAMS)
-    streamed = list(chunker.update((prefix + suffix)[:cut]))
-    streamed += list(chunker.update((prefix + suffix)[cut:]))
-    tail = chunker.finish()
-    if tail is not None:
-        streamed.append(tail)
-    assert streamed == whole
+    data = prefix + suffix
+    assert streamed_lengths([data[:cut], data[cut:]], params) == whole
 
 
 @settings(max_examples=40, deadline=None)
-@given(payloads)
-def test_incremental_equals_one_shot_under_any_split(data):
-    one_shot = lengths(data)
+@given(chunk_params(), payloads)
+def test_incremental_equals_one_shot_under_any_split(params, data):
+    one_shot = lengths(data, params)
     for step in (1, 7, 101):
-        chunker = Chunker(PARAMS)
-        streamed = []
-        for start in range(0, len(data), step):
-            streamed.extend(chunker.update(data[start:start + step]))
-        tail = chunker.finish()
-        if tail is not None:
-            streamed.append(tail)
-        assert streamed == one_shot
+        assert streamed_lengths(fragments(data, step), params) == one_shot
 
 
 @settings(max_examples=40, deadline=None)
-@given(payloads)
-def test_digests_are_sha1_of_the_spans(data):
-    spans = chunk_spans(data, PARAMS)
-    digests = chunk_digests(data, PARAMS)
+@given(chunk_params(), payloads)
+def test_digests_are_sha1_of_the_spans(params, data):
+    spans = chunk_spans(data, params)
+    digests = chunk_digests(data, params)
     assert len(digests) == len(spans)
     for (start, length), (digest, size) in zip(spans, digests):
         assert size == length
@@ -100,8 +178,6 @@ def test_digests_are_sha1_of_the_spans(data):
 def test_shared_suffix_resynchronises():
     """Prepending bytes only disturbs chunking near the edit: a long shared
     suffix converges to identical chunk digests (what makes dedup work)."""
-    import random
-
     rng = random.Random(7)
     shared = bytes(rng.getrandbits(8) for _ in range(8 * 1024))
     a = dict(chunk_digests(b"X" * 37 + shared, PARAMS))

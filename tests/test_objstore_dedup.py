@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import StorageFleet
+from repro.faults.state import DeviceFaultState
 from repro.objstore import (
     ChunkParams,
     ChunkSumApp,
@@ -90,6 +91,32 @@ def test_recipe_matches_host_side_chunking():
     recipe = drive(fleet, store.put("k", payload))
     assert list(recipe) == chunk_digests(payload, PARAMS)
     assert store.stats.host_chunk_fallbacks == 0
+
+
+def test_put_chunks_host_side_when_the_key_chain_is_down():
+    """With every device on the key's chain crashed, no drive can run
+    chunksum: the store chunks on the host, and the object still commits."""
+    fleet, store = make_store()
+    # a key/payload whose chunk chains each keep a live device, so the
+    # novel blocks have somewhere to land
+    for seed in range(100):
+        key, payload = f"k{seed}", blob(100 + seed, size=1024)
+        down = set(store._chain(key))
+        if all(
+            set(store.block_chain(digest)) - down
+            for digest, _ in chunk_digests(payload, PARAMS)
+        ):
+            break
+    else:
+        pytest.fail("no key/payload keeps a live device on every chunk chain")
+    for target in down:
+        faults = store._ssd(*target).controller.faults = DeviceFaultState()
+        faults.crashed = True
+    recipe = drive(fleet, store.put(key, payload))
+    assert store.stats.host_chunk_fallbacks == 1
+    assert list(recipe) == chunk_digests(payload, PARAMS)
+    assert drive(fleet, store.get(key)) == payload
+    assert store.check_integrity()["ok"]
 
 
 def test_duplicate_payload_is_never_rewritten():
