@@ -57,6 +57,12 @@ class PageState(IntEnum):
     PROGRAMMED = 1
 
 
+#: ``PageState.PROGRAMMED`` as a plain int for the per-page hot paths: numpy
+#: compares an ``int8`` element with an ``IntEnum`` only after probing the
+#: enum class for array dunders, one ``EnumType.__getattr__`` call each.
+_PROGRAMMED = int(PageState.PROGRAMMED)
+
+
 @dataclass(frozen=True, slots=True)
 class ReadResult:
     """Outcome of a page read.
@@ -187,7 +193,7 @@ class FlashArray:
         """
         geo = self.geometry
         idx = geo.page_index(addr)
-        if self.page_state[idx] != PageState.PROGRAMMED:
+        if self.page_state[idx] != _PROGRAMMED:
             raise FlashOpError(f"read of erased page {addr}")
         die = self.die_units[self._die_id(addr)]
         bus = self.channel_bus[addr.channel]
@@ -230,7 +236,7 @@ class FlashArray:
         geo = self.geometry
         idx = geo.page_index(addr)
         block_idx = geo.block_index(addr.block_addr)
-        if self.page_state[idx] == PageState.PROGRAMMED:
+        if self.page_state[idx] == _PROGRAMMED:
             raise FlashOpError(f"program of already-programmed page {addr}")
         expected = int(self.write_pointer[block_idx])
         if addr.page != expected:
@@ -252,7 +258,7 @@ class FlashArray:
             yield dreq
             yield self.sim.timeout(self.timing.t_prog)
 
-        self.page_state[idx] = PageState.PROGRAMMED
+        self.page_state[idx] = _PROGRAMMED
         self.write_pointer[block_idx] = addr.page + 1
         self.program_time[block_idx] = self.sim.now
         if self.store_data and data is not None:

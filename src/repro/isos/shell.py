@@ -8,12 +8,16 @@ model supports:
   stage N+1's stdin);
 - scripts: newline-/semicolon-separated command sequences.
 
-Parsing uses POSIX quoting rules via :mod:`shlex`.
+Parsing uses POSIX quoting rules via :mod:`shlex`.  A serving run submits
+the same few command lines thousands of times, so pipelines are parsed once
+into tuples and memoized (bounded); callers get fresh lists every time, and
+a malformed line raises on every call, since errors are never cached.
 """
 
 from __future__ import annotations
 
 import shlex
+from functools import lru_cache
 
 __all__ = ["ShellError", "parse_command_line", "split_pipeline", "split_script"]
 
@@ -35,6 +39,11 @@ def parse_command_line(line: str) -> list[str]:
 
 def split_pipeline(line: str) -> list[list[str]]:
     """Split on ``|`` (outside quotes) and tokenise each stage."""
+    return [list(stage) for stage in _parse_pipeline(line)]
+
+
+@lru_cache(maxsize=256)
+def _parse_pipeline(line: str) -> tuple[tuple[str, ...], ...]:
     stages: list[str] = []
     current: list[str] = []
     depth_quote: str | None = None
@@ -54,7 +63,7 @@ def split_pipeline(line: str) -> list[list[str]]:
     if depth_quote:
         raise ShellError(f"unterminated quote in {line!r}")
     stages.append("".join(current))
-    parsed = [parse_command_line(stage) for stage in stages if stage.strip()]
+    parsed = tuple(tuple(parse_command_line(stage)) for stage in stages if stage.strip())
     if not parsed:
         raise ShellError("empty pipeline")
     return parsed

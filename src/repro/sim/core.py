@@ -2,8 +2,19 @@
 
 Time is a float in **seconds**.  Sub-nanosecond resolution is plenty for the
 device latencies modelled here (flash reads are ~60 us, PCIe transfers are
-~us-scale); determinism comes from the stable ``(time, priority, seq)`` heap
-ordering, not from integer time.
+~us-scale); determinism comes from the stable ``(time, priority, seq)``
+dispatch order, not from integer time.
+
+The schedule has two parts.  Events due at the current time wait in two FIFO
+lanes, ``urgent`` and ``normal``; events due strictly later wait in a heap of
+``(time, priority, seq, daemon, event)`` tuples.  Dispatch drains the urgent
+lane, then the normal lane, and only when both are empty advances the clock
+to the heap top ``T``, moving every heap entry due at ``T`` into the lanes in
+heap order.  That order is exactly ``(time, priority, seq)``: an entry due at
+``T`` was scheduled before the clock reached ``T``, so its seq is below that
+of anything scheduled at ``T``, and within a lane FIFO order is seq order.
+Routing is by ``now + delay == now``, so a positive delay that rounds to the
+current time keeps its FIFO place.
 """
 
 from __future__ import annotations
@@ -11,15 +22,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import zlib
+from collections import deque
 from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
 import numpy as np
 
-# Pre-bound heap functions: the scheduler calls these once per event, so
-# skipping the module-attribute lookup is measurable at fleet scale.
+# Pre-bound heap functions: the scheduler calls these once per future event,
+# so skipping the module-attribute lookup is measurable at fleet scale.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+# Allocates an event without running __init__: the hottest constructors
+# (sim.timeout, sim.event, process start) fill the slots in their own frame.
+_new = object.__new__
 
 __all__ = [
     "AllOf",
@@ -58,8 +73,9 @@ class Event:
     """A one-shot occurrence that processes can wait on.
 
     Events move through three states: *pending* (created), *triggered*
-    (scheduled with a value, waiting in the queue) and *processed* (callbacks
-    ran).  Waiting is expressed by a process ``yield``-ing the event.
+    (scheduled with a value, waiting in the schedule) and *processed*
+    (callbacks ran, ``callbacks`` is ``None``).  Waiting is expressed by a
+    process ``yield``-ing the event.
     """
 
     __slots__ = (
@@ -68,7 +84,6 @@ class Event:
         "_value",
         "_ok",
         "_triggered",
-        "_processed",
         "_defused",
         "name",
     )
@@ -80,7 +95,6 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._processed = False
         self._defused = False
 
     # -- state ----------------------------------------------------------
@@ -90,7 +104,7 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -112,7 +126,10 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._schedule(self, 0.0, NORMAL)
+        # _schedule(self, 0.0, NORMAL) inlined: always due now.
+        sim = self.sim
+        sim._normal.append(self)
+        sim._live += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -129,16 +146,15 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, 0.0, NORMAL)
+        sim = self.sim
+        sim._normal.append(self)
+        sim._live += 1
         return self
 
     def _run_callbacks(self) -> None:
-        # Hot path: one list swap, then direct dispatch.  The common case is
-        # a single waiter, which the plain for-loop already handles without
-        # extra allocation; the swap-to-None is what marks "processed" for
-        # late waiters (see Process._resume).
+        # The swap-to-None is what marks "processed" for late waiters (see
+        # Process._resume).  The run() loops inline this body.
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         for cb in callbacks:
             cb(self)
         if not self._ok and not self._defused:
@@ -156,6 +172,9 @@ class Timeout(Event):
     telemetry pollers): like daemon threads, daemon events never keep the
     simulation alive — an unbounded :meth:`Simulator.run` returns once only
     daemon events remain.
+
+    Models create timeouts with :meth:`Simulator.timeout`, which inlines this
+    constructor.
     """
 
     __slots__ = ("delay",)
@@ -165,17 +184,14 @@ class Timeout(Event):
     ):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        # Flattened Event.__init__: timeouts are the single most-created
-        # object in any run (every latency model yields one), so the slots
-        # are set directly and the name is static — the delay is readable
-        # from the ``delay`` slot and shown by __repr__.
+        # Flattened Event.__init__ with a static name: the delay is
+        # readable from the ``delay`` slot and shown by __repr__.
         self.sim = sim
         self.name = "timeout"
         self.callbacks = []
         self._value = value
         self._ok = True
         self._triggered = True
-        self._processed = False
         self._defused = False
         self.delay = delay
         sim._schedule(self, delay, NORMAL, daemon)
@@ -185,20 +201,12 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal: kicks a newly created process at the current time."""
+    """Internal: kicks a newly created process at the current time.
+
+    Built by :class:`Process` without an ``__init__`` call.
+    """
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", process: "Process"):
-        self.sim = sim
-        self.name = "init"
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self._defused = False
-        sim._schedule(self, 0.0, URGENT)
 
 
 class Process(Event):
@@ -222,11 +230,22 @@ class Process(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        self._processed = False
         self._defused = False
         self._generator = generator
         self._target: Event | None = None
-        Initialize(sim, self)
+        # The Initialize event, built in place and put straight on the
+        # urgent lane: a new process starts at the current time, before
+        # anything NORMAL due now.
+        init = _new(Initialize)
+        init.sim = sim
+        init.name = "init"
+        init.callbacks = [self._resume]
+        init._value = None
+        init._ok = True
+        init._triggered = True
+        init._defused = False
+        sim._urgent.append(init)
+        sim._live += 1
 
     @property
     def is_alive(self) -> bool:
@@ -280,13 +299,15 @@ class Process(Event):
                 self._triggered = True
                 self._ok = True
                 self._value = stop.value
-                sim._schedule(self, 0.0, NORMAL)
+                sim._normal.append(self)
+                sim._live += 1
                 break
             except BaseException as exc:
                 self._triggered = True
                 self._ok = False
                 self._value = exc
-                sim._schedule(self, 0.0, NORMAL)
+                sim._normal.append(self)
+                sim._live += 1
                 break
 
             if not isinstance(next_event, Event):
@@ -402,7 +423,13 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
+        #: Events due now, in dispatch order: all URGENT ones, then NORMAL.
+        self._urgent: deque[Event] = deque()
+        self._normal: deque[Event] = deque()
+        #: Events due strictly later than now.
         self._queue: list[tuple[float, int, int, bool, Event]] = []
+        #: Daemon events waiting in a lane (heap entries carry the flag).
+        self._lane_daemons: set[Event] = set()
         self._seq = itertools.count()
         self._active: Process | None = None
         self._seed = seed
@@ -442,10 +469,41 @@ class Simulator:
 
     # -- event construction ----------------------------------------------
     def event(self, name: str = "") -> Event:
-        return Event(self, name=name)
+        # Event.__init__ inlined (one frame instead of type call + __init__).
+        ev = _new(Event)
+        ev.sim = self
+        ev.name = name
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = True
+        ev._triggered = False
+        ev._defused = False
+        return ev
 
     def timeout(self, delay: float, value: Any = None, daemon: bool = False) -> Timeout:
-        return Timeout(self, delay, value, daemon=daemon)
+        # Timeout.__init__ inlined: every latency model yields one of these.
+        if delay < 0:
+            raise ValueError(f"negative timeout delay {delay!r}")
+        ev = _new(Timeout)
+        ev.sim = self
+        ev.name = "timeout"
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev._triggered = True
+        ev._defused = False
+        ev.delay = delay
+        if daemon:
+            self._schedule(ev, delay, NORMAL, True)
+            return ev
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._normal.append(ev)
+        else:
+            _heappush(self._queue, (when, NORMAL, next(self._seq), False, ev))
+        self._live += 1
+        return ev
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -460,14 +518,46 @@ class Simulator:
     def _schedule(
         self, event: Event, delay: float, priority: int, daemon: bool = False
     ) -> None:
-        _heappush(
-            self._queue, (self._now + delay, priority, next(self._seq), daemon, event)
-        )
+        """Schedule ``event`` at ``now + delay``.
+
+        The general path; the hot constructors inline the cases they need.
+        An event due now joins the tail of its priority's lane, so it keeps
+        the FIFO place its (never materialised) seq would give it.
+        """
+        now = self._now
+        when = now + delay
+        if when == now:
+            (self._urgent if priority == URGENT else self._normal).append(event)
+            if daemon:
+                self._lane_daemons.add(event)
+        else:
+            _heappush(self._queue, (when, priority, next(self._seq), daemon, event))
         if not daemon:
             self._live += 1
 
+    def _advance(self) -> Event:
+        """Move the clock to the heap top and return its event.
+
+        Every other heap entry due at the same time moves to the lanes (the
+        top entry is the first of them, so it is returned instead).  Callers
+        check that the lanes are empty and the heap is not.
+        """
+        queue = self._queue
+        when, _prio, _seq, daemon, event = _heappop(queue)
+        self._now = when
+        if daemon:
+            self._lane_daemons.add(event)
+        while queue and queue[0][0] == when:
+            _when, prio, _seq, daemon, other = _heappop(queue)
+            (self._urgent if prio == URGENT else self._normal).append(other)
+            if daemon:
+                self._lane_daemons.add(other)
+        return event
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._urgent or self._normal:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     @property
@@ -477,14 +567,21 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._queue:
+        if self._urgent:
+            event = self._urgent.popleft()
+        elif self._normal:
+            event = self._normal.popleft()
+        elif not self._queue:
             raise SimulationError("step() on an empty schedule")
-        when, _prio, _seq, daemon, event = _heappop(self._queue)
-        if when < self._now:
+        elif self._queue[0][0] < self._now:
             raise SimulationError("event scheduled in the past")
-        if not daemon:
+        else:
+            event = self._advance()
+        daemons = self._lane_daemons
+        if daemons and event in daemons:
+            daemons.remove(event)
+        else:
             self._live -= 1
-        self._now = when
         self.events_processed += 1
         event._run_callbacks()
 
@@ -497,25 +594,40 @@ class Simulator:
         ``run(until=<time>)`` window.  When ``until`` is an :class:`Event`,
         returns that event's value.
         """
-        # The three dispatch loops below are step() inlined: pop, advance
-        # time, run callbacks.  The per-event method call and the redundant
-        # past-event guard (unreachable via _schedule, which never produces
-        # a time below now) are what the inlining removes.  step() remains
-        # for external single-step callers.
-        queue = self._queue
+        # The three dispatch loops below are step() inlined, with the
+        # callbacks run in place: take from the urgent lane, else the normal
+        # lane, else advance the clock to the heap top.  The past-event
+        # guard is unreachable here (only a negative delay handed straight
+        # to _schedule could produce one); step() keeps it for external
+        # single-step callers.
+        urgent_pop = self._urgent.popleft
+        normal_pop = self._normal.popleft
+        urgent, normal, queue = self._urgent, self._normal, self._queue
+        daemons = self._lane_daemons
+        advance = self._advance
         if isinstance(until, Event):
             stop = until
             if stop.callbacks is None:
                 return stop._value if stop._ok else self._raise(stop)
             flag: list[bool] = []
             stop.callbacks.append(lambda ev: flag.append(True))
-            while queue and self._live > 0 and not flag:
-                when, _prio, _seq, daemon, event = _heappop(queue)
-                if not daemon:
+            while self._live > 0 and not flag:
+                if urgent:
+                    event = urgent_pop()
+                elif normal:
+                    event = normal_pop()
+                else:
+                    event = advance()
+                if daemons and event in daemons:
+                    daemons.remove(event)
+                else:
                     self._live -= 1
-                self._now = when
                 self.events_processed += 1
-                event._run_callbacks()
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    raise event._value
             if not flag:
                 raise SimulationError(
                     f"live schedule drained before {stop!r} fired"
@@ -526,21 +638,43 @@ class Simulator:
         if horizon < self._now:
             raise ValueError(f"until={horizon} is in the past (now={self._now})")
         if horizon == float("inf"):
-            while queue and self._live > 0:
-                when, _prio, _seq, daemon, event = _heappop(queue)
-                if not daemon:
+            while self._live > 0:
+                if urgent:
+                    event = urgent_pop()
+                elif normal:
+                    event = normal_pop()
+                else:
+                    event = advance()
+                if daemons and event in daemons:
+                    daemons.remove(event)
+                else:
                     self._live -= 1
-                self._now = when
                 self.events_processed += 1
-                event._run_callbacks()
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         else:
-            while queue and queue[0][0] <= horizon:
-                when, _prio, _seq, daemon, event = _heappop(queue)
-                if not daemon:
+            while True:
+                if urgent:
+                    event = urgent_pop()
+                elif normal:
+                    event = normal_pop()
+                elif queue and queue[0][0] <= horizon:
+                    event = advance()
+                else:
+                    break
+                if daemons and event in daemons:
+                    daemons.remove(event)
+                else:
                     self._live -= 1
-                self._now = when
                 self.events_processed += 1
-                event._run_callbacks()
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    raise event._value
             self._now = horizon
         return None
 

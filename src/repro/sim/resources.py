@@ -35,18 +35,30 @@ class Request(Event):
         # Flattened Event.__init__; the name is precomputed once per
         # resource (_req_name) rather than formatted per request — requests
         # are created on every command/page/bus transaction.
-        self.sim = resource.sim
+        sim = self.sim = resource.sim
         self.name = resource._req_name
         self.callbacks = []
-        self._value = None
         self._ok = True
-        self._triggered = False
-        self._processed = False
         self._defused = False
         self.resource = resource
         self.priority = priority
         self._key = (priority, next(resource._ticket))
-        resource._request(self)
+        users = resource.users
+        if len(users) < resource.capacity and not resource.queue:
+            # Resource._grant and Event.succeed inlined for the uncontended
+            # case, the common one on every bus and queue slot.
+            now = sim._now
+            resource._busy_integral += len(users) * (now - resource._last_change)
+            resource._last_change = now
+            users.append(self)
+            self._value = resource
+            self._triggered = True
+            sim._normal.append(self)
+            sim._live += 1
+        else:
+            self._value = None
+            self._triggered = False
+            resource._enqueue(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -102,12 +114,6 @@ class Resource:
     # -- protocol ----------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
         return Request(self, priority)
-
-    def _request(self, req: Request) -> None:
-        if len(self.users) < self.capacity and not self.queue:
-            self._grant(req)
-        else:
-            self._enqueue(req)
 
     def _enqueue(self, req: Request) -> None:
         self.queue.append(req)

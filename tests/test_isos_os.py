@@ -105,6 +105,22 @@ def test_split_pipeline():
     assert stages == [["cat", "f.txt"], ["upper"]]
 
 
+def test_split_pipeline_returns_fresh_lists_for_a_repeated_line():
+    first = split_pipeline("gunzip f.gz | grep -c x")
+    first[0].append("--mutated")
+    first.append(["extra"])
+    second = split_pipeline("gunzip f.gz | grep -c x")
+    assert second == [["gunzip", "f.gz"], ["grep", "-c", "x"]]
+    assert second is not first and second[0] is not first[0]
+
+
+@pytest.mark.parametrize("line", ["grep 'open", "  |  ", "grep \"a b"])
+def test_split_pipeline_rejects_bad_input_on_every_call(line):
+    for _ in range(3):
+        with pytest.raises(ShellError):
+            split_pipeline(line)
+
+
 def test_split_pipeline_respects_quotes():
     stages = split_pipeline("echo 'a|b' | upper")
     assert stages == [["echo", "a|b"], ["upper"]]

@@ -9,6 +9,11 @@ localise:
 * dispatch order is exactly ``(time, priority, sequence)`` — URGENT beats
   NORMAL at the same timestamp, and insertion order breaks every remaining
   tie (never object identity or heap internals);
+* the lane-and-heap kernel fires the same events, at the same times, with
+  the same ``events_processed`` and ``live_events``, as a heap-only
+  reference scheduler, for programs whose callbacks schedule more events
+  during dispatch and which are driven by ``run(until=t)``, ``step()`` and
+  ``peek()`` as well as an unbounded ``run()``;
 * ``AllOf`` fires at the latest constituent with every value collected;
   ``AnyOf`` fires at the earliest constituent;
 * ``Resource`` grants are FIFO; ``PriorityResource`` grants are ordered by
@@ -20,7 +25,10 @@ Hypothesis runs derandomized (see ``conftest.py``) so failures reproduce.
 
 from __future__ import annotations
 
-from hypothesis import given
+import heapq
+import itertools
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import PriorityResource, Resource, Simulator, Store
@@ -160,3 +168,121 @@ def test_store_preserves_fifo_under_interleaving(put_gaps, get_gaps):
     sim.process(consumer())
     sim.run()
     assert got == list(range(n))
+
+
+# -- lane-and-heap kernel against a heap-only reference -----------------------
+
+class _HeapKernel:
+    """Reference scheduler: every event in one ``(time, priority, seq)`` heap."""
+
+    def __init__(self):
+        self.now, self.heap, self.seq = 0.0, [], itertools.count()
+        self.live = self.processed = 0
+
+    def schedule(self, action, delay, priority, daemon):
+        heapq.heappush(self.heap, (self.now + delay, priority, next(self.seq), daemon, action))
+        self.live += not daemon
+
+    def peek(self):
+        return self.heap[0][0] if self.heap else float("inf")
+
+    def step(self):
+        self.now, _prio, _seq, daemon, action = heapq.heappop(self.heap)
+        self.live -= not daemon
+        self.processed += 1
+        action()
+
+    def run(self, until=None):
+        while self.heap and (self.live > 0 if until is None else self.heap[0][0] <= until):
+            self.step()
+        if until is not None:
+            self.now = until
+
+
+#: Delays: zero; 1e-12, which is a real step at small ``now`` but rounds to
+#: ``now`` once the clock passes ~1e4 s; a few ticks; and a jump to ~1e6 s.
+_DELAYS = (0.0, 1e-12, _TICK, 3 * _TICK, 1e6)
+
+_node = st.tuples(
+    st.sampled_from(_DELAYS),
+    st.sampled_from([URGENT, NORMAL]),
+    st.booleans(),  # daemon
+    st.sampled_from(["schedule", "timeout", "succeed"]),  # kernel entry point
+)
+_program = st.recursive(
+    st.tuples(_node, st.just(())),
+    lambda kids: st.tuples(_node, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=25,
+)
+_driver = st.lists(
+    st.one_of(
+        st.tuples(st.just("until"), st.sampled_from([0.0, _TICK, 2 * _TICK, 2e6])),
+        st.just(("step", 0.0)),
+        st.just(("peek", 0.0)),
+    ),
+    max_size=8,
+)
+
+
+def _schedule_on_sim(sim, node, fire):
+    """Schedule one program node through the kernel's public or internal paths."""
+    (delay, priority, daemon, via), _children = node
+    if via == "timeout" and priority == NORMAL:
+        ev = sim.timeout(delay, daemon=daemon)
+    elif via == "succeed" and priority == NORMAL and delay == 0.0 and not daemon:
+        ev = sim.event()
+        ev.succeed()
+    else:
+        ev = sim.event()
+        sim._schedule(ev, delay, priority, daemon)
+    ev.callbacks.append(lambda _ev: fire())
+
+
+def _execute(roots, driver, kernel_is_sim: bool):
+    """Run a program on one kernel; return everything observable."""
+    k = Simulator() if kernel_is_sim else _HeapKernel()
+    log: list[tuple] = []
+    ids = itertools.count()
+
+    def observe():
+        if kernel_is_sim:
+            return (k.now, k.events_processed, k.live_events)
+        return (k.now, k.processed, k.live)
+
+    def schedule(node):
+        nid = next(ids)
+
+        def fire():
+            log.append((nid, *observe()))
+            for child in node[1]:
+                schedule(child)
+
+        if kernel_is_sim:
+            _schedule_on_sim(k, node, fire)
+        else:
+            (delay, priority, daemon, _via), _children = node
+            k.schedule(fire, delay, priority, daemon)
+
+    for root in roots:
+        schedule(root)
+    for op, arg in driver:
+        if op == "until":
+            k.run(until=k.now + arg)
+        elif op == "step" and k.peek() < float("inf"):
+            k.step()
+        log.append((op, k.peek(), *observe()))
+    k.run()
+    log.append(("end", k.peek(), *observe()))
+    return log
+
+
+@settings(max_examples=300)
+@given(st.lists(_program, min_size=1, max_size=6), _driver)
+def test_kernel_matches_heap_only_reference(roots, driver):
+    """Same firing order, ``now`` per firing, ``events_processed`` and
+    ``live_events`` as one heap ordered by ``(time, priority, seq)``.
+
+    Node ids are assigned in scheduling order, so they match only while both
+    kernels fire the same events in the same order.
+    """
+    assert _execute(roots, driver, True) == _execute(roots, driver, False)
