@@ -9,9 +9,9 @@ every minion's status + stdout in assignment order.  Equal digests across
 backends ⇒ the computation is backend-independent; the throughput columns
 then compare the backends' storage behaviour on identical work.
 
-Cells are JSON-encodable parallel-runner work items (see
-:func:`repro.parallel.matrix.backends_jobs`), so a backend sweep runs under
-the same deterministic matrix machinery as the figures.
+Cells are JSON-encodable parallel-runner work items (the ``backends``
+family in :mod:`repro.families`), so a backend sweep runs under the same
+deterministic matrix machinery as the figures.
 """
 
 from __future__ import annotations

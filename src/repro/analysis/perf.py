@@ -41,7 +41,6 @@ __all__ = [
     "BenchResult",
     "BenchScenario",
     "SCENARIOS",
-    "bench_job",
     "load_bench_json",
     "run_bench",
     "run_scenario",
@@ -211,43 +210,17 @@ def run_scenario(scenario: BenchScenario, repeat: int = 1) -> BenchResult:
     return best
 
 
-def bench_job(name: str, repeat: int = 1) -> dict:
-    """One scenario measurement as a JSON-encodable parallel-runner item.
-
-    The wall-clock fields measure *this* run on *this* host; bench jobs are
-    therefore never cached (see :func:`repro.parallel.matrix.bench_jobs`).
-    """
-    from dataclasses import asdict
-
-    return asdict(run_scenario(SCENARIOS[name], repeat=repeat))
-
-
 def run_bench(
-    names: Sequence[str] | None = None,
-    repeat: int = 1,
-    workers: int = 1,
-    metrics=None,
+    names: Sequence[str] | None = None, repeat: int = 1
 ) -> list[BenchResult]:
-    """Run the named scenarios (default: n1, n4, n8) in order.
-
-    ``workers > 1`` shards scenarios across spawn processes — useful for
-    exploring many scenarios quickly, but concurrent measurements contend
-    for cores, so keep ``workers=1`` for baseline-quality numbers (and see
-    ``benchmarks/perf/README.md`` for the interleaved A/B protocol).
-    """
+    """Run the named scenarios (default: n1, n4, n8) in order, serially:
+    concurrent measurements would contend for cores (see
+    ``benchmarks/perf/README.md`` for the interleaved A/B protocol)."""
     picked = list(names) if names else ["n1", "n4", "n8"]
     unknown = [n for n in picked if n not in SCENARIOS]
     if unknown:
         raise KeyError(f"unknown bench scenarios {unknown}; have {sorted(SCENARIOS)}")
-    if workers <= 1:
-        return [run_scenario(SCENARIOS[name], repeat=repeat) for name in picked]
-    from repro.parallel.matrix import bench_jobs
-    from repro.parallel.runner import run_jobs
-
-    report = run_jobs(
-        bench_jobs(picked, repeat=repeat), workers=workers, metrics=metrics
-    )
-    return [BenchResult(**result.value) for result in report.results]
+    return [run_scenario(SCENARIOS[name], repeat=repeat) for name in picked]
 
 
 def profile_scenario(scenario: BenchScenario, limit: int = 25) -> str:

@@ -1,16 +1,11 @@
 """One-shot validation: does this build still reproduce the paper?
 
-:func:`validate_against_paper` runs every evaluation experiment and grades
-each published claim, returning a structured scorecard.  ``python -m repro
-validate`` prints it — the reproduction certificate a reviewer would ask
-for.
-
-Each claim is a self-contained, seeded experiment (its own simulators,
-its own corpus), so the scorecard is a shardable matrix: claims are
-declared as module-level functions the parallel runner
-(:mod:`repro.parallel`) can execute in ``spawn`` workers, and
-``validate_against_paper`` merges the graded claims in canonical paper
-order no matter how many workers ran them.
+Each published claim is graded by a self-contained, seeded experiment (its
+own simulators, its own corpus).  :func:`run_claim` is the parallel-runner
+target for one of them; ``python -m repro validate`` (the ``validate``
+family in :mod:`repro.families`) runs all of them, merges the graded claims
+in canonical paper order no matter how many workers ran them, and prints
+the scorecard: the certificate that this build reproduces the paper.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ __all__ = [
     "CLAIM_ORDER",
     "Claim",
     "run_claim",
-    "validate_against_paper",
 ]
 
 #: Fig. 8 absolute values must land within this fraction of the paper's bars.
@@ -156,27 +150,3 @@ def run_claim(name: str, quick: bool = False, scenario: dict | None = None) -> d
     config = scenario_from_dict(scenario) if scenario is not None else None
     return asdict(CLAIMS[name](quick=quick, scenario=config))
 
-
-def validate_against_paper(
-    quick: bool = False,
-    workers: int = 1,
-    cache=None,
-    metrics=None,
-    scenario: dict | None = None,
-) -> list[Claim]:
-    """Run the evaluation and grade each claim.
-
-    ``workers`` shards the claims across spawn processes; ``cache`` (a
-    :class:`repro.parallel.ResultCache`) reuses results for unchanged
-    code + spec digests.  Output is identical for every worker count.
-    ``scenario`` (a :func:`repro.config.to_dict` payload) reshapes every
-    claim's experiment and enters each job's cache key.
-    """
-    from repro.parallel.matrix import validation_jobs
-    from repro.parallel.runner import run_jobs
-
-    report = run_jobs(
-        validation_jobs(quick=quick, scenario=scenario),
-        workers=workers, cache=cache, metrics=metrics,
-    )
-    return [Claim(**result.value) for result in report.results]

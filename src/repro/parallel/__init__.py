@@ -7,16 +7,16 @@ package runs them N-wide with a bit-identical merge:
 - :mod:`repro.parallel.cache` — content-addressed result cache (code +
   spec digest keyed; any source change invalidates everything);
 - :mod:`repro.parallel.runner` — the ``spawn`` process pool with
-  canonical-order merge and :mod:`repro.obs` counters;
-- :mod:`repro.parallel.matrix` — the claim/figure/ablation/bench matrix
-  enumerated as job lists.
+  canonical-order merge and :mod:`repro.obs` counters.
 
-Quick use::
+The experiment families that enumerate these jobs live in
+:mod:`repro.families`.  Quick use::
 
-    from repro.parallel import run_jobs, validation_jobs, ResultCache
-    report = run_jobs(validation_jobs(quick=True), workers=4,
-                      cache=ResultCache())
-    claims = report.values()
+    from repro.parallel import JobSpec, ResultCache, run_jobs
+    specs = [JobSpec(f"fig1.n{n}", "repro.analysis.figures:fig1_cell",
+                     {"ssd_count": n}) for n in (1, 64)]
+    report = run_jobs(specs, workers=4, cache=ResultCache())
+    rows = report.values()
 """
 
 from repro.parallel.cache import ResultCache, code_digest, default_cache_dir
@@ -27,21 +27,6 @@ from repro.parallel.jobs import (
     execute_job,
     payload_digest,
 )
-from repro.parallel.matrix import (
-    ablation_jobs,
-    backends_jobs,
-    bench_jobs,
-    drill_jobs,
-    fig1_jobs,
-    fig6_jobs,
-    fig7_jobs,
-    fig8_jobs,
-    full_matrix,
-    objstore_jobs,
-    objstore_sweep_jobs,
-    traffic_jobs,
-    validation_jobs,
-)
 from repro.parallel.runner import JobError, RunReport, run_jobs
 
 __all__ = [
@@ -50,23 +35,10 @@ __all__ = [
     "JobSpec",
     "ResultCache",
     "RunReport",
-    "ablation_jobs",
-    "backends_jobs",
-    "bench_jobs",
     "canonical_json",
     "code_digest",
     "default_cache_dir",
-    "drill_jobs",
     "execute_job",
-    "fig1_jobs",
-    "fig6_jobs",
-    "fig7_jobs",
-    "fig8_jobs",
-    "full_matrix",
-    "objstore_jobs",
-    "objstore_sweep_jobs",
     "payload_digest",
     "run_jobs",
-    "traffic_jobs",
-    "validation_jobs",
 ]

@@ -1,11 +1,10 @@
 """Work items for the parallel experiment runner.
 
 A :class:`JobSpec` names one self-contained, seeded experiment — a claim
-from :mod:`repro.analysis.validation`, a figure cell, an ablation point,
-or a bench scenario.  The spec carries everything a fresh ``spawn`` worker
-needs to reproduce it: an importable *target* (``"module:function"`` or
-``"file:relative/path.py:function"``) plus JSON-encodable keyword
-arguments.  :func:`execute_job` is the worker entry point; it restores
+from :mod:`repro.analysis.validation` or one cell of an experiment family
+(:mod:`repro.families`).  The spec carries everything a fresh ``spawn``
+worker needs to reproduce it: an importable *target*
+(``"module:function"``) plus JSON-encodable keyword arguments.  :func:`execute_job` is the worker entry point; it restores
 fresh-process ID-allocation state (:func:`repro.testing.reset_global_ids`)
 before running, so a job's observable output is a pure function of
 ``(target, kwargs)`` no matter which process runs it or what ran earlier —
@@ -24,9 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import importlib.util
 import json
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -45,7 +42,7 @@ __all__ = [
 
 
 def repo_root() -> Path:
-    """The checkout root (parent of ``src``), where file: targets resolve."""
+    """The checkout root (parent of ``src``)."""
     import repro
 
     return Path(repro.__file__).resolve().parents[2]
@@ -109,30 +106,7 @@ class JobResult:
 
 
 def resolve_target(target: str) -> Callable[..., Any]:
-    """Import the callable a target string names.
-
-    Two forms:
-
-    * ``"package.module:function"`` — a normal import;
-    * ``"file:benchmarks/test_ablation_x.py:function"`` — loaded from a
-      source file relative to the repo root, for work items (ablation
-      cells) that live outside the installable package.
-    """
-    if target.startswith("file:"):
-        _, rel, func_name = target.split(":", 2)
-        path = repo_root() / rel
-        if not path.exists():
-            raise FileNotFoundError(f"job target file not found: {path}")
-        module_name = "_repro_job_" + rel.replace("/", "_").removesuffix(".py")
-        module = sys.modules.get(module_name)
-        if module is None:
-            spec = importlib.util.spec_from_file_location(module_name, path)
-            if spec is None or spec.loader is None:
-                raise ImportError(f"cannot load job target from {path}")
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[module_name] = module
-            spec.loader.exec_module(module)
-        return getattr(module, func_name)
+    """Import the callable a ``"package.module:function"`` target names."""
     module_name, func_name = target.rsplit(":", 1)
     return getattr(importlib.import_module(module_name), func_name)
 

@@ -5,20 +5,18 @@ page-mapped FTL and once against the zoned (ZNS) backend: every minion's
 status and stdout must match byte for byte.  The backend is a *storage*
 axis — it changes where pages land, how GC reclaims space, and therefore
 timing — but never *what* is computed.  The scorecard digests the
-``backends`` verb prints are pinned in ``tests/golden_backend_digests.txt``
+``backends`` verb prints are pinned in ``tests/golden_scorecards.txt``
 so CI notices when either backend's observable behaviour moves.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.analysis.backends import BACKEND_APPS, backend_cell
 from repro.parallel import payload_digest
+from tests.test_families import golden_digests
 
-GOLDEN_PATH = Path(__file__).parent / "golden_backend_digests.txt"
 BACKENDS = ("page", "zoned")
 
 
@@ -63,18 +61,16 @@ def test_backend_cell_rejects_unknown_backend():
 def test_scorecard_digests_match_golden(cells):
     """Recompute the ``backends`` verb's digest lines and diff the golden.
 
-    The golden file is the exact trailing digest lines of
-    ``python -m repro backends`` on the default smoke cell set; re-pin it
+    The golden lines are the trailing digest lines of
+    ``python -m repro backends`` on the default smoke cell set; re-pin them
     (and explain the drift) whenever backend-observable behaviour changes.
     """
-    lines = [
-        f"{backend} digest="
-        + payload_digest([c for c in cells if c["backend"] == backend])
+    digests = {
+        backend: payload_digest([c for c in cells if c["backend"] == backend])
         for backend in BACKENDS
-    ]
-    lines.append(f"scorecard digest={payload_digest(cells)}")
-    golden = GOLDEN_PATH.read_text().splitlines()
-    assert lines == golden, (
-        "backend scorecard digests drifted from tests/golden_backend_digests.txt; "
+    }
+    digests["scorecard"] = payload_digest(cells)
+    assert digests == golden_digests("backends"), (
+        "backend scorecard digests drifted from tests/golden_scorecards.txt; "
         "re-pin with: python -m repro backends (trailing digest lines)"
     )

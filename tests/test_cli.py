@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro.analysis.perf import BENCH_SCHEMA
 from repro.cli import build_parser, main
+from repro.families import FAMILIES
 
 
 def test_table1_command(capsys):
@@ -111,21 +115,15 @@ def test_fig8_command_single_app(capsys):
 
 def test_parallel_flags_parse_on_experiment_verbs():
     parser = build_parser()
-    for verb in ("fig1", "fig6", "fig7", "fig8", "validate"):
+    for verb in FAMILIES:
         args = parser.parse_args([verb, "--workers", "4", "--no-cache"])
         assert args.workers == 4 and args.no_cache is True
     args = parser.parse_args(["validate", "--cache-dir", "/tmp/x"])
     assert args.cache_dir == "/tmp/x"
-    args = parser.parse_args(["bench", "--workers", "2"])
-    assert args.workers == 2
-
-
-def test_fig1_workers_output_matches_serial(capsys):
-    assert main(["fig1", "--devices", "1", "64", "--no-cache"]) == 0
-    serial = capsys.readouterr()
-    assert main(["fig1", "--devices", "1", "64", "--no-cache", "--workers", "2"]) == 0
-    parallel = capsys.readouterr()
-    assert parallel.out == serial.out  # stdout byte-identical at any width
+    # bench measures the host wall clock: serial only, never cached
+    for flag in ("--workers=2", "--no-cache"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", flag])
 
 
 def test_run_summary_goes_to_stderr_not_stdout(capsys):
@@ -135,11 +133,19 @@ def test_run_summary_goes_to_stderr_not_stdout(capsys):
     assert "# parallel:" in captured.err
 
 
-def test_figure_cache_hit_reuses_results(capsys):
-    assert main(["fig8", "--apps", "grep"]) == 0
-    first = capsys.readouterr()
-    assert "executed=1" in first.err
-    assert main(["fig8", "--apps", "grep"]) == 0
-    second = capsys.readouterr()
-    assert second.out == first.out
-    assert "cache hits=1" in second.err and "executed=0" in second.err
+# -- bench ----------------------------------------------------------------------
+
+def test_bench_no_save_compares_against_output_baseline(tmp_path, capsys):
+    """``--no-save --output PATH`` reads its baseline from PATH and leaves
+    it untouched."""
+    path = tmp_path / "baseline.json"
+    baseline = {"schema": BENCH_SCHEMA, "scenarios": {"small": {"events_per_sec": 1e12}}}
+    path.write_text(json.dumps(baseline))
+    argv = ["bench", "--scenario", "small", "--repeat", "1", "--no-save",
+            "--output", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if line.startswith("small"))
+    assert row.split()[-1] == "0.00x"  # measured against 1e12 events/s
+    assert "baseline written" not in out
+    assert json.loads(path.read_text()) == baseline

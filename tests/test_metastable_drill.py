@@ -4,9 +4,10 @@ Mirrors ``test_traffic_determinism.py`` for the closed-loop cells:
 
 * two in-process runs of the drill pair produce identical payloads, and
   the pinned ``metastable`` scorecard digest
-  (``tests/golden_metastable_digest.txt``) never drifts silently;
+  (``tests/golden_scorecards.txt``) never drifts silently;
 * the ``drill`` CLI prints byte-identical stdout at ``--workers 1`` and
-  ``--workers 4`` and on a cache-hit rerun;
+  ``--workers 4`` and on a cache-hit rerun (``tests/test_families.py``
+  checks the same for every family at its default arguments);
 * the drill *contract* holds: defenses-on recovers goodput within the
   recovery window, the defenses-off counterfactual (same scenario digest,
   same seed, same trigger) shows sustained degradation;
@@ -17,13 +18,10 @@ Mirrors ``test_traffic_determinism.py`` for the closed-loop cells:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.cli import main
 from repro.parallel import payload_digest
 from repro.service.drill import run_closedloop_cell, run_metastable_cell
-
-GOLDEN_FILE = Path(__file__).with_name("golden_metastable_digest.txt")
+from tests.test_families import golden_digests
 
 
 def drill_pair():
@@ -41,11 +39,9 @@ def test_metastable_cell_deterministic_in_process():
 
 
 def test_metastable_scorecard_matches_pinned_golden():
-    digest, name = GOLDEN_FILE.read_text().split()
-    assert name == "metastable"
-    assert payload_digest(drill_pair()) == digest, (
-        "the metastable drill scorecard drifted; if intentional, regenerate "
-        "tests/golden_metastable_digest.txt"
+    assert payload_digest(drill_pair()) == golden_digests("metastable")["scorecard"], (
+        "the metastable drill scorecard drifted; if intentional, re-pin "
+        "tests/golden_scorecards.txt"
     )
 
 
@@ -108,7 +104,7 @@ def test_drill_cli_byte_identical_across_worker_counts(capsys):
     assert main(["drill", "--workers", "4", "--no-cache"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
-    digest = GOLDEN_FILE.read_text().split()[0]
+    digest = golden_digests("metastable")["scorecard"]
     assert f"scorecard digest={digest}" in serial
 
 

@@ -14,8 +14,6 @@ Three layers:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,8 +34,7 @@ from repro.objstore.drill import (
     run_objstore_sweep_cell,
 )
 from repro.parallel import payload_digest
-
-GOLDEN_FILE = Path(__file__).with_name("golden_objstore_digest.txt")
+from tests.test_families import golden_digests
 
 PARAMS = ChunkParams(min_size=64, avg_size=256, max_size=1024)
 
@@ -262,12 +259,10 @@ def test_gc_drill_holds_the_crash_recovery_invariant():
 
 
 def test_drill_pair_matches_pinned_golden():
-    digest, name = GOLDEN_FILE.read_text().split()
-    assert name == "objstore-smoke"
     values = [run_objstore_cell(), run_gc_drill_cell()]
-    assert payload_digest(values) == digest, (
-        "the objstore-smoke scorecard drifted; if intentional, regenerate "
-        "tests/golden_objstore_digest.txt"
+    assert payload_digest(values) == golden_digests("objstore-smoke")["scorecard"], (
+        "the objstore-smoke scorecard drifted; if intentional, re-pin "
+        "tests/golden_scorecards.txt"
     )
 
 

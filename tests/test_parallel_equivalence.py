@@ -1,18 +1,12 @@
 """Serial/parallel equivalence: the tentpole determinism proof.
 
-Two layers:
-
-* **Golden scenarios through the runner.**  The three pinned scenarios run
-  as parallel-runner jobs at ``workers=1`` and ``workers=4``; both must
-  reproduce the recorded golden digests bit-for-bit.  This catches any
-  hermeticity leak a ``spawn`` worker could introduce (import order, ID
-  allocator state, environment) — a digest is a pure function of
-  ``(seed, model)`` or it is wrong.
-
-* **The ``validate`` CLI.**  ``validate --quick`` must print a
-  byte-identical scorecard at any worker count, and a cache-hit rerun must
-  reuse stored results (``executed=0``) while still printing the same
-  bytes to stdout.
+The three pinned golden scenarios run as parallel-runner jobs at
+``workers=1`` and ``workers=4``; both must reproduce the recorded golden
+digests bit-for-bit.  This catches any hermeticity leak a ``spawn`` worker
+could introduce (import order, ID allocator state, environment) — a digest
+is a pure function of ``(seed, model)`` or it is wrong.  The same
+worker-count and cache-hit equality for every CLI matrix verb, ``validate``
+included, is checked in ``tests/test_families.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.cli import main
 from repro.parallel import JobSpec, run_jobs
 
 # the recorded digests live next door in test_golden_schedules.py; make the
@@ -50,23 +43,3 @@ def test_golden_scenarios_identical_across_worker_counts():
             f"{scenario} drifted in a {'spawn' if result in parallel.results else 'serial'} run"
         )
         assert result.value["records"] > 0
-
-
-def test_validate_quick_byte_identical_and_cached(capsys):
-    # reference: serial, no cache
-    assert main(["validate", "--quick", "--no-cache"]) == 0
-    serial = capsys.readouterr()
-    assert "5/5 claims reproduced" in serial.out
-
-    # parallel first run: populates the (per-test) cache, same bytes out
-    assert main(["validate", "--quick", "--workers", "4"]) == 0
-    parallel = capsys.readouterr()
-    assert parallel.out == serial.out
-    assert "executed=5" in parallel.err
-
-    # cache-hit rerun: nothing executes, stdout still byte-identical
-    assert main(["validate", "--quick", "--workers", "4"]) == 0
-    rerun = capsys.readouterr()
-    assert rerun.out == serial.out
-    assert "executed=0" in rerun.err
-    assert "cache hits=5" in rerun.err

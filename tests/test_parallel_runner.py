@@ -95,18 +95,6 @@ def test_execute_job_captures_traceback_instead_of_raising():
     assert "kaboom" in result.error
 
 
-def test_file_target_resolves_relative_to_repo_root():
-    spec = JobSpec(
-        name="ablation-smoke",
-        target="file:benchmarks/test_ablation_selectivity.py:run_density",
-        kwargs={"needle_rate": 0.0},
-    )
-    result = execute_job(spec)
-    assert result.error is None, result.error
-    assert result.value["needle_rate"] == 0.0
-    assert result.value["emitted"] == 0
-
-
 # -- the runner ---------------------------------------------------------------
 
 def test_run_jobs_returns_canonical_order_serial_and_parallel():

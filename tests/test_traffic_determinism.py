@@ -4,18 +4,17 @@ Three layers, mirroring ``test_parallel_equivalence.py``:
 
 * two in-process runs of the same cell produce identical payload digests,
   and the pinned ``traffic-smoke`` scorecard digest
-  (``tests/golden_traffic_digest.txt``) never drifts silently;
+  (``tests/golden_scorecards.txt``) never drifts silently;
 * the ``traffic`` CLI prints byte-identical stdout at ``--workers 1`` and
   ``--workers 4`` (spawn workers), and a cache-hit rerun reuses results
-  while printing the same bytes;
+  while printing the same bytes (``tests/test_families.py`` checks the same
+  for every family at its default arguments);
 * a Hypothesis property: a token bucket never admits more than
   ``capacity + rate * elapsed`` requests over any arrival sequence, and
   full-bucket eviction never changes an admission decision.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +23,8 @@ from repro.cli import main
 from repro.parallel import payload_digest
 from repro.service import TenantBuckets, TokenBucket
 from repro.service.drill import run_traffic_cell
+from tests.test_families import golden_digests
 
-GOLDEN_FILE = Path(__file__).with_name("golden_traffic_digest.txt")
 MIXES = ("poisson", "diurnal", "bursty")
 
 
@@ -37,12 +36,10 @@ def test_traffic_cell_deterministic_in_process():
 
 
 def test_traffic_smoke_scorecard_matches_pinned_golden():
-    digest, name = GOLDEN_FILE.read_text().split()
-    assert name == "traffic-smoke"
     values = [run_traffic_cell(mix=mix) for mix in MIXES]
-    assert payload_digest(values) == digest, (
-        "the traffic-smoke scorecard drifted; if intentional, regenerate "
-        "tests/golden_traffic_digest.txt"
+    assert payload_digest(values) == golden_digests("traffic-smoke")["scorecard"], (
+        "the traffic-smoke scorecard drifted; if intentional, re-pin "
+        "tests/golden_scorecards.txt"
     )
 
 
@@ -55,7 +52,7 @@ def test_traffic_cli_byte_identical_across_worker_counts(capsys):
     parallel = capsys.readouterr().out
     assert serial == parallel
     assert "scorecard digest=" in serial
-    digest = GOLDEN_FILE.read_text().split()[0]
+    digest = golden_digests("traffic-smoke")["scorecard"]
     assert f"scorecard digest={digest}" in serial
 
 

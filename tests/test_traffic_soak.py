@@ -21,12 +21,15 @@ Excluded from the default run by the ``slow`` marker (``addopts`` carries
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.config.codec import to_dict
 from repro.config.presets import preset
 from repro.obs import MetricsRegistry
-from repro.parallel import ResultCache, payload_digest, run_jobs, traffic_jobs
+from repro.families import FAMILIES
+from repro.parallel import ResultCache, payload_digest, run_jobs
 
 pytestmark = pytest.mark.slow
 
@@ -35,7 +38,9 @@ SOAK_DIGEST = "989bab36edb0451d6c2fe9504ab4c0971cfeea1dd1ba97cdde6927e79543b2a3"
 
 
 def test_soak_conserves_requests_and_replays_from_cache(tmp_path) -> None:
-    specs = traffic_jobs(to_dict(preset("traffic-soak")), mixes=("poisson",))
+    specs = FAMILIES["traffic"].cells(
+        argparse.Namespace(mixes=["poisson"]), to_dict(preset("traffic-soak"))
+    )
     cache = ResultCache(tmp_path / "cache")
 
     report = run_jobs(specs, workers=1, cache=cache, metrics=MetricsRegistry())
