@@ -35,7 +35,6 @@ import sys
 from typing import Sequence
 
 from repro.analysis.experiments import format_series_table
-from repro.analysis.perf import SCENARIOS
 from repro.baselines import table1_rows
 from repro.config.cli import (
     add_config_subparser,
@@ -344,48 +343,6 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     print(format_span_tree(root))
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
-    """Measure simulator throughput on the pinned scenarios.
-
-    Reports events/sec and wall clock per scenario and (unless ``--no-save``)
-    writes ``BENCH_sim.json`` — the repo's perf-trajectory baseline that
-    ``benchmarks/test_perf_guard.py`` regresses against.
-    """
-    from repro.analysis.perf import (
-        load_bench_json,
-        profile_scenario,
-        run_bench,
-        write_bench_json,
-    )
-
-    if args.profile:
-        for name in args.scenario or ["n8"]:
-            print(f"# == profile: {name} ==")
-            print(profile_scenario(SCENARIOS[name], limit=args.profile_limit))
-        return
-
-    baseline = load_bench_json(args.output)
-    results = run_bench(args.scenario, repeat=args.repeat)
-    rows = []
-    for r in results:
-        row = r.row()
-        recorded = (baseline or {}).get("scenarios", {}).get(r.scenario)
-        if recorded and recorded.get("events_per_sec"):
-            row.append(f"{r.events_per_sec / recorded['events_per_sec']:.2f}x")
-        else:
-            row.append("-")
-        rows.append(row)
-    print(format_series_table(
-        f"simulator throughput (best of {args.repeat})",
-        ["scenario", "devices", "minions", "events", "wall ms", "events/sec",
-         "vs baseline"],
-        rows,
-    ))
-    if not args.no_save:
-        path = write_bench_json(results, args.output)
-        print(f"baseline written to {path}")
-
-
 def _cmd_quickstart(_args: argparse.Namespace) -> None:
     from repro.cluster import StorageNode
 
@@ -460,22 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--devices", type=int, default=4)
     p.add_argument("--files", type=int, default=4)
     p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("bench", help="simulator wall-clock perf harness")
-    p.add_argument("--scenario", nargs="+", default=None,
-                   choices=list(SCENARIOS),
-                   help="pinned scenarios to run (default: n1 n4 n8)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="repetitions per scenario; fastest run is kept")
-    p.add_argument("--output", default=None,
-                   help="baseline path (default: <repo>/BENCH_sim.json)")
-    p.add_argument("--no-save", action="store_true",
-                   help="measure and print only; do not rewrite the baseline")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile the measured region instead of timing it")
-    p.add_argument("--profile-limit", type=int, default=25,
-                   help="rows of the profile table to print")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("quickstart", help="minimal end-to-end in-situ grep")
     p.set_defaults(func=_cmd_quickstart)

@@ -21,7 +21,7 @@ from typing import Generator, Sequence
 
 from repro.host.insitu import InSituClient
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.proto.entities import Command, Response
+from repro.proto.entities import Command
 
 __all__ = ["LeastLoadedBalancer", "MinionDispatcher", "RoundRobinBalancer"]
 
@@ -125,8 +125,3 @@ class MinionDispatcher:
         for device, _ in self.placements:
             counts[device] = counts.get(device, 0) + 1
         return counts
-
-
-def all_ok(responses: Sequence[Response]) -> bool:
-    """Every response completed successfully."""
-    return all(r is not None and r.ok for r in responses)

@@ -189,9 +189,6 @@ class ZonedFtl:
     def write_pointer(self, zone: int) -> int:
         return int(self._zone_wp[zone])
 
-    def zone_of(self, ppn: int) -> int:
-        return ppn // self.zone_pages
-
     def _zone_block_range(self, zone: int) -> range:
         start = zone * self.zone_blocks
         return range(start, start + self.zone_blocks)
@@ -475,10 +472,6 @@ class ZonedFtl:
     def _kick_gc(self) -> None:
         if self._gc_kick is not None and not self._gc_kick.triggered:
             self._gc_kick.succeed()
-
-    @property
-    def gc_idle(self) -> bool:
-        return self._gc_idle
 
     def _gc_run(self) -> Generator:
         while True:

@@ -110,11 +110,6 @@ class PcieFabric:
         """Host-side ceiling for data arriving from all endpoints."""
         return self.uplink.bandwidth
 
-    @property
-    def aggregate_endpoint_bandwidth(self) -> float:
-        """Sum of per-endpoint link bandwidths (pre-uplink funnel)."""
-        return sum(link.bandwidth for link in self.switch.downlinks)
-
     def mismatch_factor(self, media_bandwidth_per_endpoint: float) -> float:
         """Paper Fig. 1: aggregate media bandwidth / host ingest ceiling."""
         if media_bandwidth_per_endpoint <= 0:

@@ -288,10 +288,6 @@ class SloTracker:
     def abandoned_total(self) -> int:
         return int(self._abandoned.total()) if self._abandoned is not None else 0
 
-    @property
-    def retries_total(self) -> int:
-        return int(self._retries.total()) if self._retries is not None else 0
-
     def report(self, pattern: str, peak_buckets: int = 0) -> SloReport:
         reasons = SHED_REASONS + (OVERLOAD_SHED_REASONS if self.overload else ())
         shed: dict[str, int] = {reason: 0 for reason in reasons}

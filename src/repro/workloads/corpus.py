@@ -21,7 +21,7 @@ from __future__ import annotations
 import bz2
 import zlib
 from dataclasses import dataclass
-from typing import Generator, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,23 +181,6 @@ class BookCorpus:
                     )
                 )
         return books
-
-    # -- staging ---------------------------------------------------------------
-    @staticmethod
-    def stage_plain(fs, books: Iterable[BookFile]) -> Generator:
-        """Import plain-text books into a filesystem (simulation process)."""
-        for book in books:
-            yield from fs.write_file(book.name, book.plain, size=book.plain_size)
-        return None
-
-    @staticmethod
-    def stage_compressed(fs, books: Iterable[BookFile]) -> Generator:
-        """Import compressed books (the paper's on-device layout)."""
-        for book in books:
-            yield from fs.write_file(
-                book.compressed_name, book.compressed, size=book.compressed_size
-            )
-        return None
 
 
 def _compress(data: bytes, algorithm: str) -> bytes:

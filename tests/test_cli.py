@@ -1,10 +1,7 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
-from repro.analysis.perf import BENCH_SCHEMA
 from repro.cli import build_parser, main
 from repro.families import FAMILIES
 
@@ -46,6 +43,14 @@ def test_shard_verb_is_gone(capsys):
         build_parser().parse_args(["shard"])
     assert exc.value.code == 2
     assert "invalid choice: 'shard'" in capsys.readouterr().err
+
+
+def test_bench_verb_is_gone(capsys):
+    """Simulator perf is measured by ``benchmarks/e2e/run.py``."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_app():
@@ -120,10 +125,6 @@ def test_parallel_flags_parse_on_experiment_verbs():
         assert args.workers == 4 and args.no_cache is True
     args = parser.parse_args(["validate", "--cache-dir", "/tmp/x"])
     assert args.cache_dir == "/tmp/x"
-    # bench measures the host wall clock: serial only, never cached
-    for flag in ("--workers=2", "--no-cache"):
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", flag])
 
 
 def test_run_summary_goes_to_stderr_not_stdout(capsys):
@@ -132,20 +133,3 @@ def test_run_summary_goes_to_stderr_not_stdout(capsys):
     assert "# parallel:" not in captured.out
     assert "# parallel:" in captured.err
 
-
-# -- bench ----------------------------------------------------------------------
-
-def test_bench_no_save_compares_against_output_baseline(tmp_path, capsys):
-    """``--no-save --output PATH`` reads its baseline from PATH and leaves
-    it untouched."""
-    path = tmp_path / "baseline.json"
-    baseline = {"schema": BENCH_SCHEMA, "scenarios": {"small": {"events_per_sec": 1e12}}}
-    path.write_text(json.dumps(baseline))
-    argv = ["bench", "--scenario", "small", "--repeat", "1", "--no-save",
-            "--output", str(path)]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    row = next(line for line in out.splitlines() if line.startswith("small"))
-    assert row.split()[-1] == "0.00x"  # measured against 1e12 events/s
-    assert "baseline written" not in out
-    assert json.loads(path.read_text()) == baseline

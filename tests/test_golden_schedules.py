@@ -10,7 +10,8 @@ The scenario builders and the canonical hashing now live in
 :mod:`repro.testing` so the parallel experiment runner can execute the
 same scenarios in ``spawn`` workers (serial/parallel digest equality is
 asserted in ``tests/test_parallel_equivalence.py``); this file keeps the
-recorded digests and the drift tests.
+recorded digests and the drift tests.  It also pins the simulated event
+count of a gzip-then-grep job on each device backend.
 
 This is the contract the perf PRs rely on: "the optimization kept schedules
 bit-identical" is proven here, not asserted in prose.  If a PR changes the
@@ -23,6 +24,14 @@ bit-identical" is proven here, not asserted in prose.  If a PR changes the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
+from repro.config import build_corpus, build_node
+from repro.config.factory import scenario_for_node
+from repro.config.schema import DeviceBackendConfig
+from repro.proto.entities import Command
 from repro.testing import (
     GOLDEN_SCENARIOS as SCENARIOS,
     canonical_value as _canon,  # noqa: F401  (back-compat re-export)
@@ -31,6 +40,7 @@ from repro.testing import (
     scenario_fleet_grep,
     scenario_single_gzip,
 )
+from repro.workloads import CorpusSpec
 
 #: Recorded from the pre-optimization simulator (PR 3 seed state), then
 #: re-recorded once when the scenarios became hermetic: ID allocators
@@ -64,6 +74,52 @@ def test_chaos_drill_schedule_unchanged():
     tracer, extras = scenario_chaos_drill()
     assert len(tracer) > 0
     assert schedule_digest(tracer, extras) == GOLDEN["chaos_drill"]
+
+
+@pytest.mark.parametrize(
+    ("backend", "devices", "files", "file_bytes", "events"),
+    [
+        ("page", 1, 4, 32 * 1024, 528),
+        ("zoned", 8, 48, 64 * 1024, 8340),
+    ],
+    ids=["small", "zoned-n8"],
+)
+def test_gzip_grep_event_count_unchanged(backend, devices, files, file_bytes, events):
+    """Simulated events in a gzip pass then a grep pass, staging excluded.
+
+    A cheap whole-schedule pin on both device backends: any change to how
+    many events the job path dispatches fails here.
+    """
+    config = scenario_for_node(
+        devices=devices, seed=1234, device_capacity=48 * 1024 * 1024,
+        store_data=True,
+    )
+    if backend != "page":
+        config = replace(config, device=DeviceBackendConfig(backend=backend))
+    config = replace(config, corpus=CorpusSpec(
+        files=files, mean_file_bytes=file_bytes, size_spread=0.2, seed=1234,
+    ))
+    books = build_corpus(config)
+    node = build_node(config)
+    sim = node.sim
+    sim.run(sim.process(node.stage_corpus(books, compressed=False)))
+    placement = node.device_books(books)
+
+    def job():
+        responses = []
+        for verb in ("gzip", "grep xylophone"):
+            responses += yield from node.client.gather([
+                (device, Command(command_line=f"{verb} {book.name}"))
+                for device, part in placement.items()
+                for book in part
+            ])
+        return responses
+
+    before = sim.events_processed
+    responses = sim.run(sim.process(job()))
+    assert len(responses) == 2 * files
+    assert all(r.status.value in ("ok", "app-error") for r in responses)
+    assert sim.events_processed - before == events
 
 
 def print_digests() -> None:  # pragma: no cover - re-record helper

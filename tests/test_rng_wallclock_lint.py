@@ -50,13 +50,10 @@ FORBIDDEN: list[tuple[re.Pattern, str]] = [
 
 #: Files that measure the host deliberately.
 ALLOWLIST = {
-    "src/repro/analysis/perf.py",  # the wall-clock perf harness itself
     "src/repro/parallel/jobs.py",  # per-job wall timing (host, not model)
     "src/repro/parallel/runner.py",  # run wall timing (host, not model)
     "benchmarks/test_fault_overhead.py",  # best-of-N wall timing
     "benchmarks/test_obs_overhead.py",  # best-of-N wall timing
-    "benchmarks/test_perf_guard.py",  # consumes the perf harness
-    "benchmarks/perf/ab_compare.py",  # interleaved A/B wall timing
     "tests/test_rng_wallclock_lint.py",  # this file quotes the patterns
 }
 
