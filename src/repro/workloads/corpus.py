@@ -11,6 +11,13 @@ generates a statistically similar corpus:
   expected values;
 - deterministic from the seed: same spec, same corpus, bit for bit.
 
+Set-up cost is kept low in two ways.  A book's codec output is computed
+the first time ``BookFile.compressed`` (or ``compressed_size``/``ratio``)
+is read, then cached: most runs stage plain text only and never pay for
+bzip2/zlib.  Text is assembled from whole-book numpy draws (line lengths in
+batches, one join, newlines written by offset) that consume exactly the
+same RNG stream as a per-line loop, so the bytes never depend on the path.
+
 ``CorpusSpec.paper_scale()`` reproduces the full 348-file/11.3 GB dataset
 (analytic mode recommended at that size); the default is a scaled-down
 corpus that keeps functional simulations fast.
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import bz2
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +35,7 @@ import numpy as np
 __all__ = ["BookCorpus", "BookFile", "CorpusSpec", "partition_round_robin"]
 
 _VOCAB_SIZE = 4096
-_MEAN_WORDS_PER_LINE = 11
+_MAX_WORDS_PER_LINE = 14  # lines hold 8-14 words
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,15 +75,33 @@ class CorpusSpec:
 
 @dataclass(slots=True)
 class BookFile:
-    """One generated book, plain and compressed."""
+    """One generated book, plain and (on first use) compressed.
+
+    A functional book carries ``plain`` and compresses it lazily; an
+    analytic one carries only sizes, with ``compressed`` always ``None``.
+    """
 
     name: str
     plain_size: int
-    compressed_size: int
     compression: str
     plain: bytes | None = None
-    compressed: bytes | None = None
     needle_count: int = 0
+    analytic_compressed_size: int = 0  # used only when ``plain is None``
+    _compressed: bytes | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @property
+    def compressed(self) -> bytes | None:
+        if self._compressed is None and self.plain is not None:
+            self._compressed = _compress(self.plain, self.compression)
+        return self._compressed
+
+    @property
+    def compressed_size(self) -> int:
+        if self.plain is None:
+            return self.analytic_compressed_size
+        return len(self.compressed)
 
     @property
     def compressed_name(self) -> str:
@@ -89,14 +114,16 @@ class BookFile:
 
 
 def _make_vocabulary(rng: np.random.Generator) -> list[bytes]:
-    """A synthetic vocabulary with English-like word lengths."""
+    """A synthetic vocabulary with English-like word lengths.
+
+    One letter draw for the whole vocabulary, split by cumulative length:
+    the same stream as one ``choice`` per word.
+    """
     letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
-    vocab = []
     lengths = rng.integers(2, 11, size=_VOCAB_SIZE)
-    for n in lengths:
-        word = bytes(rng.choice(letters, size=int(n)))
-        vocab.append(word)
-    return vocab
+    blob = rng.choice(letters, size=int(lengths.sum())).tobytes()
+    ends = np.cumsum(lengths).tolist()
+    return [blob[end - n : end] for end, n in zip(ends, lengths.tolist())]
 
 
 class BookCorpus:
@@ -106,6 +133,13 @@ class BookCorpus:
         self.spec = spec or CorpusSpec()
         self._rng = np.random.default_rng(self.spec.seed)
         self._vocab = _make_vocabulary(self._rng)
+        self._mean_word = float(np.mean([len(w) for w in self._vocab])) + 1.0
+        # word table indexed by vocabulary rank; index _VOCAB_SIZE is the needle
+        needle = self.spec.needle.encode()
+        self._words = np.empty(_VOCAB_SIZE + 1, dtype=object)
+        self._words[:] = self._vocab + [needle]
+        # bytes each word takes in the text, its separator included
+        self._word_bytes = np.array([len(w) for w in self._vocab] + [len(needle)]) + 1
         # Zipf-ish weights over the vocabulary (s ~ 1.1)
         ranks = np.arange(1, _VOCAB_SIZE + 1, dtype=float)
         weights = ranks ** -1.1
@@ -119,28 +153,36 @@ class BookCorpus:
         return np.maximum(sizes, 1024).astype(np.int64)
 
     def _generate_text(self, nbytes: int) -> tuple[bytes, int]:
-        """~``nbytes`` of Zipfian text; returns (text, needle_count)."""
+        """~``nbytes`` of Zipfian text; returns (text, needle_count).
+
+        Lines of 8-14 words, each word followed by one separator: a space,
+        or a newline after a line's last word.
+        """
         spec = self.spec
-        mean_word = float(np.mean([len(w) for w in self._vocab])) + 1.0
-        n_words = max(16, int(nbytes / mean_word))
-        idx = self._rng.choice(_VOCAB_SIZE, size=n_words, p=self._weights)
-        words = [self._vocab[i] for i in idx]
-        needle = spec.needle.encode()
+        rng = self._rng
+        n_words = max(16, int(nbytes / self._mean_word))
+        idx = rng.choice(_VOCAB_SIZE, size=n_words, p=self._weights)
         needle_count = 0
         if spec.needle_rate > 0:
-            hits = np.flatnonzero(self._rng.random(n_words) < spec.needle_rate)
-            for h in hits:
-                words[int(h)] = needle
+            hits = np.flatnonzero(rng.random(n_words) < spec.needle_rate)
+            idx[hits] = _VOCAB_SIZE
             needle_count = len(hits)
-        # assemble lines
-        out = bytearray()
-        i = 0
-        while i < n_words:
-            line_len = int(self._rng.integers(8, 2 * _MEAN_WORDS_PER_LINE - 7))
-            out += b" ".join(words[i : i + line_len])
-            out += b"\n"
-            i += line_len
-        return bytes(out[:nbytes] if len(out) > nbytes else out), needle_count
+        # Line lengths, drawn in batches of ceil(remaining / 14): the first
+        # batch - 1 lines hold at most 14 * (batch - 1) < remaining words, so
+        # a per-line loop would have drawn every length in the batch too.
+        line_ends = []
+        covered = 0
+        while covered < n_words:
+            lines = -(-(n_words - covered) // _MAX_WORDS_PER_LINE)
+            batch = rng.integers(8, _MAX_WORDS_PER_LINE + 1, size=lines)
+            line_ends.append(covered + np.cumsum(batch))
+            covered = int(line_ends[-1][-1])
+        last_words = np.minimum(np.concatenate(line_ends), n_words) - 1
+        text = bytearray(b" ".join(self._words[idx].tolist()) + b"\n")
+        np.frombuffer(text, dtype=np.uint8)[
+            np.cumsum(self._word_bytes[idx])[last_words] - 1
+        ] = ord("\n")
+        return bytes(text[:nbytes]), needle_count
 
     def generate(self, functional: bool = True) -> list[BookFile]:
         """Produce the corpus.
@@ -156,15 +198,12 @@ class BookCorpus:
             name = f"book{i:04d}.txt"
             if functional:
                 plain, needles = self._generate_text(int(size))
-                compressed = _compress(plain, compression)
                 books.append(
                     BookFile(
                         name=name,
                         plain_size=len(plain),
-                        compressed_size=len(compressed),
                         compression=compression,
                         plain=plain,
-                        compressed=compressed,
                         needle_count=needles,
                     )
                 )
@@ -175,8 +214,8 @@ class BookCorpus:
                     BookFile(
                         name=name,
                         plain_size=int(size),
-                        compressed_size=max(1, int(size * ratio)),
                         compression=compression,
+                        analytic_compressed_size=max(1, int(size * ratio)),
                         needle_count=expected_needles,
                     )
                 )
