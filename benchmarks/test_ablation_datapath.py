@@ -8,17 +8,17 @@ path.
 """
 
 from repro.analysis.experiments import format_series_table, throughput_mb_s
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 
 FILE_BYTES = 4 * 1024 * 1024
 
 
 def test_ablation_datapath(benchmark):
     def experiment():
-        node = StorageNode.build(
-            devices=1, device_capacity=32 * 1024 * 1024, with_baseline_ssd=True,
-            store_data=False,
-        )
+        node = build_node(ScenarioConfig(
+            flash=FlashConfig(capacity_bytes=32 * 1024 * 1024, store_data=False),
+            fleet=FleetConfig(devices_per_node=1, with_baseline_ssd=True),
+        ))
         sim = node.sim
         ssd = node.compstors[0]
         host_fs = node.host.require_os().fs

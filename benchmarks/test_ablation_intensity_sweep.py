@@ -11,7 +11,7 @@ paper's intro describes.
 from repro.analysis.calibration import ARM_ISA, CYCLES_PER_BYTE, XEON_ISA
 from repro.analysis.experiments import format_series_table
 from repro.apps.base import StreamingApp
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, PcieConfig, ScenarioConfig, build_node
 from repro.isos.loader import ExitStatus
 
 FILE_BYTES = 2 * 1024 * 1024
@@ -41,10 +41,11 @@ def run_point(cpb_xeon: float) -> tuple[float, float]:
     }
     # a x1 endpoint link models the Fig. 1 funnel: per-device media
     # bandwidth well above what the host can pull from the device
-    node = StorageNode.build(
-        devices=1, device_capacity=32 * 1024 * 1024, with_baseline_ssd=True,
-        store_data=False, endpoint_lanes=1,
-    )
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024, store_data=False),
+        pcie=PcieConfig(endpoint_lanes=1),
+        fleet=FleetConfig(devices_per_node=1, with_baseline_ssd=True),
+    ))
     sim = node.sim
     app = SyntheticScan()
     node.compstors[0].isps.os.install_executable(app)

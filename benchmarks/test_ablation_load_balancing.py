@@ -11,15 +11,19 @@ from repro.cluster import (
     LeastLoadedBalancer,
     MinionDispatcher,
     RoundRobinBalancer,
-    StorageNode,
 )
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.proto import Command
 
 BURST = 12
 
 
 def run_policy(balancer_factory):
-    node = StorageNode.build(devices=3, device_capacity=32 * 1024 * 1024, seed=3)
+    node = build_node(ScenarioConfig(
+        seed=3,
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=3),
+    ))
     sim = node.sim
 
     cores = node.compstors[0].isps.cluster.spec.cores

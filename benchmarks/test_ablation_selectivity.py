@@ -9,7 +9,7 @@ in-situ processing no longer reduces traffic at all.
 """
 
 from repro.analysis.experiments import format_series_table
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.workloads import BookCorpus, CorpusSpec
 
 DENSITIES = (0.0, 0.01, 0.10, 0.45)
@@ -20,7 +20,10 @@ def run_density(needle_rate: float) -> dict:
     spec = CorpusSpec(files=2, mean_file_bytes=FILE_BYTES, needle_rate=needle_rate,
                       size_spread=0.05)
     books = BookCorpus(spec).generate()
-    node = StorageNode.build(devices=1, device_capacity=32 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1),
+    ))
     sim = node.sim
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))
     scanned = sum(b.plain_size for b in books)

@@ -16,7 +16,7 @@ Two properties are asserted:
 
 import time
 
-from repro.cluster import StorageFleet, StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet, build_node
 from repro.faults import BreakerConfig, FaultInjector, FaultPlan, RetryPolicy
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
@@ -25,11 +25,20 @@ ROUNDS = 5
 OVERHEAD_BUDGET = 1.10  # armed-but-idle wall clock <= 110% of baseline
 
 
+def rig(armed: bool, nodes: int, devices: int) -> ScenarioConfig:
+    """24 MiB drives; ``armed`` adds the retry policy and circuit breakers."""
+    return ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=nodes, devices_per_node=devices),
+        retry=RetryPolicy() if armed else None,
+        breaker=BreakerConfig() if armed else None,
+    )
+
+
 def run_node_workload(armed=False):
     """One node, four devices, one grep minion per book; returns the
     schedule-identity tuple (finish time + every stdout)."""
-    kw = dict(retry_policy=RetryPolicy(), breaker_config=BreakerConfig()) if armed else {}
-    node = StorageNode.build(devices=4, device_capacity=24 * 1024 * 1024, **kw)
+    node = build_node(rig(armed, nodes=1, devices=4))
     sim = node.sim
     if armed:
         FaultInjector.for_node(node, FaultPlan()).start()
@@ -51,10 +60,7 @@ def run_node_workload(armed=False):
 def run_fleet_workload(armed=False):
     """Fleet-level identity: run_job with no faults must schedule exactly
     like a fleet that never built the recovery machinery."""
-    kw = dict(retry_policy=RetryPolicy(), breaker_config=BreakerConfig()) if armed else {}
-    fleet = StorageFleet.build(
-        nodes=2, devices_per_node=2, device_capacity=24 * 1024 * 1024, **kw
-    )
+    fleet = build_fleet(rig(armed, nodes=2, devices=2))
     sim = fleet.sim
     if armed:
         FaultInjector.for_fleet(fleet, FaultPlan()).start()

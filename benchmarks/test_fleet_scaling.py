@@ -8,7 +8,7 @@ count, with hundreds of concurrent minions in flight.
 """
 
 from repro.analysis.experiments import format_series_table, linear_fit, throughput_mb_s
-from repro.cluster import StorageFleet
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
 
@@ -22,10 +22,10 @@ def run_fleet(nodes: int) -> tuple[float, int]:
         CorpusSpec(files=BOOKS_PER_NODE * nodes, mean_file_bytes=32 * 1024,
                    size_spread=0.1)
     ).generate()
-    fleet = StorageFleet.build(
-        nodes=nodes, devices_per_node=DEVICES_PER_NODE,
-        device_capacity=24 * 1024 * 1024,
-    )
+    fleet = build_fleet(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=nodes, devices_per_node=DEVICES_PER_NODE),
+    ))
     fleet.sim.run(fleet.sim.process(fleet.stage_corpus(books)))
 
     def job():

@@ -16,7 +16,7 @@ Two properties are asserted here:
 
 import time
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.obs import MetricsRegistry
 from repro.sim import Tracer
 from repro.workloads import BookCorpus, CorpusSpec
@@ -27,8 +27,13 @@ OVERHEAD_BUDGET = 1.05  # disabled-mode wall clock <= 105% of baseline
 
 def run_workload(metrics=None, tracer=None):
     """One node, four devices, a staged corpus, one grep minion per book."""
-    node = StorageNode.build(
-        devices=4, device_capacity=24 * 1024 * 1024, metrics=metrics, tracer=tracer
+    node = build_node(
+        ScenarioConfig(
+            flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+            fleet=FleetConfig(devices_per_node=4),
+        ),
+        metrics=metrics,
+        tracer=tracer,
     )
     sim = node.sim
     books = BookCorpus(CorpusSpec(files=8, mean_file_bytes=64 * 1024)).generate()

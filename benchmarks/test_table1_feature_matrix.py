@@ -35,7 +35,7 @@ def test_table1_loading_gap_is_measurable(benchmark):
     platform can synthesise one."""
     from repro.baselines import FpgaAcceleratedSSD
     from repro.baselines.fpga import FpgaKernel
-    from repro.cluster import StorageNode
+    from repro.config import build_node, preset
     from repro.isos.loader import ExitStatus
 
     class NewTask:
@@ -46,7 +46,7 @@ def test_table1_loading_gap_is_measurable(benchmark):
             return ExitStatus(code=0, stdout=b"ok")
 
     def measure():
-        node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+        node = build_node(preset("smoke"))
 
         def load():
             t0 = node.sim.now

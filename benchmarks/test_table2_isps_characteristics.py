@@ -6,12 +6,12 @@ the constant table.
 """
 
 from repro.analysis.experiments import format_series_table
-from repro.cluster import StorageNode
+from repro.config import build_node, preset
 
 
 def test_table2_isps_characteristics(benchmark):
     def build():
-        node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+        node = build_node(preset("smoke"))
         return node.compstors[0].isps.describe()
 
     info = benchmark.pedantic(build, rounds=1, iterations=1)

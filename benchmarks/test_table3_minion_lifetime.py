@@ -12,7 +12,7 @@ in order, with causally consistent timestamps.
 """
 
 from repro.analysis.experiments import format_series_table
-from repro.cluster import StorageNode
+from repro.config import build_node, preset
 from repro.sim import Tracer
 
 STEPS = [
@@ -28,9 +28,7 @@ STEPS = [
 def test_table3_minion_lifetime(benchmark):
     def run_minion():
         tracer = Tracer()
-        node = StorageNode.build(
-            devices=1, device_capacity=16 * 1024 * 1024, tracer=tracer
-        )
+        node = build_node(preset("smoke"), tracer=tracer)
         ssd = node.compstors[0]
 
         def stage():

@@ -6,15 +6,16 @@ system plus the full-scale prototype geometry.
 """
 
 from repro.analysis.experiments import format_series_table
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.ssd import PROTOTYPE_CAPACITY_BYTES, prototype_geometry
 
 
 def test_table4_server_spec(benchmark):
     def build():
-        node = StorageNode.build(
-            devices=1, device_capacity=16 * 1024 * 1024, with_baseline_ssd=True
-        )
+        node = build_node(ScenarioConfig(
+            flash=FlashConfig(capacity_bytes=16 * 1024 * 1024),
+            fleet=FleetConfig(devices_per_node=1, with_baseline_ssd=True),
+        ))
         return node.describe()
 
     info = benchmark.pedantic(build, rounds=1, iterations=1)

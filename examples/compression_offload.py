@@ -10,14 +10,17 @@ Run:  python examples/compression_offload.py
 """
 
 from repro.analysis.experiments import format_series_table
-from repro.analysis.figures import DEFAULT_FIG8_SPEC, run_fig7, run_fig8
-from repro.cluster import StorageNode
+from repro.analysis.figures import run_fig7, run_fig8
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.workloads import BookCorpus, CorpusSpec
 
 
 def verify_functional_roundtrip() -> None:
     """In-situ bzip2 then bunzip2 restores the original bytes."""
-    node = StorageNode.build(devices=1, device_capacity=32 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1),
+    ))
     sim = node.sim
     book = BookCorpus(CorpusSpec(files=1, mean_file_bytes=64 * 1024)).generate()[0]
     ssd = node.compstors[0]
@@ -51,7 +54,7 @@ def main() -> None:
     print("\n(one quad-A53 device is far below the Xeon, as the paper notes;"
           "\n the device contribution grows linearly and becomes comparable at scale)\n")
 
-    fig8 = run_fig8(apps=("gzip", "gunzip", "bzip2", "bunzip2"), spec=DEFAULT_FIG8_SPEC)
+    fig8 = run_fig8(apps=("gzip", "gunzip", "bzip2", "bunzip2"))
     print(format_series_table(
         "Fig. 8 — compression energy (J/GB), measured vs paper",
         ["app", "CompStor", "paper", "Xeon", "paper", "ratio", "paper ratio"],

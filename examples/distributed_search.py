@@ -16,7 +16,7 @@ Run:  python examples/distributed_search.py
 
 from repro.analysis.experiments import format_series_table, throughput_mb_s
 from repro.baselines import HostOnlyRunner
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
 
@@ -25,7 +25,10 @@ SPEC = CorpusSpec(files=12, mean_file_bytes=128 * 1024, size_spread=0.3)
 
 def in_situ_search(devices: int, books) -> tuple[float, int, float]:
     """Returns (throughput MB/s, total matches, device J/GB)."""
-    node = StorageNode.build(devices=devices, device_capacity=48 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=48 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=devices),
+    ))
     sim = node.sim
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))
 
@@ -51,8 +54,10 @@ def in_situ_search(devices: int, books) -> tuple[float, int, float]:
 
 
 def host_search(books) -> tuple[float, int, float]:
-    node = StorageNode.build(devices=1, device_capacity=48 * 1024 * 1024,
-                             with_baseline_ssd=True)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=48 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1, with_baseline_ssd=True),
+    ))
     sim = node.sim
     sim.run(sim.process(node.stage_corpus(books, compressed=False, include_host=True)))
     runner = HostOnlyRunner(node)

@@ -19,8 +19,8 @@ from repro.cluster import (
     LeastLoadedBalancer,
     MinionDispatcher,
     RoundRobinBalancer,
-    StorageNode,
 )
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.isos.loader import ExitStatus
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
@@ -58,7 +58,10 @@ class WordFreqApp:
 
 
 def main() -> None:
-    node = StorageNode.build(devices=3, device_capacity=32 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=3),
+    ))
     sim = node.sim
     books = BookCorpus(CorpusSpec(files=6, mean_file_bytes=64 * 1024)).generate()
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))

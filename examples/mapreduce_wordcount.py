@@ -21,7 +21,7 @@ from collections import Counter
 
 from repro.analysis.calibration import CYCLES_PER_BYTE
 from repro.apps.base import charge
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.isos.loader import ExitStatus
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
@@ -60,7 +60,10 @@ class MapCountApp:
 
 
 def main() -> None:
-    node = StorageNode.build(devices=3, device_capacity=48 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=48 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=3),
+    ))
     sim = node.sim
     books = BookCorpus(CorpusSpec(files=9, mean_file_bytes=96 * 1024)).generate()
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))

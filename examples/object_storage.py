@@ -11,14 +11,17 @@ in-situ ``objscan`` executable that searches objects without moving them.
 Run:  python examples/object_storage.py
 """
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.objstore import ObjScanApp, ObjectStore
 from repro.objstore.store import VersionMismatchError
 from repro.workloads import BookCorpus, CorpusSpec
 
 
 def main() -> None:
-    node = StorageNode.build(devices=1, device_capacity=32 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1),
+    ))
     sim = node.sim
     store = ObjectStore(node.compstors[0].fs)
     node.compstors[0].isps.os.install_executable(ObjScanApp())

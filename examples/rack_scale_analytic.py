@@ -14,7 +14,7 @@ Run:  python examples/rack_scale_analytic.py
 """
 
 from repro.analysis.experiments import format_series_table, throughput_mb_s
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
 
@@ -32,11 +32,12 @@ def main() -> None:
     books = BookCorpus(spec).generate(functional=False)  # analytic: no payloads
     total_bytes = sum(b.plain_size for b in books)
 
-    node = StorageNode.build(
-        devices=DEVICES,
-        device_capacity=4 * BOOKS_PER_DEVICE * BOOK_BYTES,
-        store_data=False,
-    )
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(
+            capacity_bytes=4 * BOOKS_PER_DEVICE * BOOK_BYTES, store_data=False
+        ),
+        fleet=FleetConfig(devices_per_node=DEVICES),
+    ))
     sim = node.sim
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))
     placement = node.device_books(books)

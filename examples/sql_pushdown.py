@@ -16,7 +16,7 @@ Run:  python examples/sql_pushdown.py
 """
 
 from repro.baselines import HostOnlyRunner
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.workloads import CsvTable, TableSpec
 
 SPEC = TableSpec(rows=40_000, columns=6, value_range=(0.0, 1000.0))
@@ -30,9 +30,10 @@ def main() -> None:
     print(f"table: {SPEC.rows} rows x {SPEC.columns} cols, {len(blob) / 1e6:.2f} MB CSV")
     print(f"ground truth: {truth['count']} rows selected, sum={truth['sum']:.6g}\n")
 
-    node = StorageNode.build(
-        devices=1, device_capacity=64 * 1024 * 1024, with_baseline_ssd=True
-    )
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=64 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1, with_baseline_ssd=True),
+    ))
     sim = node.sim
 
     def stage():

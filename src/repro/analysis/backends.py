@@ -18,15 +18,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
-from typing import Generator
 
 from repro.analysis.experiments import throughput_mb_s
-from repro.analysis.figures import (
-    _build_node,
-    _corpus_for,
-    _input_bytes,
-    _stage_and_commands,
-)
+from repro.analysis.figures import _device_pass, _input_bytes
 from repro.config import DeviceBackendConfig, scenario_from_dict
 from repro.ftl import DEVICE_BACKENDS
 
@@ -42,8 +36,8 @@ BACKEND_APPS: tuple[str, ...] = ("grep", "gzip")
 def backend_cell(
     backend: str,
     app: str,
+    scenario: dict,
     devices: int = 2,
-    scenario: dict | None = None,
 ) -> dict:
     """One comparison cell: ``app`` on a ``devices``-node under ``backend``.
 
@@ -60,55 +54,33 @@ def backend_cell(
     """
     if backend not in DEVICE_BACKENDS:
         raise ValueError(f"unknown device backend {backend!r}; use {sorted(DEVICE_BACKENDS)}")
-    if scenario is None:
-        from repro.config import preset
-
-        config = preset("smoke")
-    else:
-        config = scenario_from_dict(scenario)
+    config = scenario_from_dict(scenario)
     base = config.device if config.device is not None else DeviceBackendConfig()
-    config = replace(config, device=replace(base, backend=backend))
-
-    functional = config.flash.store_data
-    spec = replace(config.corpus, files=config.corpus.files * devices)
-    books = _corpus_for(app, spec, functional)
-    node = _build_node(
-        devices, functional, config.flash.capacity_bytes, scenario=config
+    config = replace(
+        config,
+        device=replace(base, backend=backend),
+        corpus=replace(config.corpus, files=config.corpus.files * devices),
     )
-    compressed = app in ("gunzip", "bunzip2")
-    node.sim.run(node.sim.process(node.stage_corpus(books, compressed=compressed)))
-    assignments = _stage_and_commands(node, books, app)
-
-    def experiment() -> Generator:
-        start = node.sim.now
-        responses = yield from node.client.gather(assignments)
-        return responses, node.sim.now - start
-
-    responses, seconds = node.sim.run(node.sim.process(experiment()))
-    bad = [r for r in responses if r is None or r.status.value not in ("ok", "app-error")]
-    if bad:
-        raise RuntimeError(
-            f"backend cell {backend}/{app}/n{devices} failed on {len(bad)} minions"
-        )
+    run = _device_pass(config, app, devices)
 
     digest = hashlib.sha256()
     digest.update(f"{app}:{devices}".encode())
-    for response in responses:
+    for response in run.results:
         digest.update(response.status.value.encode())
         digest.update(b"\x00")
         digest.update(response.stdout)
         digest.update(b"\x01")
 
-    ftls = [ssd.ftl for ssd in node.compstors]
+    ftls = [ssd.ftl for ssd in run.node.compstors]
     programs = sum(ftl.flash.stats.programs for ftl in ftls)
     host_pages = sum(ftl.host_pages_programmed for ftl in ftls)
     cell = {
         "backend": backend,
         "app": app,
         "devices": devices,
-        "minions": len(responses),
+        "minions": len(run.results),
         "throughput_mb_s": round(
-            throughput_mb_s(_input_bytes(books, app), seconds), 3
+            throughput_mb_s(_input_bytes(run.books, app), run.seconds), 3
         ),
         "output_digest": digest.hexdigest()[:16],
         "gc_collections": sum(ftl.health_stats()["gc_collections"] for ftl in ftls),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.figures import (
-    DEFAULT_FIG8_SPEC,
     fig6_linearity,
     run_fig1,
     run_fig6,
@@ -21,7 +20,7 @@ from repro.analysis.figures import (
     run_fig8,
 )
 from repro.baselines import SYSTEMS
-from repro.config import ScenarioConfig, scenario_from_dict
+from repro.config import ScenarioConfig, preset, scenario_from_dict
 
 __all__ = [
     "CLAIM_ORDER",
@@ -43,22 +42,18 @@ class Claim:
     passed: bool
 
 
-def _device_counts(
-    quick: bool, scenario: ScenarioConfig | None = None
-) -> tuple[int, ...]:
+def _device_counts(quick: bool, scenario: ScenarioConfig) -> tuple[int, ...]:
     """``quick=True`` trims device counts for sub-minute wall time.
 
-    A scenario caps the sweep at its ``fleet.devices_per_node``, so
+    The sweep is capped at the scenario's ``fleet.devices_per_node``, so
     ``--set fleet.devices_per_node=2`` genuinely shrinks the experiment.
     """
     counts = (1, 2) if quick else (1, 2, 4)
-    if scenario is not None:
-        capped = tuple(n for n in counts if n <= scenario.fleet.devices_per_node)
-        counts = capped or (scenario.fleet.devices_per_node,)
-    return counts
+    capped = tuple(n for n in counts if n <= scenario.fleet.devices_per_node)
+    return capped or (scenario.fleet.devices_per_node,)
 
 
-def claim_fig1(quick: bool = False, scenario: ScenarioConfig | None = None) -> Claim:
+def claim_fig1(quick: bool, scenario: ScenarioConfig) -> Claim:
     rows = run_fig1((1, 64))
     at64 = next(r for r in rows if r.ssd_count == 64)
     return Claim(
@@ -70,7 +65,7 @@ def claim_fig1(quick: bool = False, scenario: ScenarioConfig | None = None) -> C
     )
 
 
-def claim_table1(quick: bool = False, scenario: ScenarioConfig | None = None) -> Claim:
+def claim_table1(quick: bool, scenario: ScenarioConfig) -> Claim:
     full = [s.system for s in SYSTEMS if s.all_features]
     return Claim(
         "Table I",
@@ -80,7 +75,7 @@ def claim_table1(quick: bool = False, scenario: ScenarioConfig | None = None) ->
     )
 
 
-def claim_fig6(quick: bool = False, scenario: ScenarioConfig | None = None) -> Claim:
+def claim_fig6(quick: bool, scenario: ScenarioConfig) -> Claim:
     results = run_fig6(
         app="grep", device_counts=_device_counts(quick, scenario), scenario=scenario
     )
@@ -93,7 +88,7 @@ def claim_fig6(quick: bool = False, scenario: ScenarioConfig | None = None) -> C
     )
 
 
-def claim_fig7(quick: bool = False, scenario: ScenarioConfig | None = None) -> Claim:
+def claim_fig7(quick: bool, scenario: ScenarioConfig) -> Claim:
     fig7 = run_fig7(
         device_counts=_device_counts(quick, scenario), scenario=scenario
     )
@@ -111,11 +106,10 @@ def claim_fig7(quick: bool = False, scenario: ScenarioConfig | None = None) -> C
     )
 
 
-def claim_fig8(quick: bool = False, scenario: ScenarioConfig | None = None) -> Claim:
+def claim_fig8(quick: bool, scenario: ScenarioConfig) -> Claim:
     # Fig. 8's grading tolerances are calibrated against its own corpus:
     # keep that pinned even when the rest of the scenario varies.
-    if scenario is not None:
-        scenario = replace(scenario, corpus=DEFAULT_FIG8_SPEC)
+    scenario = replace(scenario, corpus=preset("fig8-ablation").corpus)
     fig8 = run_fig8(scenario=scenario)
     wins = all(r.compstor_j_per_gb < r.xeon_j_per_gb for r in fig8)
     within = all(
@@ -145,8 +139,8 @@ CLAIMS = {
 CLAIM_ORDER: tuple[str, ...] = tuple(CLAIMS)
 
 
-def run_claim(name: str, quick: bool = False, scenario: dict | None = None) -> dict:
+def run_claim(name: str, scenario: dict, quick: bool = False) -> dict:
     """Grade one claim; returns a JSON-encodable payload (worker target)."""
-    config = scenario_from_dict(scenario) if scenario is not None else None
+    config = scenario_from_dict(scenario)
     return asdict(CLAIMS[name](quick=quick, scenario=config))
 

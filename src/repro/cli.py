@@ -153,7 +153,7 @@ def _cmd_smart(args: argparse.Namespace) -> None:
 def _cmd_fleet(args: argparse.Namespace) -> None:
     """Fleet weak-scaling sweep (nodes x devices, one minion per book)."""
     from repro.analysis.experiments import throughput_mb_s
-    from repro.cluster import StorageFleet
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
     from repro.proto import Command
     from repro.workloads import BookCorpus, CorpusSpec
 
@@ -162,10 +162,10 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         books = BookCorpus(
             CorpusSpec(files=args.books_per_node * nodes, mean_file_bytes=32 * 1024)
         ).generate()
-        fleet = StorageFleet.build(
-            nodes=nodes, devices_per_node=args.devices,
-            device_capacity=24 * 1024 * 1024,
-        )
+        fleet = build_fleet(ScenarioConfig(
+            flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+            fleet=FleetConfig(nodes=nodes, devices_per_node=args.devices),
+        ))
         fleet.sim.run(fleet.sim.process(fleet.stage_corpus(books)))
 
         def job():
@@ -190,38 +190,40 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
 
     Device targets are fleet-wide ring indices (``--kill 1@0.2`` crashes
     the second device 0.2 ms after staging completes); ``--random N``
-    derives N faults deterministically from ``--seed``.
+    derives N faults deterministically from ``--seed``.  Without
+    ``--preset``/``--set``, ``--nodes/--devices/--books/--replicas/--seed``
+    describe the scenario.
     """
-    from repro.cluster import StorageFleet
+    from repro.config import (
+        FlashConfig,
+        FleetConfig,
+        ScenarioConfig,
+        build_corpus,
+        build_fleet,
+    )
     from repro.faults import BreakerConfig, FaultInjector, FaultPlan, RetryPolicy
     from repro.proto import Command
-    from repro.workloads import BookCorpus, CorpusSpec
+    from repro.workloads import CorpusSpec
 
     config, _ = _scenario_payload(args)
-    if config is not None:
-        from repro.config import build_corpus, build_fleet
-
-        fleet = build_fleet(config)
-        books = build_corpus(config)
-        replicas = config.fleet.replicas
-        seed = config.seed
-    else:
-        fleet = StorageFleet.build(
-            nodes=args.nodes,
-            devices_per_node=args.devices,
+    if config is None:
+        config = ScenarioConfig(
             seed=args.seed,
-            device_capacity=24 * 1024 * 1024,
-            retry_policy=RetryPolicy(),
-            breaker_config=BreakerConfig(),
+            flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+            fleet=FleetConfig(
+                nodes=args.nodes, devices_per_node=args.devices,
+                replicas=args.replicas,
+            ),
+            corpus=CorpusSpec(files=args.books, mean_file_bytes=32 * 1024, seed=args.seed),
+            retry=RetryPolicy(),
+            breaker=BreakerConfig(),
         )
-        books = BookCorpus(
-            CorpusSpec(files=args.books, mean_file_bytes=32 * 1024, seed=args.seed)
-        ).generate()
-        replicas = args.replicas
-        seed = args.seed
+    fleet = build_fleet(config)
+    books = build_corpus(config)
+    seed = config.seed
     ring = fleet.device_ring()
     fleet.sim.run(
-        fleet.sim.process(fleet.stage_corpus(books, replicas=replicas))
+        fleet.sim.process(fleet.stage_corpus(books, replicas=config.fleet.replicas))
     )
     start = fleet.sim.now
 
@@ -232,7 +234,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
             yield node, device, start + float(when or "0") * 1e-3
 
     ms = lambda value: None if value is None else value * 1e-3
-    if config is not None and config.faults.any:
+    if config.faults.any:
         # the scenario's declarative fault plan; CLI flags stack on top
         plan = FaultPlan.from_config(config.faults, ring, base_time=start)
     else:
@@ -289,8 +291,8 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     reconstructed span tree of the first minion — the six Table III
     lifecycle steps in causal order.
     """
-    from repro.cluster import StorageNode
     from repro.cluster.scheduler import LeastLoadedBalancer, MinionDispatcher
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
     from repro.obs import (
         MetricsRegistry,
         adopt_records,
@@ -305,9 +307,11 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
     tracer = Tracer()
     metrics = MetricsRegistry()
-    node = StorageNode.build(
-        devices=args.devices,
-        device_capacity=32 * 1024 * 1024,
+    node = build_node(
+        ScenarioConfig(
+            flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+            fleet=FleetConfig(devices_per_node=args.devices),
+        ),
         tracer=tracer,
         metrics=metrics,
     )
@@ -344,9 +348,9 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_quickstart(_args: argparse.Namespace) -> None:
-    from repro.cluster import StorageNode
+    from repro.config import build_node, preset
 
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+    node = build_node(preset("smoke"))
     sim = node.sim
     ssd = node.compstors[0]
     sim.run(sim.process(ssd.fs.write_file("hello.txt", b"fox\n" * 100)))

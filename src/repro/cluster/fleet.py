@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.cluster.node import StorageNode
-from repro.faults.retry import BreakerConfig, CircuitBreaker, RetryPolicy
+from repro.faults.retry import CircuitBreaker
 from repro.host.insitu import InSituError
 from repro.obs.health import FleetHealth, HealthAggregator
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.proto.entities import Command, Response, ResponseStatus
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.workloads import BookFile, partition_round_robin
 
 __all__ = ["JobReport", "StorageFleet"]
@@ -110,34 +110,6 @@ class StorageFleet:
         self.host_fallbacks_total = 0
         self.lost_total = 0
         self.recovered_total = 0
-
-    @classmethod
-    def build(
-        cls,
-        nodes: int = 4,
-        devices_per_node: int = 4,
-        seed: int = 0,
-        device_capacity: int = 32 * 1024 * 1024,
-        store_data: bool = True,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        retry_policy: RetryPolicy | None = None,
-        breaker_config: BreakerConfig | None = None,
-    ) -> "StorageFleet":
-        """Thin wrapper over :func:`repro.config.factory.build_fleet` (the
-        kwargs map one-to-one onto scenario fields)."""
-        from repro.config.factory import build_fleet, scenario_for_node
-
-        config = scenario_for_node(
-            nodes=nodes,
-            devices=devices_per_node,
-            seed=seed,
-            device_capacity=device_capacity,
-            store_data=store_data,
-            retry_policy=retry_policy,
-            breaker_config=breaker_config,
-        )
-        return build_fleet(config, tracer=tracer, metrics=metrics)
 
     # -- topology -----------------------------------------------------------
     @property

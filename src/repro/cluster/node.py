@@ -1,27 +1,22 @@
 """A storage node: one host, a PCIe fabric, N CompStors (paper Fig. 2).
 
-:meth:`StorageNode.build` assembles the full system used by the
-experiments: host server (Xeon), root complex + switch, N in-situ drives,
-one shared power meter, and the in-situ client library attached to every
-device.  A conventional drive for the host-side baseline can be included
-with ``with_baseline_ssd=True`` (the Table IV setup uses a separate,
-identical server; sharing the fabric here changes nothing because the
-baseline and in-situ runs never overlap in time).
+:func:`repro.config.build_node` assembles it from a
+:class:`~repro.config.ScenarioConfig`: host server (Xeon), root complex +
+switch, N in-situ drives, one shared power meter, and the in-situ client
+library attached to every device.  ``fleet.with_baseline_ssd`` adds a
+conventional drive for the host-side baseline (the Table IV setup uses a
+separate, identical server; sharing the fabric here changes nothing
+because the baseline and in-situ runs never overlap in time).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Iterable, Sequence
 
-from repro.faults.retry import BreakerConfig, RetryPolicy
-from repro.flash import FlashGeometry
-from repro.ftl import FtlConfig
 from repro.host import HostServer, InSituClient
-from repro.isos.loader import ExecutableRegistry
-from repro.obs.metrics import MetricsRegistry
 from repro.pcie import PcieFabric
 from repro.power import PowerMeter
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.ssd import CompStorSSD, ConventionalSSD
 from repro.workloads import BookFile, partition_round_robin
 
@@ -48,57 +43,6 @@ class StorageNode:
         self.client = client
         self.meter = meter
         self.baseline_ssd = baseline_ssd
-
-    # -- construction -----------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        devices: int = 4,
-        seed: int = 0,
-        sim: Simulator | None = None,
-        geometry: FlashGeometry | None = None,
-        device_capacity: int = 64 * 1024 * 1024,
-        store_data: bool = True,
-        with_baseline_ssd: bool = False,
-        registry: ExecutableRegistry | None = None,
-        ftl_config: FtlConfig | None = None,
-        tracer: Tracer | None = None,
-        uplink_lanes: int = 16,
-        endpoint_lanes: int = 4,
-        metrics: MetricsRegistry | None = None,
-        retry_policy: RetryPolicy | None = None,
-        breaker_config: BreakerConfig | None = None,
-    ) -> "StorageNode":
-        """Thin wrapper over :func:`repro.config.factory.build_node`.
-
-        The kwargs are the historical surface; each maps onto one
-        :class:`~repro.config.ScenarioConfig` field and the factory owns
-        the construction sequence, so a node built here is identical —
-        schedule-for-schedule — to one built from the equivalent scenario.
-        """
-        from repro.config.factory import build_node, scenario_for_node
-
-        config = scenario_for_node(
-            devices=devices,
-            seed=seed,
-            geometry=geometry,
-            device_capacity=device_capacity,
-            store_data=store_data,
-            with_baseline_ssd=with_baseline_ssd,
-            ftl_config=ftl_config,
-            uplink_lanes=uplink_lanes,
-            endpoint_lanes=endpoint_lanes,
-            retry_policy=retry_policy,
-            breaker_config=breaker_config,
-        )
-        return build_node(
-            config,
-            sim=sim,
-            geometry=geometry,
-            registry=registry,
-            tracer=tracer,
-            metrics=metrics,
-        )
 
     # -- dataset staging ----------------------------------------------------------
     def stage_corpus(

@@ -12,10 +12,9 @@ else derives from it:
   ``--set`` grammar; :func:`preset` serves the pinned registry
   (``paper-prototype``, ``smoke``, ``fig6``, ``fig8-ablation``,
   ``chaos-drill``);
-- **construction**: :func:`build_device` / :func:`build_node` /
-  :func:`build_fleet` turn a scenario into live simulator objects —
-  the single construction path the legacy ``StorageNode.build`` /
-  ``StorageFleet.build`` wrappers delegate to.
+- **construction**: :func:`build_node` / :func:`build_fleet` turn a
+  scenario into live simulator objects — the only way to build a node or
+  a fleet.
 """
 
 from repro.config.codec import (
@@ -30,7 +29,6 @@ from repro.config.codec import (
 from repro.config.factory import (
     bind_metrics_clock,
     build_corpus,
-    build_device,
     build_fault_plan,
     build_fleet,
     build_node,
@@ -77,7 +75,6 @@ __all__ = [
     "apply_overrides",
     "bind_metrics_clock",
     "build_corpus",
-    "build_device",
     "build_fault_plan",
     "build_fleet",
     "build_node",

@@ -1,24 +1,25 @@
 """Live systems from declarative scenarios.
 
 The one place where a :class:`~repro.config.schema.ScenarioConfig` becomes
-simulator objects.  ``StorageNode.build`` / ``StorageFleet.build`` and the
-CLI all funnel through here, so construction order — which determines event
-scheduling, and therefore the golden schedule digests — is defined exactly
-once.
+simulator objects.  Every node and fleet — the CLI's, the figure runners',
+the benchmarks' and the tests' — is built here, so construction order —
+which determines event scheduling, and therefore the golden schedule
+digests — is defined exactly once.
 
 Runtime-only collaborators (an existing :class:`~repro.sim.Simulator`, a
-shared :class:`~repro.obs.metrics.MetricsRegistry`, an executable registry)
-are explicit parameters, never config fields: a scenario stays a pure
-value, equal to its canonical JSON.
+shared :class:`~repro.obs.metrics.MetricsRegistry` or
+:class:`~repro.sim.Tracer`) are explicit parameters, never config fields:
+a scenario stays a pure value, equal to its canonical JSON.
 
-Imports of the device/cluster layers are deliberately deferred into the
-function bodies: those layers lazily import :mod:`repro.config` back (thin
-build wrappers), and module-level imports in both directions would cycle.
+Imports of the device/cluster layers are deferred into the function
+bodies, so modules that only need the schema (the service layer imports
+its config sections through :mod:`repro.config`) do not load the whole
+device stack.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.config.schema import ScenarioConfig
 
@@ -26,18 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cluster.fleet import StorageFleet
     from repro.cluster.node import StorageNode
     from repro.faults.plan import FaultPlan
-    from repro.isos.loader import ExecutableRegistry
     from repro.obs.metrics import MetricsRegistry
-    from repro.pcie.switch import PciePort
-    from repro.power import PowerMeter
     from repro.sim import Simulator, Tracer
-    from repro.ssd import CompStorSSD
     from repro.workloads import BookFile
 
 __all__ = [
     "bind_metrics_clock",
     "build_corpus",
-    "build_device",
     "build_fault_plan",
     "build_fleet",
     "build_node",
@@ -57,76 +53,35 @@ def bind_metrics_clock(metrics: "MetricsRegistry | None", sim: "Simulator") -> N
 
 def build_observability(
     config: ScenarioConfig,
+    metrics: "MetricsRegistry | None" = None,
+    tracer: "Tracer | None" = None,
 ) -> "tuple[MetricsRegistry | None, Tracer | None]":
-    """The scenario's ``obs`` toggles as live (or absent) instruments."""
-    metrics = tracer = None
-    if config.obs.metrics:
+    """The instruments a build uses: those supplied, else the scenario's
+    ``obs`` toggles as live (or absent) instruments."""
+    if metrics is None and config.obs.metrics:
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
-    if config.obs.tracing:
+    if tracer is None and config.obs.tracing:
         from repro.sim import Tracer
 
         tracer = Tracer(capacity=config.obs.trace_capacity)
     return metrics, tracer
 
 
-def build_device(
-    config: ScenarioConfig,
-    sim: "Simulator | None" = None,
-    *,
-    name: str = "compstor",
-    port: "PciePort | None" = None,
-    meter: "PowerMeter | None" = None,
-    registry: "ExecutableRegistry | None" = None,
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> "CompStorSSD":
-    """One CompStor drive described by ``config`` (flash/ftl/ecc/nvme/isps).
-
-    The fleet sections of the scenario are ignored here; use
-    :func:`build_node` / :func:`build_fleet` for full topologies.
-    """
-    from repro.cpu.models import resolve_cpu
-    from repro.sim import Simulator
-    from repro.ssd import CompStorSSD
-
-    sim = sim or Simulator(seed=config.seed)
-    bind_metrics_clock(metrics, sim)
-    return CompStorSSD(
-        sim,
-        name=name,
-        geometry=config.flash.geometry(),
-        port=port,
-        meter=meter,
-        registry=registry,
-        store_data=config.flash.store_data,
-        ftl_config=config.ftl,
-        ecc_config=config.ecc,
-        nvme_config=config.nvme,
-        device_config=config.device,
-        cpu_spec=resolve_cpu(config.isps.cpu),
-        tracer=tracer,
-        metrics=metrics,
-    )
-
-
 def build_node(
     config: ScenarioConfig,
     sim: "Simulator | None" = None,
     *,
-    geometry=None,
-    registry: "ExecutableRegistry | None" = None,
     tracer: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> "StorageNode":
     """Host + fabric + ``fleet.devices_per_node`` CompStors, per the scenario.
 
-    Mirrors the historical ``StorageNode.build`` construction sequence
-    step-for-step (meter, fabric, devices, baseline, host, client) so
-    schedules — and the golden digests over them — are bit-for-bit stable.
-    ``geometry`` overrides ``config.flash`` for callers that hold a
-    pre-built :class:`~repro.flash.FlashGeometry`.
+    Construction order (meter, fabric, devices, baseline, host, client)
+    fixes the event schedule, so it is pinned by the golden digests.
+    ``metrics``/``tracer`` not supplied come from the scenario's ``obs``
+    section (:func:`build_observability`).
     """
     from repro.cluster.node import StorageNode
     from repro.cpu.models import resolve_cpu
@@ -136,6 +91,7 @@ def build_node(
     from repro.sim import Simulator
     from repro.ssd import CompStorSSD, ConventionalSSD
 
+    metrics, tracer = build_observability(config, metrics, tracer)
     devices = config.fleet.devices_per_node
     sim = sim or Simulator(seed=config.seed)
     bind_metrics_clock(metrics, sim)
@@ -148,7 +104,7 @@ def build_node(
         endpoint_lanes=config.pcie.endpoint_lanes,
         energy_sink=meter.sink,
     )
-    geometry = geometry if geometry is not None else config.flash.geometry()
+    geometry = config.flash.geometry()
     cpu_spec = resolve_cpu(config.isps.cpu)
 
     compstors = [
@@ -158,7 +114,6 @@ def build_node(
             geometry=geometry,
             port=fabric.ports[i],
             meter=meter,
-            registry=registry.clone() if registry is not None else None,
             store_data=config.flash.store_data,
             ftl_config=config.ftl,
             ecc_config=config.ecc,
@@ -204,7 +159,6 @@ def build_node(
 def build_fleet(
     config: ScenarioConfig,
     *,
-    registry: "ExecutableRegistry | None" = None,
     tracer: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> "StorageFleet":
@@ -216,13 +170,11 @@ def build_fleet(
     from repro.cluster.fleet import StorageFleet
     from repro.sim import Simulator
 
-    auto_metrics, auto_tracer = build_observability(config)
-    metrics = metrics if metrics is not None else auto_metrics
-    tracer = tracer if tracer is not None else auto_tracer
+    metrics, tracer = build_observability(config, metrics, tracer)
     sim = Simulator(seed=config.seed)
     bind_metrics_clock(metrics, sim)
     built = [
-        build_node(config, sim=sim, registry=registry, tracer=tracer, metrics=metrics)
+        build_node(config, sim=sim, tracer=tracer, metrics=metrics)
         for _ in range(config.fleet.nodes)
     ]
     return StorageFleet(sim, built, metrics=metrics)
@@ -250,53 +202,3 @@ def build_fault_plan(
     if not config.faults.any:
         return None
     return FaultPlan.from_config(config.faults, ring, base_time=base_time)
-
-
-def scenario_for_node(
-    *,
-    name: str = "custom",
-    devices: int,
-    seed: int,
-    geometry=None,
-    device_capacity: int,
-    store_data: bool,
-    with_baseline_ssd: bool = False,
-    ftl_config=None,
-    ecc_config=None,
-    uplink_lanes: int = 16,
-    endpoint_lanes: int = 4,
-    retry_policy=None,
-    breaker_config=None,
-    nodes: int = 1,
-) -> ScenarioConfig:
-    """The scenario equivalent of the historical kwargs chain.
-
-    Backs the thin ``StorageNode.build`` / ``StorageFleet.build`` wrappers:
-    every legacy keyword maps onto exactly one config field, defaults
-    filling the rest, so old call sites get a faithful typed description of
-    what they always built.
-    """
-    from repro.config.schema import FlashConfig, FleetConfig, PcieConfig
-    from repro.ecc import EccConfig
-    from repro.ftl import FtlConfig
-    from repro.ssd.conventional import small_geometry
-
-    flash = FlashConfig.from_geometry(
-        geometry if geometry is not None else small_geometry(device_capacity),
-        store_data=store_data,
-    )
-    return ScenarioConfig(
-        name=name,
-        seed=seed,
-        flash=flash,
-        ftl=ftl_config if ftl_config is not None else FtlConfig(),
-        ecc=ecc_config if ecc_config is not None else EccConfig(),
-        pcie=PcieConfig(uplink_lanes=uplink_lanes, endpoint_lanes=endpoint_lanes),
-        fleet=FleetConfig(
-            nodes=nodes,
-            devices_per_node=devices,
-            with_baseline_ssd=with_baseline_ssd,
-        ),
-        retry=retry_policy,
-        breaker=breaker_config,
-    )

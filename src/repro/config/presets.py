@@ -45,8 +45,8 @@ def _smoke() -> ScenarioConfig:
 
 
 def _fig6() -> ScenarioConfig:
-    """The Fig. 6 weak-scaling cell: per-device corpus share from
-    ``repro.analysis.figures.DEFAULT_FIG6_SPEC``, 48 MiB devices."""
+    """The Fig. 6 weak-scaling cell, 48 MiB devices.  The corpus is the
+    per-device share: enough files that every A53 core has parallel work."""
     return ScenarioConfig(
         name="fig6",
         flash=FlashConfig(capacity_bytes=48 * 1024 * 1024),
@@ -56,8 +56,8 @@ def _fig6() -> ScenarioConfig:
 
 
 def _fig8_ablation() -> ScenarioConfig:
-    """The Fig. 8 energy cell: one CompStor vs the host baseline drive,
-    corpus from ``DEFAULT_FIG8_SPEC`` (enough files to keep all cores busy)."""
+    """The Fig. 8 energy cell: one CompStor vs the host baseline drive, with
+    enough files to keep all cores busy."""
     return ScenarioConfig(
         name="fig8-ablation",
         flash=FlashConfig(capacity_bytes=48 * 1024 * 1024),

@@ -65,9 +65,7 @@ class FlashConfig:
 
     ``geometry()`` reproduces :func:`repro.ssd.conventional.small_geometry`
     exactly: the base dimensions are scaled to ``capacity_bytes`` via
-    ``blocks_per_plane`` (so a config built from an existing
-    :class:`~repro.flash.FlashGeometry` round-trips bit-for-bit).
-    ``store_data`` selects functional mode (real page payloads) vs analytic
+    ``blocks_per_plane``.  ``store_data`` selects functional mode (real page payloads) vs analytic
     mode (timing only).
     """
 
@@ -94,24 +92,6 @@ class FlashConfig:
             page_size=self.page_size,
         )
         return base.scaled(self.capacity_bytes)
-
-    @classmethod
-    def from_geometry(
-        cls, geometry: FlashGeometry, store_data: bool = True
-    ) -> "FlashConfig":
-        """Describe an existing geometry (lossless: ``geometry()`` returns
-        an equal instance, because scaling to the exact capacity recovers
-        the same ``blocks_per_plane``)."""
-        return cls(
-            capacity_bytes=geometry.capacity_bytes,
-            channels=geometry.channels,
-            dies_per_channel=geometry.dies_per_channel,
-            planes_per_die=geometry.planes_per_die,
-            blocks_per_plane=geometry.blocks_per_plane,
-            pages_per_block=geometry.pages_per_block,
-            page_size=geometry.page_size,
-            store_data=store_data,
-        )
 
 
 @dataclass(frozen=True, slots=True)

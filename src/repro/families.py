@@ -61,12 +61,6 @@ def _flag(*names: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]
     return names, options
 
 
-def _scenario(payload: dict | None) -> dict[str, Any]:
-    """A cell's scenario kwarg, omitted when None so a scenario-less spec
-    (and its cache key) carries no ``scenario`` field at all."""
-    return {} if payload is None else {"scenario": payload}
-
-
 _DEVICES = _flag("--devices", type=int, nargs="+", default=[1, 2, 4])
 _FIG6_CELL = "repro.analysis.figures:fig6_cell"
 
@@ -94,7 +88,7 @@ def _fig1_render(args, values):
 def _fig6_cells(args, scenario):
     return [
         JobSpec(f"fig6.{args.app}.n{n}", _FIG6_CELL,
-                {"app": args.app, "devices": n, **_scenario(scenario)})
+                {"app": args.app, "devices": n, "scenario": scenario})
         for n in args.devices
     ]
 
@@ -116,10 +110,10 @@ def _fig7_cells(args, scenario):
     """The host-only bzip2 measurement plus one device cell per count."""
     return [
         JobSpec("fig7.host", "repro.analysis.figures:fig7_host_cell",
-                _scenario(scenario)),
+                {"scenario": scenario}),
     ] + [
         JobSpec(f"fig7.bzip2.n{n}", _FIG6_CELL,
-                {"app": "bzip2", "devices": n, **_scenario(scenario)})
+                {"app": "bzip2", "devices": n, "scenario": scenario})
         for n in args.devices
     ]
 
@@ -136,7 +130,7 @@ def _fig7_render(args, values):
 def _fig8_cells(args, scenario):
     return [
         JobSpec(f"fig8.{app}", "repro.analysis.figures:fig8_cell",
-                {"app": app, **_scenario(scenario)})
+                {"app": app, "scenario": scenario})
         for app in args.apps
     ]
 
@@ -155,7 +149,7 @@ def _validate_cells(args, scenario):
     """One job per claim, in paper order."""
     return [
         JobSpec(f"validate.{name}", "repro.analysis.validation:run_claim",
-                {"name": name, "quick": args.quick, **_scenario(scenario)})
+                {"name": name, "quick": args.quick, "scenario": scenario})
         for name in CLAIM_ORDER
     ]
 
@@ -185,7 +179,7 @@ def _traffic_cells(args, scenario):
     """One serving cell per arrival mix."""
     return [
         JobSpec(f"traffic.{mix}", "repro.service.drill:run_traffic_cell",
-                {"mix": mix, **_scenario(scenario)})
+                {"mix": mix, "scenario": scenario})
         for mix in args.mixes
     ]
 
@@ -214,7 +208,7 @@ def _drill_cells(args, scenario):
     scenario (same digest, seed and fault trigger)."""
     return [
         JobSpec(f"drill.{tag}", "repro.service.drill:run_metastable_cell",
-                {"defenses": defenses, **_scenario(scenario)})
+                {"defenses": defenses, "scenario": scenario})
         for tag, defenses in (("defenses-on", True), ("defenses-off", False))
     ]
 
@@ -259,13 +253,13 @@ def _objstore_cells(args, scenario):
     if args.sweep is None:
         return [
             JobSpec(f"objstore.{tag}", f"repro.objstore.drill:{func}",
-                    _scenario(scenario))
+                    {"scenario": scenario})
             for tag, func in _OBJSTORE_PAIR
         ]
     return [
         JobSpec(f"objstore.sweep.d{dial:g}",
                 "repro.objstore.drill:run_objstore_sweep_cell",
-                {"dedup_ratio": dial, **_scenario(scenario)})
+                {"dedup_ratio": dial, "scenario": scenario})
         for dial in args.sweep or OBJSTORE_SWEEP_DIALS
     ]
 
@@ -316,7 +310,7 @@ def _backends_cells(args, scenario):
         JobSpec(f"backends.{backend}.{app}.n{args.devices}",
                 "repro.analysis.backends:backend_cell",
                 {"backend": backend, "app": app, "devices": args.devices,
-                 **_scenario(scenario)})
+                 "scenario": scenario})
         for backend in args.backends
         for app in args.apps
     ]
@@ -375,17 +369,17 @@ FAMILIES: dict[str, Family] = {family.verb: family for family in (
                   choices=["grep", "gawk", "gzip", "gunzip", "bzip2", "bunzip2"]),
             _DEVICES,
         ),
-        preset="fig6",
+        preset="fig6", golden="fig6",
     ),
     Family(
         "fig7", "aggregate host+devices bzip2 (Fig. 7)", _fig7_cells, _fig7_render,
-        flags=(_DEVICES,), preset="fig6",
+        flags=(_DEVICES,), preset="fig6", golden="fig7",
     ),
     Family(
         "fig8", "energy per GB (Fig. 8)", _fig8_cells, _fig8_render,
         flags=(_flag("--apps", nargs="+", default=list(FIG8_APPS),
                      choices=list(FIG8_APPS)),),
-        preset="fig8-ablation",
+        preset="fig8-ablation", golden="fig8",
     ),
     Family(
         "traffic", "multi-tenant serving drill (admission/WFQ/SLO scorecard)",

@@ -108,15 +108,20 @@ def schedule_digest(tracer, extras: dict) -> str:
 
 def scenario_single_gzip():
     """One CompStor, one gzip minion over a staged two-book corpus."""
-    from repro.cluster import StorageNode
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
     from repro.sim import Tracer
     from repro.workloads import BookCorpus, CorpusSpec
 
     reset_global_ids()  # hermetic: digests are pure functions of (seed, model)
     tracer = Tracer()
     books = BookCorpus(CorpusSpec(files=2, mean_file_bytes=24 * 1024, seed=3)).generate()
-    node = StorageNode.build(
-        devices=1, seed=11, device_capacity=24 * 1024 * 1024, tracer=tracer
+    node = build_node(
+        ScenarioConfig(
+            seed=11,
+            flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+            fleet=FleetConfig(devices_per_node=1),
+        ),
+        tracer=tracer,
     )
     sim = node.sim
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))
@@ -145,16 +150,20 @@ def scenario_single_gzip():
 
 def scenario_fleet_grep():
     """2 nodes x 2 devices, one replicated ``run_job`` grep sweep."""
-    from repro.cluster import StorageFleet
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
     from repro.proto import Command
     from repro.sim import Tracer
     from repro.workloads import BookCorpus, CorpusSpec
 
     reset_global_ids()
     tracer = Tracer()
-    fleet = StorageFleet.build(
-        nodes=2, devices_per_node=2, seed=7,
-        device_capacity=24 * 1024 * 1024, tracer=tracer,
+    fleet = build_fleet(
+        ScenarioConfig(
+            seed=7,
+            flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+            fleet=FleetConfig(nodes=2, devices_per_node=2),
+        ),
+        tracer=tracer,
     )
     sim = fleet.sim
     books = BookCorpus(
@@ -185,7 +194,7 @@ def scenario_fleet_grep():
 
 def scenario_chaos_drill():
     """Replicated fleet job under a fixed fault plan (crash + transients)."""
-    from repro.cluster import StorageFleet
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
     from repro.faults import BreakerConfig, FaultInjector, FaultPlan, RetryPolicy
     from repro.proto import Command
     from repro.sim import Tracer
@@ -193,10 +202,15 @@ def scenario_chaos_drill():
 
     reset_global_ids()
     tracer = Tracer()
-    fleet = StorageFleet.build(
-        nodes=2, devices_per_node=2, seed=13,
-        device_capacity=24 * 1024 * 1024, tracer=tracer,
-        retry_policy=RetryPolicy(), breaker_config=BreakerConfig(),
+    fleet = build_fleet(
+        ScenarioConfig(
+            seed=13,
+            flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+            fleet=FleetConfig(nodes=2, devices_per_node=2),
+            retry=RetryPolicy(),
+            breaker=BreakerConfig(),
+        ),
+        tracer=tracer,
     )
     sim = fleet.sim
     books = BookCorpus(

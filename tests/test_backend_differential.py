@@ -14,17 +14,19 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.backends import BACKEND_APPS, backend_cell
+from repro.config import preset, to_dict
 from repro.parallel import payload_digest
 from tests.test_families import golden_digests
 
 BACKENDS = ("page", "zoned")
+SMOKE = to_dict(preset("smoke"))
 
 
 @pytest.fixture(scope="module")
 def cells():
     """All comparison cells on the default smoke scenario, verb order."""
     return [
-        backend_cell(backend, app)
+        backend_cell(backend, app, SMOKE)
         for backend in BACKENDS
         for app in BACKEND_APPS
     ]
@@ -55,7 +57,7 @@ def test_zoned_cells_report_zone_telemetry(cells):
 
 def test_backend_cell_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown device backend"):
-        backend_cell("hybrid", "grep")
+        backend_cell("hybrid", "grep", SMOKE)
 
 
 def test_scorecard_digests_match_golden(cells):

@@ -11,11 +11,19 @@ from repro.baselines import (
     table1_rows,
 )
 from repro.baselines.fpga import FpgaKernel, KernelNotSynthesizedError
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.sim import Simulator
 from repro.ssd.conventional import small_geometry
 
 CAPACITY = 16 * 1024 * 1024
+
+
+def host_rig(with_baseline_ssd: bool) -> ScenarioConfig:
+    """One CompStor, optionally next to the host's baseline drive."""
+    return ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=CAPACITY),
+        fleet=FleetConfig(devices_per_node=1, with_baseline_ssd=with_baseline_ssd),
+    )
 
 
 # -- Table I ----------------------------------------------------------------
@@ -41,7 +49,7 @@ def test_table1_rows_shape():
 # -- host-only --------------------------------------------------------------
 
 def test_host_only_runner_executes_on_xeon():
-    node = StorageNode.build(devices=1, device_capacity=CAPACITY, with_baseline_ssd=True)
+    node = build_node(host_rig(with_baseline_ssd=True))
     runner = HostOnlyRunner(node)
     fs = node.host.require_os().fs
     node.sim.run(node.sim.process(fs.write_file("h.txt", b"fox\n" * 50)))
@@ -57,13 +65,13 @@ def test_host_only_runner_executes_on_xeon():
 
 
 def test_host_only_requires_baseline_drive():
-    node = StorageNode.build(devices=1, device_capacity=CAPACITY)
+    node = build_node(host_rig(with_baseline_ssd=False))
     with pytest.raises(ValueError, match="baseline"):
         HostOnlyRunner(node)
 
 
 def test_host_run_many_concurrent():
-    node = StorageNode.build(devices=1, device_capacity=CAPACITY, with_baseline_ssd=True)
+    node = build_node(host_rig(with_baseline_ssd=True))
     runner = HostOnlyRunner(node)
     fs = node.host.require_os().fs
     node.sim.run(node.sim.process(fs.write_file("h.txt", b"fox\n" * 200)))

@@ -10,7 +10,9 @@ against randomized fault schedules.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import StorageFleet, StorageNode
+from repro.cluster import StorageFleet
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
+from repro.config import build_fleet as build_fleet_from
 from repro.faults import BreakerConfig, FaultInjector, FaultPlan, RetryPolicy
 from repro.proto import Command, ResponseStatus
 from repro.workloads import BookCorpus, CorpusSpec
@@ -28,16 +30,16 @@ def answered(response):
     )
 
 
-def build_fleet(seed=0, books=8, replicas=2, **fleet_kw):
-    fleet = StorageFleet.build(
-        nodes=2,
-        devices_per_node=2,
+def build_fleet(
+    seed=0, books=8, replicas=2, retry=RetryPolicy(), breaker=BreakerConfig()
+):
+    fleet = build_fleet_from(ScenarioConfig(
         seed=seed,
-        device_capacity=24 * 1024 * 1024,
-        retry_policy=fleet_kw.pop("retry_policy", RetryPolicy()),
-        breaker_config=fleet_kw.pop("breaker_config", BreakerConfig()),
-        **fleet_kw,
-    )
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=2, devices_per_node=2),
+        retry=retry,
+        breaker=breaker,
+    ))
     corpus = BookCorpus(
         CorpusSpec(files=books, mean_file_bytes=16 * 1024, seed=seed)
     ).generate()
@@ -91,14 +93,13 @@ def test_no_surviving_replica_falls_back_to_the_host():
     """With a single copy per book and the host holding the dataset, a dead
     device's minions complete host-side (the paper's baseline path doubles
     as the last-resort degraded mode)."""
-    node = StorageNode.build(
-        devices=2,
+    node = build_node(ScenarioConfig(
         seed=0,
-        device_capacity=24 * 1024 * 1024,
-        with_baseline_ssd=True,
-        retry_policy=RetryPolicy(),
-        breaker_config=BreakerConfig(),
-    )
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=2, with_baseline_ssd=True),
+        retry=RetryPolicy(),
+        breaker=BreakerConfig(),
+    ))
     corpus = BookCorpus(
         CorpusSpec(files=4, mean_file_bytes=16 * 1024, seed=0)
     ).generate()
@@ -152,8 +153,8 @@ def test_random_chaos_always_terminates_with_closed_accounting(seed):
         seed=seed,
         books=4,
         replicas=2,
-        retry_policy=RetryPolicy(max_attempts=3, deadline=50e-3),
-        breaker_config=BreakerConfig(failure_threshold=3, cooldown=5e-3),
+        retry=RetryPolicy(max_attempts=3, deadline=50e-3),
+        breaker=BreakerConfig(failure_threshold=3, cooldown=5e-3),
     )
     plan = FaultPlan.random(
         seed, fleet.device_ring(), horizon=fleet.sim.now + 5e-3, faults=3

@@ -4,13 +4,17 @@ from repro.cluster import (
     LeastLoadedBalancer,
     MinionDispatcher,
     RoundRobinBalancer,
-    StorageNode,
 )
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig
+from repro.config import build_node as build_node_from
 from repro.proto import Command
 
 
 def build_node(devices=3):
-    return StorageNode.build(devices=devices, device_capacity=16 * 1024 * 1024)
+    return build_node_from(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=16 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=devices),
+    ))
 
 
 def stage_everywhere(node, name, data):

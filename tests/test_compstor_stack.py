@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig
+from repro.config import build_node as build_node_from
 from repro.proto import Command, QueryKind, ResponseStatus
 from repro.sim import Tracer
 
 
-def build_node(devices=2, **kw):
-    kw.setdefault("device_capacity", 16 * 1024 * 1024)
-    return StorageNode.build(devices=devices, **kw)
+def build_node(devices=2, seed=0, with_baseline_ssd=False, tracer=None):
+    config = ScenarioConfig(
+        seed=seed,
+        flash=FlashConfig(capacity_bytes=16 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=devices, with_baseline_ssd=with_baseline_ssd),
+    )
+    return build_node_from(config, tracer=tracer)
 
 
 def drive(node, gen):

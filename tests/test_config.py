@@ -25,8 +25,10 @@ from repro.config import (
     FaultsConfig,
     FlashConfig,
     FleetConfig,
+    ObsConfig,
     ScenarioConfig,
     apply_overrides,
+    build_node,
     canonical_json,
     config_digest,
     flatten,
@@ -231,7 +233,16 @@ def test_flatten_covers_every_leaf():
 
 def test_flash_config_roundtrips_small_geometry():
     for capacity in (16, 24, 32, 48, 64):
-        geo = small_geometry(capacity * 1024 * 1024)
-        config = FlashConfig.from_geometry(geo)
-        assert config.geometry() == geo
-        assert config.capacity_bytes == geo.capacity_bytes
+        capacity_bytes = capacity * 1024 * 1024
+        geo = FlashConfig(capacity_bytes=capacity_bytes).geometry()
+        assert geo == small_geometry(capacity_bytes)
+
+
+# -- construction ------------------------------------------------------------
+
+
+def test_build_node_honours_obs_section():
+    config = replace(preset("smoke"), obs=ObsConfig(metrics=True, tracing=True))
+    client = build_node(config).client
+    assert client.metrics.enabled
+    assert client.tracer.enabled

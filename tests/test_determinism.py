@@ -4,7 +4,7 @@ For a simulator this is a headline feature — every number in
 EXPERIMENTS.md must be reproducible from ``(seed, model, workload)``.
 """
 
-from repro.cluster import StorageFleet, StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet, build_node
 from repro.faults import BreakerConfig, FaultInjector, FaultPlan, RetryPolicy
 from repro.proto import Command
 from repro.workloads import BookCorpus, CorpusSpec
@@ -12,7 +12,11 @@ from repro.workloads import BookCorpus, CorpusSpec
 
 def run_once(seed):
     books = BookCorpus(CorpusSpec(files=4, mean_file_bytes=32 * 1024)).generate()
-    node = StorageNode.build(devices=2, seed=seed, device_capacity=24 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        seed=seed,
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=2),
+    ))
     sim = node.sim
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))
     assignments = [
@@ -75,14 +79,13 @@ def run_chaos_once(seed):
     log, every response status, the recovery accounting, the finish time —
     must be a pure function of the seed.
     """
-    fleet = StorageFleet.build(
-        nodes=2,
-        devices_per_node=2,
+    fleet = build_fleet(ScenarioConfig(
         seed=seed,
-        device_capacity=24 * 1024 * 1024,
-        retry_policy=RetryPolicy(),
-        breaker_config=BreakerConfig(),
-    )
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=2, devices_per_node=2),
+        retry=RetryPolicy(),
+        breaker=BreakerConfig(),
+    ))
     sim = fleet.sim
     books = BookCorpus(CorpusSpec(files=6, mean_file_bytes=16 * 1024, seed=seed)).generate()
     sim.run(sim.process(fleet.stage_corpus(books, replicas=2)))

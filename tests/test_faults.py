@@ -9,7 +9,8 @@ into runs a bit-identical schedule.
 
 import pytest
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig
+from repro.config import build_node as build_node_from
 from repro.faults import (
     AgentFaultState,
     BreakerConfig,
@@ -202,11 +203,16 @@ def test_breaker_config_validation():
 # Injector against a live node
 # ---------------------------------------------------------------------------
 
-def build_node(devices=1, seed=7, **kw):
+def build_node(devices=1, seed=7, retry=None, breaker=None, tracer=None):
     """A staged single-node rig: one plain-text book per device."""
-    node = StorageNode.build(
-        devices=devices, seed=seed, device_capacity=24 * 1024 * 1024, **kw
+    config = ScenarioConfig(
+        seed=seed,
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=devices),
+        retry=retry,
+        breaker=breaker,
     )
+    node = build_node_from(config, tracer=tracer)
     books = BookCorpus(
         CorpusSpec(files=devices, mean_file_bytes=16 * 1024, seed=3)
     ).generate()
@@ -279,7 +285,7 @@ def test_agent_crash_mid_minion_aborts_not_timeout():
 
 def test_agent_restart_recovers_minion_with_retries():
     t0, roundtrip = minion_roundtrip()
-    node, books = build_node(retry_policy=RetryPolicy(max_attempts=10))
+    node, books = build_node(retry=RetryPolicy(max_attempts=10))
     plan = FaultPlan().crash_agent(
         0, "compstor0", at=t0 + roundtrip / 2, restart_after=1e-3
     )
@@ -294,7 +300,7 @@ def test_agent_restart_recovers_minion_with_retries():
 
 
 def test_transient_window_is_ridden_out_by_retries():
-    node, books = build_node(retry_policy=RetryPolicy(max_attempts=10))
+    node, books = build_node(retry=RetryPolicy(max_attempts=10))
     plan = FaultPlan().transient_window(
         0, "compstor0", at=node.sim.now, duration=1e-3, fraction=1.0
     )
@@ -319,7 +325,7 @@ def test_limping_device_finishes_later():
 
 
 def test_breaker_fences_off_a_dead_device():
-    node, books = build_node(breaker_config=BreakerConfig(failure_threshold=2))
+    node, books = build_node(breaker=BreakerConfig(failure_threshold=2))
     plan = FaultPlan().kill_device(0, "compstor0", at=node.sim.now)
     FaultInjector.for_node(node, plan).start()
     first = send_collecting(node, "compstor0", grep(books[0]))
@@ -382,7 +388,7 @@ def test_injector_validates_targets_and_single_start():
 
 def test_injector_counts_and_metrics():
     metrics = MetricsRegistry()
-    node, books = build_node(retry_policy=RetryPolicy(max_attempts=10))
+    node, books = build_node(retry=RetryPolicy(max_attempts=10))
     plan = FaultPlan().kill_device(0, "compstor0", at=node.sim.now, recover_after=1e-3)
     injector = FaultInjector.for_node(node, plan, metrics=metrics).start()
     outcome = send_collecting(node, "compstor0", grep(books[0]))

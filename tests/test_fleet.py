@@ -3,14 +3,18 @@
 import pytest
 
 from repro.cluster import StorageFleet
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig
+from repro.config import build_fleet as build_fleet_from
 from repro.proto import Command
+from repro.sim import Simulator
 from repro.workloads import BookCorpus, CorpusSpec
 
 
 def build_fleet(nodes=2, devices=2):
-    return StorageFleet.build(
-        nodes=nodes, devices_per_node=devices, device_capacity=24 * 1024 * 1024
-    )
+    return build_fleet_from(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=nodes, devices_per_node=devices),
+    ))
 
 
 def corpus(files, mean=32 * 1024):
@@ -27,7 +31,9 @@ def test_fleet_topology():
 
 def test_fleet_requires_nodes():
     with pytest.raises(ValueError):
-        StorageFleet.build(nodes=0)
+        FleetConfig(nodes=0)
+    with pytest.raises(ValueError):
+        StorageFleet(Simulator(), [])
 
 
 def test_stage_and_run_job_everywhere():
@@ -85,9 +91,7 @@ def test_fleet_wall_time_shrinks_with_more_nodes():
     ).generate()
 
     def run_with(nodes):
-        fleet = StorageFleet.build(
-            nodes=nodes, devices_per_node=2, device_capacity=24 * 1024 * 1024
-        )
+        fleet = build_fleet(nodes=nodes, devices=2)
         fleet.sim.run(fleet.sim.process(fleet.stage_corpus(books)))
 
         def job():

@@ -29,8 +29,12 @@ from dataclasses import replace
 import pytest
 
 from repro.config import build_corpus, build_node
-from repro.config.factory import scenario_for_node
-from repro.config.schema import DeviceBackendConfig
+from repro.config.schema import (
+    DeviceBackendConfig,
+    FlashConfig,
+    FleetConfig,
+    ScenarioConfig,
+)
 from repro.proto.entities import Command
 from repro.testing import (
     GOLDEN_SCENARIOS as SCENARIOS,
@@ -90,15 +94,16 @@ def test_gzip_grep_event_count_unchanged(backend, devices, files, file_bytes, ev
     A cheap whole-schedule pin on both device backends: any change to how
     many events the job path dispatches fails here.
     """
-    config = scenario_for_node(
-        devices=devices, seed=1234, device_capacity=48 * 1024 * 1024,
-        store_data=True,
+    config = ScenarioConfig(
+        seed=1234,
+        flash=FlashConfig(capacity_bytes=48 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=devices),
+        corpus=CorpusSpec(
+            files=files, mean_file_bytes=file_bytes, size_spread=0.2, seed=1234,
+        ),
     )
     if backend != "page":
         config = replace(config, device=DeviceBackendConfig(backend=backend))
-    config = replace(config, corpus=CorpusSpec(
-        files=files, mean_file_bytes=file_bytes, size_spread=0.2, seed=1234,
-    ))
     books = build_corpus(config)
     node = build_node(config)
     sim = node.sim

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.host import HostServer, InSituClient
 from repro.host.insitu import InSituError
 from repro.proto import QueryKind
@@ -73,7 +73,9 @@ def test_client_devices_listing():
 
 
 def test_status_all_covers_every_device():
-    node = StorageNode.build(devices=3, device_capacity=CAPACITY)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=CAPACITY), fleet=FleetConfig(devices_per_node=3)
+    ))
 
     def flow():
         return (yield from node.client.status_all())
@@ -84,7 +86,9 @@ def test_status_all_covers_every_device():
 
 
 def test_client_counts_traffic():
-    node = StorageNode.build(devices=1, device_capacity=CAPACITY)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=CAPACITY), fleet=FleetConfig(devices_per_node=1)
+    ))
     ssd = node.compstors[0]
     node.sim.run(node.sim.process(ssd.fs.write_file("f.txt", b"fox\n")))
 

@@ -8,16 +8,10 @@ pairs, multiple clients sharing one device, and fairness across clients.
 
 import pytest
 
-from repro.cluster import StorageNode
+from repro.config import build_node, preset
 from repro.host import InSituClient
 from repro.nvme import NvmeCommand, Opcode
 from repro.proto import Command
-
-
-def build_node(**kw):
-    kw.setdefault("device_capacity", 16 * 1024 * 1024)
-    kw.setdefault("devices", 1)
-    return StorageNode.build(**kw)
 
 
 def stage(node, ssd, name, data):
@@ -59,7 +53,7 @@ def test_multiple_queue_pairs_progress_independently():
 
 
 def test_two_clients_share_one_compstor():
-    node = build_node()
+    node = build_node(preset("smoke"))
     ssd = node.compstors[0]
     stage(node, ssd, "shared.txt", b"fox\n" * 100)
 
@@ -82,7 +76,7 @@ def test_two_clients_share_one_compstor():
 def test_many_concurrent_minions_one_device():
     """A burst of 24 minions against one drive completes, with bounded
     concurrency inside (the agent never loses one)."""
-    node = build_node()
+    node = build_node(preset("smoke"))
     ssd = node.compstors[0]
     stage(node, ssd, "f.txt", b"fox\n" * 50)
 
@@ -100,14 +94,14 @@ def test_many_concurrent_minions_one_device():
 
 
 def test_client_device_name_collision_rejected():
-    node = build_node()
+    node = build_node(preset("smoke"))
     with pytest.raises(ValueError, match="already attached"):
         node.client.attach(node.compstors[0].controller)
 
 
 def test_storage_and_compute_traffic_interleave():
     """NVMe IO and ISC minions share the wire but both complete."""
-    node = build_node()
+    node = build_node(preset("smoke"))
     ssd = node.compstors[0]
     stage(node, ssd, "f.txt", b"fox\n" * 2000)
     qp = ssd.controller.queue(0)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cluster import StorageNode
+from repro.config import build_node, preset
 from repro.objstore import ObjectStore, ObjectStoreError, ObjScanApp
 from repro.objstore.store import VersionMismatchError
 
 
 def make_store():
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+    node = build_node(preset("smoke"))
     store = ObjectStore(node.compstors[0].fs)
     return node, store
 

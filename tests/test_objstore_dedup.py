@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import StorageFleet
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
 from repro.faults.state import DeviceFaultState
 from repro.objstore import (
     ChunkParams,
@@ -40,9 +40,10 @@ PARAMS = ChunkParams(min_size=64, avg_size=256, max_size=1024)
 
 
 def make_store(replicas=2):
-    fleet = StorageFleet.build(
-        nodes=2, devices_per_node=2, device_capacity=24 * 1024 * 1024
-    )
+    fleet = build_fleet(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=2, devices_per_node=2),
+    ))
     store = DedupObjectStore(fleet, params=PARAMS, replicas=replicas)
     return fleet, store
 

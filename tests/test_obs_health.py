@@ -126,13 +126,15 @@ def test_health_rows_render_every_attribute():
 # -- fleet integration ---------------------------------------------------------
 
 def test_fleet_health_end_to_end():
-    from repro.cluster import StorageFleet
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
     from repro.proto import Command
     from repro.workloads import BookCorpus, CorpusSpec
 
     metrics = MetricsRegistry()
-    fleet = StorageFleet.build(nodes=2, devices_per_node=2,
-                               device_capacity=24 * 1024 * 1024, metrics=metrics)
+    fleet = build_fleet(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=2, devices_per_node=2),
+    ), metrics=metrics)
     sim = fleet.sim
     books = BookCorpus(CorpusSpec(files=4, mean_file_bytes=32 * 1024)).generate()
     sim.run(sim.process(fleet.stage_corpus(books)))

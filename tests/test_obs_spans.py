@@ -1,6 +1,6 @@
 """Span tracing: propagation, tree reconstruction, Table III causal order."""
 
-from repro.cluster import StorageNode
+from repro.config import build_node, preset
 from repro.obs import (
     adopt_records,
     build_span_trees,
@@ -119,7 +119,7 @@ TABLE3_STEPS = (
 
 def minion_lifetime_tree():
     tracer = Tracer()
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024, tracer=tracer)
+    node = build_node(preset("smoke"), tracer=tracer)
     sim = node.sim
     fs = node.compstors[0].fs
 
@@ -180,7 +180,7 @@ def test_format_span_tree_renders_events_and_nesting():
 
 def test_no_span_records_without_tracer():
     # default-off: a node built without a tracer emits no span records at all
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+    node = build_node(preset("smoke"))
     sim = node.sim
     sim.run(sim.process(node.compstors[0].fs.write_file("f.txt", b"fox\n")))
 

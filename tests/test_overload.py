@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.retry import BreakerConfig, CircuitBreaker, RetryPolicy
 from repro.host import InSituError
@@ -323,13 +323,15 @@ def test_token_bucket_clock_regression_never_conjures_tokens(times, rate, capaci
 def test_send_minion_fails_fast_instead_of_backing_off_past_deadline():
     """When the next backoff would land beyond the retry deadline, the
     client reports TIMEOUT immediately rather than sleeping into it."""
-    node = StorageNode.build(
-        devices=1, seed=7, device_capacity=24 * 1024 * 1024,
-        retry_policy=RetryPolicy(
+    node = build_node(ScenarioConfig(
+        seed=7,
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1),
+        retry=RetryPolicy(
             max_attempts=10, base_delay=5e-3, multiplier=1.0,
             max_delay=5e-3, jitter=0.0, deadline=8e-3,
         ),
-    )
+    ))
     books = BookCorpus(
         CorpusSpec(files=1, mean_file_bytes=16 * 1024, seed=3)
     ).generate()

@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.cluster import StorageNode
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_node, preset
 from repro.workloads import CsvTable, TableSpec
 
 
 def build(table: CsvTable):
-    node = StorageNode.build(devices=1, device_capacity=32 * 1024 * 1024)
+    node = build_node(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=32 * 1024 * 1024),
+        fleet=FleetConfig(devices_per_node=1),
+    ))
     sim = node.sim
 
     def stage():
@@ -63,7 +66,7 @@ def test_selectq_result_is_tiny_compared_to_table():
 
 
 def test_selectq_malformed_rows_counted_not_fatal():
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+    node = build_node(preset("smoke"))
     data = b"1,2,3\nnot,a,number\n4,5,6\n7,8\n"  # two bad rows
     node.sim.run(node.sim.process(node.compstors[0].fs.write_file("t.csv", data)))
     response = run_query(node, "selectq 0 ge 0 2 t.csv")
@@ -74,7 +77,7 @@ def test_selectq_malformed_rows_counted_not_fatal():
 
 
 def test_selectq_usage_errors():
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+    node = build_node(preset("smoke"))
     node.sim.run(node.sim.process(node.compstors[0].fs.write_file("t.csv", b"1,2\n")))
     for bad in (
         "selectq 0 gt 5 t.csv",  # missing agg col
@@ -86,7 +89,7 @@ def test_selectq_usage_errors():
 
 
 def test_row_spanning_page_boundary_parsed_once():
-    node = StorageNode.build(devices=1, device_capacity=16 * 1024 * 1024)
+    node = build_node(preset("smoke"))
     page = node.compstors[0].fs.page_size
     filler = b"1,1\n" * ((page - 6) // 4)
     data = filler + b"500,9\n" + b"2,2\n"

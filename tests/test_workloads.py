@@ -236,11 +236,13 @@ def compress_calls(monkeypatch):
 
 
 def test_generation_and_plain_staging_compress_nothing(compress_calls):
-    from repro.cluster import StorageFleet
+    from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
 
     books = BookCorpus(CorpusSpec(files=4, mean_file_bytes=16 * 1024)).generate()
-    fleet = StorageFleet.build(nodes=2, devices_per_node=1, seed=0,
-                               device_capacity=24 * 1024 * 1024)
+    fleet = build_fleet(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=2, devices_per_node=1),
+    ))
     fleet.sim.run(fleet.sim.process(fleet.stage_corpus(books)))
     assert compress_calls == []
 
