@@ -1,4 +1,5 @@
-"""Shared application machinery: streaming scans with cycle accounting."""
+"""Shared application machinery: streaming scans with cycle accounting, and
+the bounded process-wide memos that let apps skip repeated host-side work."""
 
 from __future__ import annotations
 
@@ -7,7 +8,37 @@ from typing import Generator
 from repro.analysis.calibration import cycles_for
 from repro.isos.loader import ExecContext, ExitStatus
 
-__all__ = ["StreamingApp", "UsageError", "charge"]
+__all__ = ["PayloadMemo", "StreamingApp", "UsageError", "charge", "clear_payload_cache"]
+
+#: Entry bound of every :class:`PayloadMemo`.
+_PAYLOAD_MEMO_MAX = 1024
+_PAYLOAD_MEMOS: list["PayloadMemo"] = []
+
+
+class PayloadMemo(dict):
+    """A process-wide memo of a pure host-side payload function.
+
+    Holds at most 1,024 entries and evicts the oldest insertion first.
+    Lookups are plain ``dict.get``; :meth:`put` is the only way in, so the
+    bound holds.  Every memo registers itself for :func:`clear_payload_cache`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__()
+        _PAYLOAD_MEMOS.append(self)
+
+    def put(self, key, value) -> None:
+        if len(self) >= _PAYLOAD_MEMO_MAX:
+            del self[next(iter(self))]
+        self[key] = value
+
+
+def clear_payload_cache() -> None:
+    """Drop every memoized payload (codec outputs and page scans)."""
+    for memo in _PAYLOAD_MEMOS:
+        memo.clear()
 
 
 class UsageError(Exception):

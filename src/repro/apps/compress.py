@@ -27,24 +27,18 @@ import zlib
 from typing import Generator
 
 from repro.analysis.calibration import ANALYTIC_COMPRESSION_RATIO
-from repro.apps.base import StreamingApp
+from repro.apps.base import PayloadMemo, StreamingApp
 from repro.isos.loader import ExecContext, ExitStatus
 
-__all__ = ["Bunzip2App", "Bzip2App", "GunzipApp", "GzipApp", "clear_payload_cache"]
+__all__ = ["Bunzip2App", "Bzip2App", "GunzipApp", "GzipApp"]
 
-#: content-digest -> compressed blob, shared by all app instances.  FIFO
-#: eviction; sized for sweep corpora (hundreds of files), not archives.
-_BLOB_CACHE: dict[tuple[str, bytes], bytes] = {}
-_BLOB_CACHE_MAX = 1024
+#: content-digest -> compressed blob, shared by all app instances; sized
+#: for sweep corpora (hundreds of files), not archives.
+_BLOB_CACHE = PayloadMemo()
 
 #: Inputs larger than this stream straight through the codec (no buffering,
 #: no memoization) so memory stays bounded for pathological file sizes.
 _MEMO_LIMIT = 8 * 1024 * 1024
-
-
-def clear_payload_cache() -> None:
-    """Drop memoized codec outputs (for cold-cache measurements/tests)."""
-    _BLOB_CACHE.clear()
 
 
 class _CompressApp(StreamingApp):
@@ -92,9 +86,7 @@ class _CompressApp(StreamingApp):
         if blob is None:
             compressor = self._make_compressor()
             blob = compressor.compress(data) + compressor.flush()
-            if len(_BLOB_CACHE) >= _BLOB_CACHE_MAX:
-                del _BLOB_CACHE[next(iter(_BLOB_CACHE))]
-            _BLOB_CACHE[key] = blob
+            _BLOB_CACHE.put(key, blob)
         return blob
 
     def finish(self, ctx: ExecContext, path: str, total_bytes: int) -> Generator:

@@ -12,16 +12,29 @@ into the next chunk.
 ``gawk`` models the common one-liner ``gawk '/pat/ {n++; s+=NF} END {...}'``:
 it counts matching lines and accumulates field statistics, costing more
 cycles per byte than grep (field splitting).
+
+A serving run greps the same few books thousands of times.  What one page
+adds to grep's and gawk's counters, and the carry it leaves, is a pure
+function of ``(app, pattern, -i, incoming carry, page bytes)``, so both
+memoize it process-wide (bounded, see :class:`~repro.apps.base.PayloadMemo`)
+and a repeated page costs one dict lookup.  The filesystem hands up the page
+object flash holds, whose hash CPython caches, so the lookup does not rehash
+16 KiB.  Cycles are still charged and pages still read per request, so the
+memo is invisible to schedules, traces and golden digests.  ``filter``
+returns the matched lines themselves and keeps the per-line path.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.apps.base import StreamingApp, UsageError
+from repro.apps.base import PayloadMemo, StreamingApp, UsageError
 from repro.isos.loader import ExecContext, ExitStatus
 
 __all__ = ["FilterApp", "GawkApp", "GrepApp"]
+
+#: (app, pattern, fold_case, carry, page) -> (lines, matches, fields, carry')
+_SCAN_MEMO = PayloadMemo()
 
 
 class _LineScanner(StreamingApp):
@@ -83,13 +96,35 @@ class _LineScanner(StreamingApp):
         raise NotImplementedError
 
 
-class GrepApp(_LineScanner):
-    """``grep [-c] [-i] PATTERN FILE``."""
-
-    name = "grep"
+class _CountingScanner(_LineScanner):
+    """Count-only scanner whose per-page work goes through ``_SCAN_MEMO``."""
 
     def setup(self) -> None:
         self.matches = 0
+        self.fields_total = 0  # grep leaves it at 0
+
+    def consume(self, ctx: ExecContext, chunk: bytes | None, take: int) -> None:
+        if chunk is None:
+            self._analytic = True
+            return
+        key = (self.name, self.pattern, self.fold_case, self._carry, chunk)
+        hit = _SCAN_MEMO.get(key)
+        if hit is None:
+            lines, matches, fields = self.lines_seen, self.matches, self.fields_total
+            super().consume(ctx, chunk, take)
+            _SCAN_MEMO.put(key, (self.lines_seen - lines, self.matches - matches,
+                                 self.fields_total - fields, self._carry))
+            return
+        lines, matches, fields, self._carry = hit
+        self.lines_seen += lines
+        self.matches += matches
+        self.fields_total += fields
+
+
+class GrepApp(_CountingScanner):
+    """``grep [-c] [-i] PATTERN FILE``."""
+
+    name = "grep"
 
     def on_line(self, line: bytes) -> None:
         haystack = line.lower() if self.fold_case else line
@@ -171,14 +206,10 @@ class FilterApp(_LineScanner):
         yield  # pragma: no cover - generator protocol
 
 
-class GawkApp(_LineScanner):
+class GawkApp(_CountingScanner):
     """``gawk PATTERN FILE`` — match + field statistics per line."""
 
     name = "gawk"
-
-    def setup(self) -> None:
-        self.matches = 0
-        self.fields_total = 0
 
     def on_line(self, line: bytes) -> None:
         fields = line.split()

@@ -205,7 +205,7 @@ class FlashArray:
             yield breq
             yield self.sim.timeout(self._t_page_xfer)
 
-        block_idx = geo.block_index(addr.block_addr)
+        block_idx = idx // geo.pages_per_block
         if retention_s is None:
             retention_s = max(0.0, self.sim.now - float(self.program_time[block_idx]))
         errors = self.error_model.sample_errors(
@@ -235,7 +235,7 @@ class FlashArray:
         """
         geo = self.geometry
         idx = geo.page_index(addr)
-        block_idx = geo.block_index(addr.block_addr)
+        block_idx = idx // geo.pages_per_block
         if self.page_state[idx] == _PROGRAMMED:
             raise FlashOpError(f"program of already-programmed page {addr}")
         expected = int(self.write_pointer[block_idx])

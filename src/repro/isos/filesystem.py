@@ -215,7 +215,7 @@ class ExtentFileSystem:
         for lpn in inode.pages:
             chunk = yield from self.device.read(lpn)
             take = min(self.page_size, remaining)
-            if chunk is not None:
+            if chunk is not None and len(chunk) != take:
                 chunk = self._pad(chunk)[:take]
             out.append((chunk, take))
             remaining -= take
@@ -229,7 +229,10 @@ class ExtentFileSystem:
         chunk = yield from self.device.read(inode.pages[index])
         start = index * self.page_size
         take = min(self.page_size, inode.size - start)
-        if chunk is not None:
+        # A stored chunk of exactly ``take`` bytes goes up as is: no copies,
+        # and every read of the page returns the object flash holds (whose
+        # hash CPython caches for the grep/gawk scan memo).
+        if chunk is not None and len(chunk) != take:
             chunk = self._pad(chunk)[:take]
         return chunk, take
 

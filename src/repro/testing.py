@@ -40,12 +40,12 @@ __all__ = [
 def reset_global_ids() -> None:
     """Restart every process-global ID allocator (fresh-process state).
 
-    Also drops the process-wide codec payload memo: content addressing
-    keeps a warm cache *correct*, but a pool worker reusing it across jobs
-    grows memory unboundedly over a long matrix run and lets overhead
-    benches observe another job's warm-cache timings.
+    Also drops the process-wide payload memos (codec outputs and grep/gawk
+    page scans): content addressing keeps a warm memo *correct*, but a pool
+    worker reusing one across jobs holds another job's pages alive and lets
+    overhead benches observe another job's warm-memo timings.
     """
-    from repro.apps.compress import clear_payload_cache
+    from repro.apps.base import clear_payload_cache
     from repro.isos import process as isos_process
     from repro.nvme import commands as nvme_commands
     from repro.proto import entities

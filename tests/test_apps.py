@@ -1,12 +1,16 @@
 """Unit tests for the application suite (run on an embedded OS instance)."""
 
 import bz2
+import dataclasses
 import zlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.calibration import ARM_ISA, CYCLES_PER_BYTE, XEON_ISA, cycles_for
-from repro.apps import default_registry
+from repro.apps import default_registry, search
+from repro.apps.base import clear_payload_cache
 from repro.cpu import ARM_A53_QUAD, CpuCluster
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
@@ -22,12 +26,13 @@ GEO = FlashGeometry(
 TEXT = (b"the quick brown fox jumps over the lazy dog\n" b"pack my box with five dozen jugs\n") * 300
 
 
-def make_os(store_data=True):
+def make_os(store_data=True, page_size=GEO.page_size):
     sim = Simulator()
+    geo = dataclasses.replace(GEO, page_size=page_size)
     flash = FlashArray(
-        sim, geometry=GEO, error_model=BitErrorModel(rber0=1e-9), store_data=store_data
+        sim, geometry=geo, error_model=BitErrorModel(rber0=1e-9), store_data=store_data
     )
-    ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=2048)))
+    ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=min(2048, page_size))))
     ftl = FlashTranslationLayer(sim, flash, ecc)
     fs = ExtentFileSystem(sim, FlashAccessDevice(sim, ftl))
     os_ = EmbeddedOS(sim, CpuCluster(sim, ARM_A53_QUAD), fs, default_registry(), isa=ARM_ISA)
@@ -155,6 +160,83 @@ def test_gawk_counts_matches_and_fields():
     matches, fields = status.stdout.split()
     assert int(matches) == 2
     assert int(fields) == 8
+
+
+# -- the grep/gawk page-scan memo ---------------------------------------------------
+
+_TOKENS = st.sampled_from([b"needle", b"NeEdLe", b"need", b"le", b"x", b"", b"fox", b"\t"])
+_LINES = st.lists(st.lists(_TOKENS, max_size=30).map(b" ".join), min_size=1, max_size=40)
+_STRADDLE = (b"x" * 252 + b" needle\n") * 3  # after shift=1, bytes 254-259
+
+
+def _scan_outcomes(sim, os_, app, flag, pattern):
+    outcomes = []
+    for name in ("hay.txt", "shifted.txt"):
+        status, _ = drive(sim, os_.run(f"{app} {flag}'{pattern}' {name}"))
+        outcomes.append((status.code, status.stdout, status.detail))
+    return outcomes
+
+
+def _rows(text):
+    rows = text.split(b"\n")
+    if not rows[-1]:
+        rows.pop()  # the split artifact after a final newline
+    return rows
+
+
+@settings(max_examples=40)
+@given(
+    lines=_LINES,
+    shift=st.integers(1, 300),
+    terminated=st.booleans(),
+    page_size=st.sampled_from([256, 512, 1024]),
+    pattern=st.sampled_from(["needle", "eedl", "le ne", "zebra"]),
+    fold_case=st.booleans(),
+)
+@example(lines=[_STRADDLE], shift=1, terminated=False, page_size=256,
+         pattern="needle", fold_case=False)
+def test_scan_memo_is_invisible(lines, shift, terminated, page_size, pattern, fold_case):
+    """grep and gawk report the same stdout, exit code and counts whether the
+    page-scan memo is cold, warm or bypassed, and match a per-line oracle.
+
+    The memo is cleared once, so later commands meet entries of earlier ones
+    that differ only in the app or in ``-i`` (drawn: which setting runs
+    first).  ``shifted.txt`` shares every page but the first with
+    ``hay.txt`` behind a different carry.  A key missing any of the three
+    would miscount."""
+    text = b"x" * shift + b"\n".join(lines) + (b"\n" if terminated else b"")
+    texts = [text, b"y" * page_size + text[page_size:]]
+    sim, os_ = make_os(page_size=page_size)
+    put_file(sim, os_, "hay.txt", texts[0])
+    put_file(sim, os_, "shifted.txt", texts[1])
+    clear_payload_cache()
+    for app in ("grep", "gawk"):
+        for fold in (fold_case, not fold_case):
+            flag = "-i " if fold else ""
+            cold = _scan_outcomes(sim, os_, app, flag, pattern)
+            assert search._SCAN_MEMO, "the scan never reached the memo"
+            warm = _scan_outcomes(sim, os_, app, flag, pattern)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(search._CountingScanner, "consume", search._LineScanner.consume)
+                bypassed = _scan_outcomes(sim, os_, app, flag, pattern)
+            assert cold == warm == bypassed
+            needle = pattern.lower().encode() if fold else pattern.encode()
+            for (_, _, detail), data in zip(cold, texts):
+                rows = _rows(data)
+                if app == "grep":
+                    hits = [needle in (r.lower() if fold else r) for r in rows]
+                else:
+                    hits = [needle in r for r in rows]
+                    assert detail["fields"] == sum(len(r.split()) for r in rows)
+                assert (detail["matches"], detail["lines"]) == (sum(hits), len(rows))
+
+
+def test_scan_memo_is_fifo_bounded():
+    memo = search._SCAN_MEMO
+    for i in range(1030):
+        memo.put(i, i)
+    assert len(memo) == 1024
+    assert next(iter(memo)) == 6  # the six oldest entries went first
 
 
 # -- text utilities --------------------------------------------------------------

@@ -46,6 +46,16 @@ def test_block_roundtrip_property(index):
     assert SMALL.block_index(SMALL.block_address(index)) == index
 
 
+def test_page_index_divides_into_block_index():
+    """``FlashArray`` derives a page's block index as ``page_index //
+    pages_per_block`` instead of building its ``BlockAddress``."""
+    for index in range(SMALL.pages):
+        addr = SMALL.page_address(index)
+        assert SMALL.page_index(addr) // SMALL.pages_per_block == SMALL.block_index(
+            addr.block_addr
+        )
+
+
 @settings(max_examples=50)
 @given(
     channels=st.integers(1, 4),

@@ -134,6 +134,30 @@ def test_stream_file_covers_whole_content():
     assert sum(n for _, n in chunks) == len(data)
 
 
+def test_short_last_page_reads_back_the_same_bytes():
+    sim, fs = make_fs()
+    data = bytes(range(256)) * 9  # 2304 B: one full page and a 256 B tail
+    drive(sim, fs.write_file("tail.bin", data))
+    drive(sim, fs.device.flush())
+    expected = [(data[:GEO.page_size], GEO.page_size), (data[GEO.page_size:], 256)]
+    assert [drive(sim, fs.read_page_of("tail.bin", i)) for i in range(2)] == expected
+    assert drive(sim, fs.stream_file("tail.bin")) == expected
+    assert drive(sim, fs.read_file("tail.bin")) == data
+
+
+def test_rereading_a_page_returns_the_stored_object():
+    """The grep/gawk scan memo relies on this: CPython caches a bytes
+    object's hash, so a page that reaches the apps as the same object is
+    hashed once, not once per request."""
+    sim, fs = make_fs()
+    drive(sim, fs.write_file("f", b"Q" * (GEO.page_size + 100)))
+    drive(sim, fs.device.flush())
+    for index in range(2):
+        first, _ = drive(sim, fs.read_page_of("f", index))
+        again, _ = drive(sim, fs.read_page_of("f", index))
+        assert first is again
+
+
 def test_persist_and_load_roundtrip():
     sim, fs = make_fs()
     drive(sim, fs.write_file("keep.txt", b"persistent data"))

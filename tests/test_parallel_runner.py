@@ -76,13 +76,16 @@ def test_execute_job_clears_compress_blob_cache():
     """Regression: the module-level payload memo in ``repro.apps.compress``
     survived from one pool-worker job to the next, so a long matrix run
     grew worker memory without bound and let warm-cache timing leak across
-    supposedly hermetic cells."""
-    from repro.apps import compress
+    supposedly hermetic cells.  The grep/gawk scan memo must go the same
+    way."""
+    from repro.apps import compress, search
 
-    compress._BLOB_CACHE[("gzip", b"sentinel")] = b"stale"
+    compress._BLOB_CACHE.put(("gzip", b"sentinel"), b"stale")
+    search._SCAN_MEMO.put(("grep", b"x", False, b"", b"sentinel"), (1, 1, 0, b""))
     result = execute_job(ping_spec(1))
     assert result.error is None
     assert compress._BLOB_CACHE == {}
+    assert search._SCAN_MEMO == {}
 
 
 def test_execute_job_captures_traceback_instead_of_raising():

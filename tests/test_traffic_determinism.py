@@ -19,6 +19,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import search
+from repro.apps.base import clear_payload_cache
 from repro.cli import main
 from repro.parallel import payload_digest
 from repro.service import TenantBuckets, TokenBucket
@@ -29,10 +31,15 @@ MIXES = ("poisson", "diurnal", "bursty")
 
 
 def test_traffic_cell_deterministic_in_process():
+    """The second run meets a warm grep scan memo, the third a cold one;
+    neither may move a byte of the scorecard."""
     first = run_traffic_cell()
+    assert search._SCAN_MEMO, "the cell never reached the scan memo"
     second = run_traffic_cell()
-    assert first == second
-    assert payload_digest(first) == payload_digest(second)
+    clear_payload_cache()
+    third = run_traffic_cell()
+    assert first == second == third
+    assert payload_digest(first) == payload_digest(second) == payload_digest(third)
 
 
 def test_traffic_smoke_scorecard_matches_pinned_golden():
