@@ -78,7 +78,10 @@ def _apply_one(node: Any, segments: list[str], raw: str, full_path: str) -> Any:
     if child is None:
         child = child_cls()  # materialise an optional section on demand
     new_child = _apply_one(child, segments[1:], raw, full_path)
-    return dataclasses.replace(node, **{head: new_child})
+    try:
+        return dataclasses.replace(node, **{head: new_child})
+    except ValueError as exc:  # a cross-section check of the parent
+        raise ConfigError(f"{full_path}={raw!r}: {exc}") from exc
 
 
 def _section_type(hint: Any) -> type | None:

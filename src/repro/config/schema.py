@@ -557,9 +557,10 @@ class ObjstoreConfig:
 class DeviceBackendConfig:
     """The translation backend every device in the scenario is built on.
 
-    ``backend`` names an entry in the :mod:`repro.ftl.backend` registry
-    (``page`` is the historical page-mapped FTL, ``zoned`` the ZNS-style
-    backend); the remaining knobs only apply to the zoned backend.
+    ``backend`` names a :mod:`repro.ftl.backend` backend (``page`` is the
+    page-mapped FTL, ``zoned`` the ZNS-style backend); the remaining knobs
+    only apply to the zoned backend, which in turn rejects the page-only
+    ``ftl`` knobs (GC policy, watermarks, wear levelling).
     ``zone_blocks`` is the number of whole erase blocks per zone and
     ``max_open_zones`` the host append parallelism.
     """
@@ -640,6 +641,10 @@ class ScenarioConfig:
     device: DeviceBackendConfig | None = field(
         default=None, metadata={"omit_if_none": True}
     )
+
+    def __post_init__(self) -> None:
+        if self.device is not None and self.device.backend == "zoned":
+            self.ftl.check_zoned()
 
     def with_name(self, name: str) -> "ScenarioConfig":
         return replace(self, name=name)

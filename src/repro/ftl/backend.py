@@ -1,10 +1,8 @@
-"""Pluggable translation backends: the interface and the registry.
+"""Translation backends: the interface and the name lookup.
 
-The device stack (``repro.ssd``) historically hard-wired the page-mapped
-:class:`~repro.ftl.ftl.FlashTranslationLayer`.  Everything above the FTL —
-the NVMe controller, the ISPS flash access driver, the staging and objstore
-paths — only ever used a narrow surface of it, captured here as the
-:class:`TranslationBackend` protocol:
+Everything above the FTL — the NVMe controller, the ISPS flash access
+driver, the staging and objstore paths — uses a narrow surface of it,
+captured here as the :class:`TranslationBackend` protocol:
 
 - logical page I/O: ``read`` / ``write`` / ``trim`` / ``flush`` (simulation
   generators);
@@ -19,23 +17,20 @@ paths — only ever used a narrow surface of it, captured here as the
   fault injection (``mark_block_failed``, error-model tweaks) works against
   any backend.
 
-Backends register here by name; :func:`create_backend` is the single
-construction funnel the device assembly uses.  The ``page`` backend is the
-default and its construction path is byte-identical to the historical
-direct instantiation, so golden schedules and preset digests are unchanged
-unless a scenario explicitly selects another backend.
+Both backends share one implementation of that surface,
+:class:`~repro.ftl.ftl.TranslationCore`, and differ only in placement and
+reclaim.  :func:`create_backend` is the single construction funnel the
+device assembly uses: it looks ``page``
+(:class:`~repro.ftl.ftl.FlashTranslationLayer`, the default) or ``zoned``
+(:class:`~repro.ftl.zoned.ZonedFtl`) up by name.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Generator,
-    Protocol,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Generator, Protocol, runtime_checkable
+
+from repro.ftl.ftl import FlashTranslationLayer
+from repro.ftl.zoned import ZonedFtl
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.ecc import EccEngine
@@ -44,16 +39,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.metrics import MetricsRegistry
     from repro.sim import Simulator, Tracer
 
-__all__ = [
-    "DEVICE_BACKENDS",
-    "TranslationBackend",
-    "backend_factory",
-    "create_backend",
-    "register_backend",
-]
+__all__ = ["DEVICE_BACKENDS", "TranslationBackend", "create_backend"]
+
+_BACKENDS = {"page": FlashTranslationLayer, "zoned": ZonedFtl}
 
 #: Backend names a scenario's ``device.backend`` knob may select.
-DEVICE_BACKENDS: tuple[str, ...] = ("page", "zoned")
+DEVICE_BACKENDS: tuple[str, ...] = tuple(_BACKENDS)
 
 
 @runtime_checkable
@@ -94,82 +85,6 @@ class TranslationBackend(Protocol):
     def health_stats(self) -> dict[str, float]: ...
 
 
-#: ``factory(sim, flash, ecc, config=..., name=..., tracer=..., metrics=...,
-#: **backend_knobs) -> TranslationBackend``
-BackendFactory = Callable[..., "TranslationBackend"]
-
-_REGISTRY: dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a backend constructor under ``name``."""
-    _REGISTRY[name] = factory
-
-
-def _page_backend(
-    sim: "Simulator",
-    flash: "FlashArray",
-    ecc: "EccEngine",
-    *,
-    config: "FtlConfig | None" = None,
-    name: str = "ftl",
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> "TranslationBackend":
-    from repro.ftl.ftl import FlashTranslationLayer
-
-    return FlashTranslationLayer(
-        sim, flash, ecc, config=config, name=name, tracer=tracer, metrics=metrics
-    )
-
-
-def _zoned_backend(
-    sim: "Simulator",
-    flash: "FlashArray",
-    ecc: "EccEngine",
-    *,
-    config: "FtlConfig | None" = None,
-    name: str = "ftl",
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-    zone_blocks: int = 4,
-    max_open_zones: int = 4,
-) -> "TranslationBackend":
-    from repro.ftl.zoned import ZonedFtl
-
-    return ZonedFtl(
-        sim,
-        flash,
-        ecc,
-        config=config,
-        zone_blocks=zone_blocks,
-        max_open_zones=max_open_zones,
-        name=name,
-        tracer=tracer,
-        metrics=metrics,
-    )
-
-
-def _ensure_defaults() -> None:
-    # Lazy registration keeps this module import-cheap and cycle-free: the
-    # concrete backends import back into repro.ftl.
-    if "page" not in _REGISTRY:
-        _REGISTRY["page"] = _page_backend
-    if "zoned" not in _REGISTRY:
-        _REGISTRY["zoned"] = _zoned_backend
-
-
-def backend_factory(name: str) -> BackendFactory:
-    """The registered constructor for ``name`` (raises on unknown)."""
-    _ensure_defaults()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown device backend {name!r}; use {sorted(_REGISTRY)}"
-        ) from None
-
-
 def create_backend(
     backend: str,
     sim: "Simulator",
@@ -186,10 +101,15 @@ def create_backend(
 
     ``knobs`` are backend-specific (the zoned backend takes ``zone_blocks``
     and ``max_open_zones``); the page backend takes none, so passing knobs
-    with ``backend="page"`` is an error rather than a silent ignore.
+    with ``backend="page"`` is a ``TypeError`` rather than a silent ignore.
     """
-    factory = backend_factory(backend)
-    return factory(
+    try:
+        cls = _BACKENDS[backend]
+    except KeyError:
+        raise ValueError(
+            f"unknown device backend {backend!r}; use {sorted(_BACKENDS)}"
+        ) from None
+    return cls(
         sim, flash, ecc, config=config, name=name, tracer=tracer,
         metrics=metrics, **knobs,
     )

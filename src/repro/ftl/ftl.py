@@ -1,28 +1,36 @@
-"""The flash translation layer facade.
+"""The flash translation layer: the shared core and the page-mapped backend.
 
-:class:`FlashTranslationLayer` exposes a logical page device:
+Both translation backends export one logical page device:
 
-- ``read(lpn)`` — write-buffer hit or flash read + ECC decode;
+- ``read(lpn)`` — write-buffer hit, read-cache hit, or flash read + ECC
+  decode;
 - ``write(lpn, data)`` — fast-release: completes when the data lands in the
-  write buffer; a background flusher destages to NAND;
+  write buffer; background flushers destage to NAND;
 - ``trim(lpns)`` — drops mappings (and buffered copies) without media work;
 - ``flush()`` — barrier draining the write buffer.
 
-Concurrency model: page allocation is synchronous and per-``(stream, die)``
-locks serialise allocate+program, so NAND's in-order-within-block rule holds
-while writes still stripe across dies.  Reads hold a per-block reader count
-that GC quiesces before erasing a victim.
+:class:`TranslationCore` implements that front end, GC relocation and the
+accounting once.  A backend only decides where a page is programmed, which
+*unit* (a run of whole erase blocks) is reclaimed next, and how a unit is
+erased.  :class:`FlashTranslationLayer` is the page-mapped backend: its unit
+is one block; the zoned backend (:mod:`repro.ftl.zoned`) reclaims zones.
+
+Concurrency model of the page backend: page allocation is synchronous and
+per-``(stream, die)`` locks serialise allocate+program, so NAND's
+in-order-within-block rule holds while writes still stripe across dies.
+Reads hold a per-unit reader count that GC quiesces before erasing a victim.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Generator
 
 import numpy as np
 
 from repro.ecc import EccEngine, UncorrectableError
-from repro.flash.package import FlashArray
+from repro.flash.package import EraseFailure, FlashArray
 from repro.ftl.allocator import BlockAllocator, OutOfSpaceError
 from repro.ftl.gc import CostBenefitPolicy, GarbageCollector, GcPolicy, GreedyPolicy
 from repro.ftl.mapping import UNMAPPED, PageMap
@@ -31,7 +39,7 @@ from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.sim import Resource, Simulator, Tracer
 from repro.sim.trace import NULL_TRACER
 
-__all__ = ["FlashTranslationLayer", "FtlConfig", "LogicalIOError"]
+__all__ = ["FlashTranslationLayer", "FtlConfig", "LogicalIOError", "TranslationCore"]
 
 
 class LogicalIOError(Exception):
@@ -42,6 +50,10 @@ _POLICIES: dict[str, type[GcPolicy]] = {
     "greedy": GreedyPolicy,
     "cost-benefit": CostBenefitPolicy,
 }
+
+#: Knobs only the page backend reads (its allocator watermarks, victim
+#: policy and wear levelling).
+_PAGE_ONLY_KNOBS = ("gc_policy", "wl_delta", "gc_low_watermark", "gc_high_watermark")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,22 +91,68 @@ class FtlConfig:
         if self.read_cache_pages < 0:
             raise ValueError("read_cache_pages must be >= 0")
 
+    def check_zoned(self) -> None:
+        """Raise if a page-backend-only knob is set: the zoned backend would
+        otherwise ignore it silently."""
+        default = FtlConfig()
+        knobs = [
+            f"ftl.{knob}"
+            for knob in _PAGE_ONLY_KNOBS
+            if getattr(self, knob) != getattr(default, knob)
+        ]
+        if knobs:
+            raise ValueError(
+                f"the zoned backend does not use {', '.join(knobs)}; "
+                "leave page-backend knobs at their defaults"
+            )
 
-class FlashTranslationLayer:
-    """Logical page device over a :class:`FlashArray` + :class:`EccEngine`."""
+
+class TranslationCore:
+    """The backend-independent half of a translation layer.
+
+    A backend maps logical pages onto *units*: runs of whole erase blocks
+    (one block on the page FTL, one zone on the zoned FTL) that are filled
+    in order and reclaimed whole, so a physical page's unit is
+    ``ppn // unit_pages``.  The core owns the page map, the write buffer's
+    destage path, the read cache, the OOB write sequence, the per-unit
+    reader/writer counts, the in-flight destage and reclaim sets, the host
+    counters and the ``ftl.*`` metrics.
+
+    A backend supplies:
+
+    - ``_program(lpn, data, stream, expect_ppn, oob=None)`` — program one
+      page and bind it (compare-and-bind when ``expect_ppn`` is set);
+    - ``free_units`` — the free pool the collector keeps between its
+      watermarks;
+    - ``_choose_victim()`` — the next unit to collect, or None;
+    - ``_erase_unit(unit)`` — release and erase a mapping-free unit;
+      returns whether it went back into service;
+    - ``health_stats()``;
+    - ``self.gc`` (a :class:`~repro.ftl.gc.GarbageCollector`) and
+      ``self.write_buffer`` (:meth:`_start_write_buffer`), built in its own
+      constructor: the order their processes spawn in is part of the
+      schedule.
+    """
 
     HOST = BlockAllocator.HOST
     GC = BlockAllocator.GC
+
+    gc: GarbageCollector
+    write_buffer: WriteBuffer
 
     def __init__(
         self,
         sim: Simulator,
         flash: FlashArray,
         ecc: EccEngine,
-        config: FtlConfig | None = None,
-        name: str = "ftl",
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        config: FtlConfig | None,
+        name: str,
+        tracer: Tracer | None,
+        metrics: MetricsRegistry | None,
+        *,
+        unit: str,
+        units: int,
+        unit_blocks: int,
     ):
         self.sim = sim
         self.flash = flash
@@ -123,83 +181,49 @@ class FlashTranslationLayer:
             "ftl.write_amplification", "NAND programs / host programs, sampled on destage"
         ).labels(device=name)
         self._m_gc_collections = m.counter(
-            "ftl.gc.collections", "garbage-collection block reclaims"
+            "ftl.gc.collections", "garbage-collection unit reclaims"
         ).labels(device=name)
         self._m_gc_moves = m.counter(
             "ftl.gc.pages_relocated", "valid pages moved by the collector"
         ).labels(device=name)
         self._m_free_blocks = m.gauge(
-            "ftl.free_blocks", "allocator free pool, sampled after GC reclaims"
+            "ftl.free_blocks", "free erase blocks, sampled after GC reclaims"
         ).labels(device=name)
 
         geo = flash.geometry
-        self.logical_pages = int(geo.pages * (1.0 - self.config.op_ratio))
+        self._unit_blocks = unit_blocks
+        self._unit_pages = unit_blocks * geo.pages_per_block
+        covered = units * self._unit_pages
+        self.logical_pages = int(covered * (1.0 - self.config.op_ratio))
         if self.logical_pages < 1:
             raise ValueError("over-provisioning leaves no logical capacity")
-        slack_pages = geo.pages - self.logical_pages
-        if slack_pages < 2 * geo.pages_per_block:
+        slack_pages = covered - self.logical_pages
+        if slack_pages < 2 * self._unit_pages:
             raise ValueError(
-                "over-provisioning slack must be at least two blocks "
-                f"({2 * geo.pages_per_block} pages) for deadlock-free GC; "
+                f"over-provisioning slack must be at least two {unit}s "
+                f"({2 * self._unit_pages} pages) for deadlock-free GC; "
                 f"got {slack_pages} pages — raise op_ratio or enlarge the array"
             )
         self.page_map = PageMap(geo, self.logical_pages)
-        self.allocator = BlockAllocator(flash, streams=2)
-        self._die_locks = {
-            (stream, die): Resource(sim, capacity=1, name=f"{name}.s{stream}d{die}")
-            for stream in (self.HOST, self.GC)
-            for die in range(geo.dies)
-        }
-        self._rr_die = {self.HOST: 0, self.GC: 0}
+        # Reads and in-flight programs per unit: a page is allocated
+        # synchronously but programmed/bound after yields, so GC must not
+        # victimise or erase a unit while either count is non-zero.
+        self._readers = np.zeros(units, dtype=np.int32)
+        self._writers = np.zeros(units, dtype=np.int32)
         # Hot-path constants hoisted out of the per-page read/write methods
         # (config is frozen and the geometry never changes after build).
         self._buffer_hit_latency = self.config.buffer_hit_latency
         self._read_cache_pages = self.config.read_cache_pages
-        self._pages_per_block = geo.pages_per_block
-        self._readers = np.zeros(geo.blocks, dtype=np.int32)
-        # In-flight programs per block: a page is allocated synchronously but
-        # programmed/bound after yields; GC must not victimise or erase a
-        # block while such a program is pending.
-        self._writers = np.zeros(geo.blocks, dtype=np.int32)
         self.reader_quiesce_delay = self.config.reader_quiesce_delay
 
-        low = self.config.gc_low_watermark
-        high = self.config.gc_high_watermark
-        if low is None:
-            low = geo.dies
-        if high is None:
-            high = max(low + 1, 2 * geo.dies)
-        policy = _POLICIES[self.config.gc_policy]()
-        self.gc = GarbageCollector(self, policy, low, high, wl_delta=self.config.wl_delta)
-
-        self.write_buffer = WriteBuffer(
-            sim,
-            self.config.write_buffer_pages,
-            destage=self._destage,
-            name=f"{name}.wbuf",
-            workers=max(4, geo.dies),  # destage bandwidth scales with dies
-        )
-
         self._destaging: set[int] = set()
-        # blocks being reclaimed right now (GC victim or scrub refresh) —
-        # prevents the collector and the scrubber double-erasing one block
+        # units being reclaimed right now (GC victim, scrub refresh or zone
+        # reset) — prevents two reclaimers double-erasing one unit
         self._reclaiming: set[int] = set()
         # monotonically increasing write sequence stamped into each page's
         # OOB area; power-off recovery replays "latest sequence wins"
         self._write_seq = 0
-
-        from repro.ftl.scrubber import PatrolScrubber
-
-        self.scrubber = PatrolScrubber(
-            self,
-            interval=self.config.scrub_interval or 60.0,
-            margin=self.config.scrub_margin,
-            enabled=self.config.scrub_interval is not None,
-        )
-
         # optional LRU read cache (controller DRAM)
-        from collections import OrderedDict
-
         self._read_cache: "OrderedDict[int, bytes | None]" = OrderedDict()
 
         # statistics
@@ -210,6 +234,17 @@ class FlashTranslationLayer:
         self.read_cache_hits = 0
         self.trims = 0
         self.uncorrectable_reads = 0
+
+    def _start_write_buffer(self, workers: int) -> WriteBuffer:
+        """The fast-release buffer over :meth:`_destage` (spawns its
+        flushers now)."""
+        return WriteBuffer(
+            self.sim,
+            self.config.write_buffer_pages,
+            destage=self._destage,
+            name=f"{self.name}.wbuf",
+            workers=workers,
+        )
 
     # -- capacity ------------------------------------------------------------
     @property
@@ -226,11 +261,24 @@ class FlashTranslationLayer:
             return 0.0
         return self.flash.stats.programs / self.host_pages_programmed
 
-    def block_readers(self, block_index: int) -> int:
-        return int(self._readers[block_index])
+    # -- units -----------------------------------------------------------------
+    def _unit_block_range(self, unit: int) -> range:
+        first = unit * self._unit_blocks
+        return range(first, first + self._unit_blocks)
 
-    def block_writers(self, block_index: int) -> int:
-        return int(self._writers[block_index])
+    def _unit_lpns(self, unit: int):
+        """Logical pages whose current copy lives in ``unit``; each block's
+        list is taken when the iteration reaches that block."""
+        for block in self._unit_block_range(unit):
+            yield from self.page_map.valid_lpns_in_block(block)
+
+    def _needs_wl(self) -> bool:
+        """Whether the collector must run for wear levelling (page only)."""
+        return False
+
+    def _maybe_kick_gc(self) -> None:
+        if self.free_units <= self.gc.low_watermark:
+            self.gc.kick()
 
     # -- logical operations -----------------------------------------------------
     def read(self, lpn: int) -> Generator:
@@ -257,8 +305,8 @@ class FlashTranslationLayer:
             yield self.sim.timeout(self._buffer_hit_latency)
             return None
         geo = self.flash.geometry
-        block_index = ppn // self._pages_per_block
-        self._readers[block_index] += 1
+        unit = ppn // self._unit_pages
+        self._readers[unit] += 1
         try:
             result = yield from self.flash.read_page(geo.page_address(ppn))
             try:
@@ -267,7 +315,7 @@ class FlashTranslationLayer:
                 self.uncorrectable_reads += 1
                 raise LogicalIOError(f"uncorrectable read at lpn {lpn}") from exc
         finally:
-            self._readers[block_index] -= 1
+            self._readers[unit] -= 1
         if self._read_cache_pages:
             self._cache_insert(lpn, result.data)
         return result.data
@@ -276,7 +324,7 @@ class FlashTranslationLayer:
         cache = self._read_cache
         cache[lpn] = data
         cache.move_to_end(lpn)
-        while len(cache) > self.config.read_cache_pages:
+        while len(cache) > self._read_cache_pages:
             cache.popitem(last=False)
 
     def write(self, lpn: int, data: bytes | None) -> Generator:
@@ -302,7 +350,7 @@ class FlashTranslationLayer:
             # A destage for this lpn may be in flight; its bind would
             # resurrect the mapping, so wait it out before unbinding.
             while lpn in self._destaging:
-                yield self.sim.timeout(self.config.reader_quiesce_delay)
+                yield self.sim.timeout(self.reader_quiesce_delay)
             self.page_map.unbind(lpn)
             self.trims += 1
         self.gc.kick()
@@ -345,6 +393,90 @@ class FlashTranslationLayer:
         )
         return None
 
+    def _check_lpn(self, lpn: int) -> None:
+        if not 0 <= lpn < self.logical_pages:
+            raise ValueError(f"lpn {lpn} out of range [0, {self.logical_pages})")
+
+    # -- reporting -------------------------------------------------------------
+    def stats(self) -> dict[str, float]:
+        health = self.health_stats()
+        return {
+            "host_reads": self.host_reads,
+            "host_writes": self.host_writes,
+            "host_pages_programmed": self.host_pages_programmed,
+            "buffer_read_hits": self.buffer_read_hits,
+            "buffer_write_hits": self.write_buffer.hits,
+            "trims": self.trims,
+            "gc_collections": self.gc.collections,
+            "gc_pages_relocated": self.gc.pages_relocated,
+            "wl_migrations": self.gc.wl_migrations,
+            "write_amplification": self.write_amplification(),
+            "free_blocks": health["available_spare"],
+            "uncorrectable_reads": self.uncorrectable_reads,
+            "scrub_refreshes": health["scrub_refreshes"],
+        }
+
+
+class FlashTranslationLayer(TranslationCore):
+    """Page-mapped backend: per-die write frontiers, single-block GC victims
+    chosen by a policy, static wear levelling, a patrol scrubber and
+    power-off recovery from the OOB stamps."""
+
+    # Bound on each backend class, not only inherited, so per-class
+    # instrumentation (the span boundaries in benchmarks/e2e/layers.py)
+    # can tell the backends apart.
+    read = TranslationCore.read
+    write = TranslationCore.write
+    trim = TranslationCore.trim
+
+    def __init__(
+        self,
+        sim: Simulator,
+        flash: FlashArray,
+        ecc: EccEngine,
+        config: FtlConfig | None = None,
+        name: str = "ftl",
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        geo = flash.geometry
+        super().__init__(
+            sim, flash, ecc, config, name, tracer, metrics,
+            unit="block", units=geo.blocks, unit_blocks=1,
+        )
+        self.allocator = BlockAllocator(flash, streams=2)
+        self._die_locks = {
+            (stream, die): Resource(sim, capacity=1, name=f"{name}.s{stream}d{die}")
+            for stream in (self.HOST, self.GC)
+            for die in range(geo.dies)
+        }
+        self._rr_die = {self.HOST: 0, self.GC: 0}
+
+        low = self.config.gc_low_watermark
+        high = self.config.gc_high_watermark
+        if low is None:
+            low = geo.dies
+        if high is None:
+            high = max(low + 1, 2 * geo.dies)
+        self.policy = _POLICIES[self.config.gc_policy]()
+        self.gc = GarbageCollector(self, low, high)
+        # destage bandwidth scales with dies
+        self.write_buffer = self._start_write_buffer(workers=max(4, geo.dies))
+
+        from repro.ftl.scrubber import PatrolScrubber
+
+        self.scrubber = PatrolScrubber(
+            self,
+            interval=self.config.scrub_interval or 60.0,
+            margin=self.config.scrub_margin,
+            enabled=self.config.scrub_interval is not None,
+        )
+
+    @property
+    def free_units(self) -> int:
+        return self.allocator.free_blocks
+
+    # -- placement -------------------------------------------------------------
     def _program(
         self,
         lpn: int,
@@ -399,13 +531,65 @@ class FlashTranslationLayer:
             if stalls >= 8 and self.gc.idle:
                 raise LogicalIOError("device full: no reclaimable space")
 
-    def _maybe_kick_gc(self) -> None:
-        if self.allocator.free_blocks <= self.gc.low_watermark:
-            self.gc.kick()
+    # -- reclaim ---------------------------------------------------------------
+    def _needs_wl(self) -> bool:
+        wl_delta = self.config.wl_delta
+        if wl_delta <= 0:
+            return False
+        low, high, _ = self.allocator.wear_spread()
+        return high - low > wl_delta
 
-    def _check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < self.logical_pages:
-            raise ValueError(f"lpn {lpn} out of range [0, {self.logical_pages})")
+    def _choose_victim(self) -> int | None:
+        candidates = self.allocator.closed_blocks()
+        if not candidates:
+            return None
+        if self._needs_wl():
+            # static wear levelling: force the coldest closed block back
+            # into the hot rotation
+            pe = self.flash.pe_cycles
+            coldest = min(candidates, key=lambda b: (int(pe[b]), b))
+            low, high, _ = self.allocator.wear_spread()
+            if high - int(pe[coldest]) > self.config.wl_delta:
+                self.gc.wl_migrations += 1
+                return coldest
+        # A victim is only worth starting if (a) it has reclaimable space
+        # (collecting a fully valid block wastes a P/E cycle) and (b) its
+        # valid pages fit in the space we can write to right now — starting
+        # an uncompletable collection would livelock the device.
+        # Only count space the GC stream alone controls (its frontiers plus
+        # the free pool, which includes the GC reserve): host-visible space
+        # could be consumed concurrently and must not enter the feasibility
+        # decision.
+        per_block = self._unit_pages
+        available = (
+            self.allocator.free_blocks * per_block
+            + self.allocator.frontier_space(self.GC)
+        )
+        valid = self.page_map.valid_pages_in_block
+        reclaimable = [
+            b
+            for b in candidates
+            if valid(b) < per_block
+            and valid(b) <= available
+            and self._writers[b] == 0
+            and b not in self._reclaiming
+        ]
+        if not reclaimable:
+            return None
+        return self.policy.select(reclaimable, self)
+
+    def _erase_unit(self, block_index: int) -> Generator:
+        self.page_map.release_block(block_index)
+        try:
+            yield from self.flash.erase_block(self.flash.geometry.block_address(block_index))
+        except EraseFailure:
+            # grown bad block: take it out of service instead of reusing it
+            self.allocator.retire_block(block_index)
+            self.gc.blocks_retired += 1
+            self.tracer.emit(self.sim.now, self.name, "gc.block-retired", block=block_index)
+            return False
+        self.allocator.release_block(block_index)
+        return True
 
     # -- power-off recovery ------------------------------------------------------
     def recover_from_flash(self) -> Generator:
@@ -475,22 +659,5 @@ class FlashTranslationLayer:
             "available_spare": self.allocator.free_blocks,
             "bad_blocks": len(self.allocator.retired),
             "gc_collections": self.gc.collections,
-            "scrub_refreshes": self.scrubber.blocks_refreshed,
-        }
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "host_reads": self.host_reads,
-            "host_writes": self.host_writes,
-            "host_pages_programmed": self.host_pages_programmed,
-            "buffer_read_hits": self.buffer_read_hits,
-            "buffer_write_hits": self.write_buffer.hits,
-            "trims": self.trims,
-            "gc_collections": self.gc.collections,
-            "gc_pages_relocated": self.gc.pages_relocated,
-            "wl_migrations": self.gc.wl_migrations,
-            "write_amplification": self.write_amplification(),
-            "free_blocks": self.allocator.free_blocks,
-            "uncorrectable_reads": self.uncorrectable_reads,
             "scrub_refreshes": self.scrubber.blocks_refreshed,
         }

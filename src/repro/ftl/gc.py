@@ -1,13 +1,15 @@
-"""Garbage collection: victim policies and the background collector.
+"""Garbage collection: the page FTL's victim policies and the collector
+every backend runs.
 
-Two classic policies are provided (and compared in the GC ablation bench):
+Two classic policies pick the page FTL's victim block (and are compared in
+the GC ablation bench):
 
 - **Greedy** — pick the closed block with the fewest valid pages; optimal
   for uniform workloads, oblivious to block age.
 - **Cost-benefit** — maximise ``(1 - u) / (2u) * age`` (Kawaguchi et al.);
   favours old, mostly-invalid blocks, separating hot and cold data.
 
-The collector also performs threshold-based **static wear leveling**: when
+The page FTL also performs threshold-based **static wear leveling**: when
 the P/E spread across blocks exceeds ``wl_delta``, the coldest (lowest-P/E)
 closed block is forcibly collected so its cold data moves and the block
 rejoins the hot rotation.
@@ -20,7 +22,7 @@ from typing import TYPE_CHECKING, Generator, Protocol, Sequence
 from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ftl.ftl import FlashTranslationLayer
+    from repro.ftl.ftl import FlashTranslationLayer, TranslationCore
 
 __all__ = ["CostBenefitPolicy", "GarbageCollector", "GcPolicy", "GreedyPolicy"]
 
@@ -64,29 +66,36 @@ class CostBenefitPolicy:
 
 
 class GarbageCollector:
-    """Background collector driven by free-block watermarks.
+    """The background collector every backend runs, driven by free-unit
+    watermarks.
 
-    The FTL calls :meth:`kick` after consuming space; the collector runs
-    until the free pool recovers to the high watermark.  Erase waits for
-    in-flight reads on the victim to drain (quiesce) so no read ever
-    observes an erased page.
+    A *unit* is the backend's reclaim granule — a block on the page FTL, a
+    zone on the zoned FTL — always a run of whole erase blocks, so a page's
+    unit is ``ppn // unit_pages``.  The backend kicks the collector after
+    consuming space; the collector runs until the backend's free pool
+    recovers to the high watermark.  Each collection relocates the victim's
+    live pages, quiesces in-flight readers and writers (re-relocating any
+    page a late program binds) so no read ever observes an erased page,
+    then lets the backend erase the unit.  The backend chooses victims and
+    erases them; ``kind`` prefixes the collector's trace records and kick
+    event, ``unit`` names the victim in them.
     """
 
     def __init__(
         self,
-        ftl: "FlashTranslationLayer",
-        policy: GcPolicy,
+        ftl: "TranslationCore",
         low_watermark: int,
         high_watermark: int,
-        wl_delta: int = 0,
+        kind: str = "gc",
+        unit: str = "block",
     ):
         if high_watermark < low_watermark:
             raise ValueError("high_watermark must be >= low_watermark")
         self.ftl = ftl
-        self.policy = policy
         self.low_watermark = low_watermark
         self.high_watermark = high_watermark
-        self.wl_delta = wl_delta
+        self.kind = kind
+        self.unit = unit
         self.collections = 0
         self.pages_relocated = 0
         self.wl_migrations = 0
@@ -98,7 +107,7 @@ class GarbageCollector:
 
     # -- control ----------------------------------------------------------
     def kick(self) -> None:
-        """Wake the collector if the free pool is at/below the low mark."""
+        """Wake the collector if it is waiting."""
         if self._kick is not None and not self._kick.triggered:
             self._kick.succeed()
 
@@ -110,80 +119,37 @@ class GarbageCollector:
     def _run(self) -> Generator:
         ftl = self.ftl
         while True:
-            if ftl.allocator.free_blocks > self.low_watermark and not self._needs_wl():
+            if ftl.free_units > self.low_watermark and not ftl._needs_wl():
                 yield from self._wait_for_kick()
             self._idle = False
             progressed = False
-            while ftl.allocator.free_blocks < self.high_watermark or self._needs_wl():
-                victim = self._choose_victim()
+            while ftl.free_units < self.high_watermark or ftl._needs_wl():
+                victim = ftl._choose_victim()
                 if victim is None:
                     break  # nothing reclaimable right now
                 yield from self._collect(victim)
                 progressed = True
             if not progressed:
-                # Below the watermark but no victim (e.g. every closed block
-                # is fully valid): sleep until a trim/write changes things.
+                # Below the watermark but no victim (e.g. every full unit is
+                # fully valid): sleep until a trim/write changes things.
                 yield from self._wait_for_kick()
 
     def _wait_for_kick(self) -> Generator:
-        self._kick = self.ftl.sim.event(name="gc.kick")
+        self._kick = self.ftl.sim.event(name=f"{self.kind}.kick")
         self._idle = True
         yield self._kick
         self._kick = None
 
-    def _needs_wl(self) -> bool:
-        if self.wl_delta <= 0:
-            return False
-        low, high, _ = self.ftl.allocator.wear_spread()
-        return high - low > self.wl_delta
-
-    def _choose_victim(self) -> int | None:
+    def _collect(self, unit: int) -> Generator:
+        """Relocate valid pages out of ``unit`` and erase it."""
         ftl = self.ftl
-        candidates = ftl.allocator.closed_blocks()
-        if not candidates:
-            return None
-        if self._needs_wl():
-            pe = ftl.flash.pe_cycles
-            coldest = min(candidates, key=lambda b: (int(pe[b]), b))
-            low, high, _ = ftl.allocator.wear_spread()
-            if high - int(pe[coldest]) > self.wl_delta:
-                self.wl_migrations += 1
-                return coldest
-        # A victim is only worth starting if (a) it has reclaimable space
-        # (collecting a fully valid block wastes a P/E cycle) and (b) its
-        # valid pages fit in the space we can write to right now — starting
-        # an uncompletable collection would livelock the device.
-        # Only count space the GC stream alone controls (its frontiers plus
-        # the free pool, which includes the GC reserve): host-visible space
-        # could be consumed concurrently and must not enter the feasibility
-        # decision.
-        per_block = ftl.flash.geometry.pages_per_block
-        available = (
-            ftl.allocator.free_blocks * per_block
-            + ftl.allocator.frontier_space(ftl.GC)
-        )
-        reclaimable = [
-            b
-            for b in candidates
-            if ftl.page_map.valid_pages_in_block(b) < per_block
-            and ftl.page_map.valid_pages_in_block(b) <= available
-            and ftl.block_writers(b) == 0
-            and b not in ftl._reclaiming
-        ]
-        if not reclaimable:
-            return None
-        return self.policy.select(reclaimable, ftl)
-
-    def _collect(self, block_index: int) -> Generator:
-        """Relocate valid pages out of ``block_index`` and erase it."""
-        ftl = self.ftl
-        if block_index in ftl._reclaiming:
+        if unit in ftl._reclaiming:
             return  # the scrubber got there first
-        ftl._reclaiming.add(block_index)
+        ftl._reclaiming.add(unit)
         try:
-            yield from self._collect_inner(block_index)
+            yield from self._collect_inner(unit)
         finally:
-            ftl._reclaiming.discard(block_index)
+            ftl._reclaiming.discard(unit)
 
     def _relocate_or_drop(self, lpn: int, old_ppn: int) -> Generator:
         """Relocate one page; an uncorrectable source read loses the data
@@ -200,36 +166,27 @@ class GarbageCollector:
             self.relocation_failures += 1
             if ftl.page_map.lookup(lpn) == old_ppn:
                 ftl.page_map.unbind(lpn)
-            ftl.tracer.emit(ftl.sim.now, ftl.name, "gc.data-loss", lpn=lpn)
+            ftl.tracer.emit(ftl.sim.now, ftl.name, f"{self.kind}.data-loss", lpn=lpn)
         return None
 
-    def _collect_inner(self, block_index: int) -> Generator:
-        from repro.flash.package import EraseFailure
-
+    def _collect_inner(self, unit: int) -> Generator:
         ftl = self.ftl
-        for lpn in ftl.page_map.valid_lpns_in_block(block_index):
+        unit_pages = ftl._unit_pages
+        for lpn in ftl._unit_lpns(unit):
             old_ppn = ftl.page_map.lookup(lpn)
-            if old_ppn // ftl.flash.geometry.pages_per_block != block_index:
+            if old_ppn // unit_pages != unit:
                 continue  # host overwrote while we were collecting
             yield from self._relocate_or_drop(lpn, old_ppn)
         # quiesce in-flight readers and writers before the erase; any writer
         # that binds late re-validates a page, which we then relocate too
-        while ftl.block_readers(block_index) > 0 or ftl.block_writers(block_index) > 0:
+        while ftl._readers[unit] > 0 or ftl._writers[unit] > 0:
             yield ftl.sim.timeout(ftl.reader_quiesce_delay)
-            for lpn in ftl.page_map.valid_lpns_in_block(block_index):
+            for lpn in ftl._unit_lpns(unit):
                 yield from self._relocate_or_drop(lpn, ftl.page_map.lookup(lpn))
-        ftl.page_map.release_block(block_index)
-        try:
-            yield from ftl.flash.erase_block(ftl.flash.geometry.block_address(block_index))
-        except EraseFailure:
-            # grown bad block: take it out of service instead of reusing it
-            ftl.allocator.retire_block(block_index)
-            self.blocks_retired += 1
-            ftl.tracer.emit(ftl.sim.now, ftl.name, "gc.block-retired", block=block_index)
+        if not (yield from ftl._erase_unit(unit)):
             return
-        ftl.allocator.release_block(block_index)
         self.collections += 1
         if ftl.metrics.enabled:
             ftl._m_gc_collections.inc()
-            ftl._m_free_blocks.set(ftl.allocator.free_blocks)
-        ftl.tracer.emit(ftl.sim.now, ftl.name, "gc.collect", block=block_index)
+            ftl._m_free_blocks.set(ftl.free_units * ftl._unit_blocks)
+        ftl.tracer.emit(ftl.sim.now, ftl.name, f"{self.kind}.collect", **{self.unit: unit})

@@ -145,7 +145,7 @@ class PatrolScrubber:
             if old_ppn // ftl.flash.geometry.pages_per_block != block_index:
                 continue
             yield from gc._relocate_or_drop(lpn, old_ppn)
-        while ftl.block_readers(block_index) > 0 or ftl.block_writers(block_index) > 0:
+        while ftl._readers[block_index] > 0 or ftl._writers[block_index] > 0:
             yield ftl.sim.timeout(ftl.reader_quiesce_delay)
         # late binds may have re-validated pages; relocate the stragglers
         for lpn in ftl.page_map.valid_lpns_in_block(block_index):

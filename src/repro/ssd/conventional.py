@@ -64,10 +64,8 @@ class ConventionalSSD:
             tracer=tracer,
         )
         self.ecc = EccEngine(sim, ecc_config, name=f"{name}.ecc", energy_sink=sink)
-        # ``device_config`` selects the translation backend from the
-        # registry; None (and an explicit default ``page``) constructs the
-        # historical page-mapped FTL with byte-identical arguments, so
-        # golden schedules are unchanged for default scenarios.
+        # ``device_config`` selects the translation backend by name; None
+        # (and an explicit default ``page``) constructs the page-mapped FTL.
         backend = "page" if device_config is None else device_config.backend
         knobs = (
             {}

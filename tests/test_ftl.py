@@ -1,10 +1,19 @@
-"""Integration tests for the flash translation layer."""
+"""Integration tests for the flash translation layer.
+
+Tests that take the ``backend`` fixture check the logical page device both
+backends export.  This module runs them on the page FTL;
+``tests/test_zoned_ftl.py`` imports them and overrides the fixture, so each
+runs a second time on the zoned FTL.  The remaining tests cover page-only
+machinery: capacity, GC watermarks and policies, wear levelling.
+"""
+
+import dataclasses
 
 import pytest
 
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
-from repro.flash import BitErrorModel, FlashArray, FlashGeometry, FlashTiming
-from repro.ftl import FlashTranslationLayer, FtlConfig, LogicalIOError
+from repro.flash import BitErrorModel, FlashArray, FlashGeometry
+from repro.ftl import FtlConfig, LogicalIOError, create_backend
 from repro.sim import Simulator
 
 GEO = FlashGeometry(
@@ -12,22 +21,46 @@ GEO = FlashGeometry(
     page_size=2048,
 )
 
+#: Each backend's default test config: the zoned backend needs two zones of
+#: over-provisioning slack, and a small write buffer makes it destage early.
+CONFIGS = {
+    "page": FtlConfig(),
+    "zoned": FtlConfig(op_ratio=0.34, write_buffer_pages=4),
+}
 
-def make_ftl(sim=None, geometry=GEO, config=None, rber0=1e-9, **flash_kw):
+
+@pytest.fixture(scope="module")
+def backend():
+    return "page"
+
+
+def make_ftl(sim=None, geometry=GEO, config=None, rber0=1e-9, backend="page",
+             zone_blocks=2, max_open_zones=2, **flash_kw):
+    """One backend over a fresh flash array; the zone knobs only reach the
+    zoned backend."""
     sim = sim or Simulator()
     flash = FlashArray(sim, geometry=geometry, error_model=BitErrorModel(rber0=rber0), **flash_kw)
     layout = CodewordLayout(data_bytes=min(2048, geometry.page_size))
     ecc = EccEngine(sim, EccConfig(layout=layout))
-    ftl = FlashTranslationLayer(sim, flash, ecc, config=config)
+    knobs = (
+        {"zone_blocks": zone_blocks, "max_open_zones": max_open_zones}
+        if backend == "zoned" else {}
+    )
+    ftl = create_backend(backend, sim, flash, ecc, config=config or CONFIGS[backend], **knobs)
     return sim, ftl
+
+
+def config_for(backend, **overrides):
+    """``backend``'s default test config with ``overrides`` applied."""
+    return dataclasses.replace(CONFIGS[backend], **overrides)
 
 
 def drive(sim, gen):
     return sim.run(sim.process(gen))
 
 
-def test_write_read_roundtrip():
-    sim, ftl = make_ftl()
+def test_write_read_roundtrip(backend):
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         yield from ftl.write(0, b"alpha")
@@ -38,8 +71,8 @@ def test_write_read_roundtrip():
     assert drive(sim, flow()) == b"alpha"
 
 
-def test_read_unwritten_page_returns_none():
-    sim, ftl = make_ftl()
+def test_read_unwritten_page_returns_none(backend):
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         return (yield from ftl.read(5))
@@ -47,8 +80,8 @@ def test_read_unwritten_page_returns_none():
     assert drive(sim, flow()) is None
 
 
-def test_buffered_read_hit_before_flush():
-    sim, ftl = make_ftl()
+def test_buffered_read_hit_before_flush(backend):
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         yield from ftl.write(1, b"buffered")
@@ -73,8 +106,8 @@ def test_fast_release_hides_program_latency():
     assert elapsed < timing.t_prog / 10
 
 
-def test_overwrite_returns_latest():
-    sim, ftl = make_ftl()
+def test_overwrite_returns_latest(backend):
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         yield from ftl.write(2, b"old")
@@ -88,8 +121,8 @@ def test_overwrite_returns_latest():
     assert ftl.page_map.mapped_logical_pages() == 1
 
 
-def test_trim_unmaps_and_reads_none():
-    sim, ftl = make_ftl()
+def test_trim_unmaps_and_reads_none(backend):
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         yield from ftl.write(3, b"gone soon")
@@ -101,10 +134,10 @@ def test_trim_unmaps_and_reads_none():
     assert ftl.trims == 1
 
 
-def test_trim_races_inflight_destage_without_resurrection():
+def test_trim_races_inflight_destage_without_resurrection(backend):
     """Trim issued while the destage is in flight must not be undone by the
     destage's map bind completing afterwards."""
-    sim, ftl = make_ftl()
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         yield from ftl.write(4, b"never lands")
@@ -116,18 +149,18 @@ def test_trim_races_inflight_destage_without_resurrection():
     assert not ftl.page_map.is_mapped(4)
 
 
-def test_out_of_range_lpn_rejected():
-    sim, ftl = make_ftl()
+def test_out_of_range_lpn_rejected(backend):
+    sim, ftl = make_ftl(backend=backend)
     with pytest.raises(ValueError):
         drive(sim, ftl.read(ftl.logical_pages))
 
-    sim2, ftl2 = make_ftl()
+    sim2, ftl2 = make_ftl(backend=backend)
     with pytest.raises(ValueError):
         drive(sim2, ftl2.write(-1, b"x"))
 
 
-def test_oversized_write_rejected():
-    sim, ftl = make_ftl()
+def test_oversized_write_rejected(backend):
+    sim, ftl = make_ftl(backend=backend)
     with pytest.raises(ValueError, match="exceeds page size"):
         drive(sim, ftl.write(0, b"z" * (GEO.page_size + 1)))
 
@@ -137,12 +170,14 @@ def test_logical_capacity_respects_overprovisioning():
     assert ftl.logical_pages == int(GEO.pages * 0.75)
 
 
-def test_gc_reclaims_space_under_overwrite_churn():
+def test_gc_reclaims_space_under_overwrite_churn(backend):
     """Overwriting a small working set far beyond physical capacity must
     trigger GC and keep the device writable."""
-    sim, ftl = make_ftl(config=FtlConfig(op_ratio=0.25, write_buffer_pages=4))
+    sim, ftl = make_ftl(
+        config=FtlConfig(op_ratio=0.25, write_buffer_pages=4), backend=backend
+    )
     working_set = 16
-    rounds = 20  # 320 page writes >> 96 physical pages
+    rounds = 20  # 320 page writes >> 192 physical pages
 
     def flow():
         for r in range(rounds):
@@ -175,17 +210,20 @@ def test_write_amplification_reported():
     assert 1.0 <= wa < 3.0  # relocations cost something but stay bounded
 
 
-def test_sustained_overwrite_at_full_logical_capacity():
+def test_sustained_overwrite_at_full_logical_capacity(backend):
     """Filling every logical page and then overwriting them all must never
-    deadlock: the GC reserve guarantees the collector can always relocate."""
+    deadlock nor report device-full: with the minimum over-provisioning
+    slack (two GC units: blocks, or one-block zones) the collector can
+    always relocate."""
     geometry = FlashGeometry(
         channels=1, dies_per_channel=1, planes_per_die=1, blocks_per_plane=8,
         pages_per_block=4, page_size=512,
     )
     sim, ftl = make_ftl(
         geometry=geometry,
-        config=FtlConfig(op_ratio=0.3, write_buffer_pages=1, gc_low_watermark=1,
-                         gc_high_watermark=2),
+        config=FtlConfig(op_ratio=0.3, write_buffer_pages=1),
+        backend=backend,
+        zone_blocks=1,
     )
 
     def flow():
@@ -193,13 +231,17 @@ def test_sustained_overwrite_at_full_logical_capacity():
             yield from ftl.write(lpn, b"fill")
         yield from ftl.flush()
         # churn within logical capacity must still work
-        for r in range(3):
+        for r in range(6):
             for lpn in range(ftl.logical_pages):
                 yield from ftl.write(lpn, f"more{r}".encode())
         yield from ftl.flush()
-        return (yield from ftl.read(0))
+        values = []
+        for lpn in range(ftl.logical_pages):
+            values.append((yield from ftl.read(lpn)))
+        return values
 
-    assert drive(sim, flow()) == b"more2"
+    assert drive(sim, flow()) == [b"more5"] * ftl.logical_pages
+    assert not ftl.write_buffer.failures
     assert ftl.gc.collections > 0
     ftl.page_map.check_invariants()
 
@@ -213,8 +255,8 @@ def test_thin_overprovisioning_rejected_at_construction():
         make_ftl(geometry=geometry, config=FtlConfig(op_ratio=0.2))
 
 
-def test_uncorrectable_read_surfaces_as_io_error():
-    sim, ftl = make_ftl(rber0=0.4)  # hopeless media
+def test_uncorrectable_read_surfaces_as_io_error(backend):
+    sim, ftl = make_ftl(rber0=0.4, backend=backend)  # hopeless media
 
     def flow():
         yield from ftl.write(0, b"doomed")
@@ -227,13 +269,17 @@ def test_uncorrectable_read_surfaces_as_io_error():
     assert ftl.uncorrectable_reads >= 1
 
 
-def test_concurrent_writers_no_protocol_violation():
-    """Many parallel writers exercise the per-(stream,die) ordering locks."""
-    sim, ftl = make_ftl()
-    n = 32
+def test_concurrent_writers_no_protocol_violation(backend):
+    """Many parallel writers, past physical capacity, exercise the page
+    FTL's per-(stream, die) locks and the zoned FTL's per-zone append slots.
+    FlashArray raises on any out-of-order program or reprogram, so a clean
+    run proves the ordering discipline."""
+    sim, ftl = make_ftl(backend=backend, max_open_zones=3)
+    n = ftl.logical_pages
 
     def writer(lpn):
-        yield from ftl.write(lpn, f"w{lpn}".encode())
+        for rnd in range(4):
+            yield from ftl.write(lpn, f"w{lpn}r{rnd}".encode())
 
     def flow():
         procs = [sim.process(writer(i)) for i in range(n)]
@@ -245,7 +291,8 @@ def test_concurrent_writers_no_protocol_violation():
         return values
 
     values = drive(sim, flow())
-    assert values == [f"w{i}".encode() for i in range(n)]
+    assert values == [f"w{i}r3".encode() for i in range(n)]
+    assert ftl.flash.stats.programs == ftl.host_pages_programmed + ftl.gc.pages_relocated
     ftl.page_map.check_invariants()
 
 
@@ -272,8 +319,8 @@ def test_stats_snapshot_keys():
     assert stats["write_amplification"] == 1.0
 
 
-def test_read_cache_hits_and_latency():
-    sim, ftl = make_ftl(config=FtlConfig(read_cache_pages=8))
+def test_read_cache_hits_and_latency(backend):
+    sim, ftl = make_ftl(config=config_for(backend, read_cache_pages=8), backend=backend)
 
     def flow():
         yield from ftl.write(0, b"cacheable")
@@ -291,8 +338,8 @@ def test_read_cache_hits_and_latency():
     assert hit_time < miss_time / 10
 
 
-def test_read_cache_invalidated_by_write():
-    sim, ftl = make_ftl(config=FtlConfig(read_cache_pages=8))
+def test_read_cache_invalidated_by_write(backend):
+    sim, ftl = make_ftl(config=config_for(backend, read_cache_pages=8), backend=backend)
 
     def flow():
         yield from ftl.write(0, b"old")
@@ -305,8 +352,8 @@ def test_read_cache_invalidated_by_write():
     assert drive(sim, flow()) == b"new"
 
 
-def test_read_cache_invalidated_by_trim():
-    sim, ftl = make_ftl(config=FtlConfig(read_cache_pages=8))
+def test_read_cache_invalidated_by_trim(backend):
+    sim, ftl = make_ftl(config=config_for(backend, read_cache_pages=8), backend=backend)
 
     def flow():
         yield from ftl.write(0, b"gone")
@@ -318,8 +365,8 @@ def test_read_cache_invalidated_by_trim():
     assert drive(sim, flow()) is None
 
 
-def test_read_cache_lru_eviction():
-    sim, ftl = make_ftl(config=FtlConfig(read_cache_pages=2))
+def test_read_cache_lru_eviction(backend):
+    sim, ftl = make_ftl(config=config_for(backend, read_cache_pages=2), backend=backend)
 
     def flow():
         for lpn in range(3):
@@ -337,8 +384,8 @@ def test_read_cache_lru_eviction():
     assert len(ftl._read_cache) <= 2
 
 
-def test_read_cache_disabled_by_default():
-    sim, ftl = make_ftl()
+def test_read_cache_disabled_by_default(backend):
+    sim, ftl = make_ftl(backend=backend)
 
     def flow():
         yield from ftl.write(0, b"x")

@@ -4,6 +4,10 @@ Hypothesis drives random sequences of write/read/trim/flush against the
 FTL; a plain dict models the expected logical contents.  After every
 sequence the FTL must agree with the oracle and its internal invariants
 must hold — regardless of how much GC and scrubbing happened in between.
+
+Tests that take the ``backend`` fixture run here on the page FTL and again
+on the zoned FTL from ``tests/test_zoned_ftl.py``, which imports them and
+overrides the fixture (module scope, so Hypothesis may share it).
 """
 
 import pytest
@@ -12,26 +16,74 @@ from hypothesis import strategies as st
 
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
-from repro.ftl import FlashTranslationLayer, FtlConfig
+from repro.ftl import FtlConfig, create_backend
 from repro.sim import Simulator
 
 GEO = FlashGeometry(
     channels=2, dies_per_channel=1, planes_per_die=1, blocks_per_plane=6, pages_per_block=4,
     page_size=512,
 )
-LOGICAL = int(GEO.pages * (1 - 0.34))  # matches op_ratio below
+# Matches op_ratio below; the zoned backend's 6 zones of 2 blocks cover
+# every page, so both backends export the same logical space.
+LOGICAL = int(GEO.pages * (1 - 0.34))
 
 
-def make_ftl():
+@pytest.fixture(scope="module")
+def backend():
+    return "page"
+
+
+def make_ftl(backend="page"):
     sim = Simulator(seed=1)
     flash = FlashArray(sim, geometry=GEO, error_model=BitErrorModel(rber0=1e-9))
     ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=512)))
-    ftl = FlashTranslationLayer(
-        sim, flash, ecc,
-        config=FtlConfig(op_ratio=0.34, write_buffer_pages=4,
-                         gc_low_watermark=1, gc_high_watermark=2),
-    )
+    if backend == "page":
+        config = FtlConfig(op_ratio=0.34, write_buffer_pages=4,
+                           gc_low_watermark=1, gc_high_watermark=2)
+        ftl = create_backend("page", sim, flash, ecc, config=config)
+    else:
+        config = FtlConfig(op_ratio=0.34, write_buffer_pages=4)
+        ftl = create_backend("zoned", sim, flash, ecc, config=config,
+                             zone_blocks=2, max_open_zones=2)
+    assert ftl.logical_pages == LOGICAL
     return sim, ftl
+
+
+def oracle_mismatches(sim, ftl, ops, other_op=None):
+    """Run ``(op, arg, payload)`` tuples against ``ftl`` and a dict oracle,
+    then read back the whole logical space; returns ``(mismatches,
+    oracle)``.  ``other_op(op, arg, oracle)`` is a generator that handles
+    any op besides write/read/trim/flush."""
+    oracle: dict[int, bytes] = {}
+    mismatches: list[tuple] = []
+
+    def driver():
+        for op, arg, payload in ops:
+            if op == "write":
+                yield from ftl.write(arg, payload)
+                oracle[arg] = payload
+            elif op == "read":
+                data = yield from ftl.read(arg)
+                expected = oracle.get(arg)
+                if data != expected:
+                    mismatches.append((arg, data, expected))
+            elif op == "trim":
+                yield from ftl.trim([arg])
+                oracle.pop(arg, None)
+            elif op == "flush":
+                yield from ftl.flush()
+            else:
+                yield from other_op(op, arg, oracle)
+        yield from ftl.flush()
+        # final readback of the whole logical space
+        for lpn in range(ftl.logical_pages):
+            data = yield from ftl.read(lpn)
+            expected = oracle.get(lpn)
+            if data != expected:
+                mismatches.append((lpn, data, expected))
+
+    sim.run(sim.process(driver()))
+    return mismatches, oracle
 
 
 ops_strategy = st.lists(
@@ -48,35 +100,9 @@ ops_strategy = st.lists(
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ops=ops_strategy)
-def test_ftl_agrees_with_dict_oracle(ops):
-    sim, ftl = make_ftl()
-    oracle: dict[int, bytes] = {}
-    mismatches: list[tuple] = []
-
-    def driver():
-        for op, lpn, payload in ops:
-            if op == "write":
-                yield from ftl.write(lpn, payload)
-                oracle[lpn] = payload
-            elif op == "read":
-                data = yield from ftl.read(lpn)
-                expected = oracle.get(lpn)
-                if data != expected:
-                    mismatches.append((lpn, data, expected))
-            elif op == "trim":
-                yield from ftl.trim([lpn])
-                oracle.pop(lpn, None)
-            else:
-                yield from ftl.flush()
-        yield from ftl.flush()
-        # final readback of the whole logical space
-        for lpn in range(LOGICAL):
-            data = yield from ftl.read(lpn)
-            expected = oracle.get(lpn)
-            if data != expected:
-                mismatches.append((lpn, data, expected))
-
-    sim.run(sim.process(driver()))
+def test_ftl_agrees_with_dict_oracle(backend, ops):
+    sim, ftl = make_ftl(backend)
+    mismatches, oracle = oracle_mismatches(sim, ftl, ops)
     assert mismatches == []
     ftl.page_map.check_invariants()
     assert ftl.page_map.mapped_logical_pages() == len(oracle)
@@ -114,9 +140,9 @@ def test_ftl_overwrite_churn_preserves_last_write(lpns, rounds):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_concurrent_writers_agree_with_oracle(data):
+def test_concurrent_writers_agree_with_oracle(backend, data):
     """Parallel writers to disjoint pages: all values land."""
-    sim, ftl = make_ftl()
+    sim, ftl = make_ftl(backend)
     lpns = data.draw(
         st.lists(st.integers(0, LOGICAL - 1), min_size=2, max_size=10, unique=True)
     )

@@ -1,6 +1,11 @@
 """Unit and property tests for the zoned (ZNS-style) translation backend.
 
-The properties named by the backend contract:
+The logical page device contract is tested once, in ``tests/test_ftl.py``
+and ``tests/test_ftl_properties.py``; this module imports those tests and
+overrides their ``backend`` fixture, so pytest collects and runs each of
+them here a second time on the zoned FTL.
+
+The zone-specific properties tested here:
 
 - **write-pointer monotonicity per zone** — a zone's pointer only ever
   advances between resets; any decrease coincides with a reset (host or GC);
@@ -10,107 +15,59 @@ The properties named by the backend contract:
   mapped logical page reads back;
 - **append never overwrites** — the NAND array raises ``FlashOpError`` on
   any reprogram or out-of-order program, so a clean run under concurrent
-  appends *is* the proof.
+  appends (``test_concurrent_writers_no_protocol_violation``) *is* the
+  proof.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import apply_overrides, build_node, preset
+from repro.config.codec import ConfigError
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
 from repro.ftl import FtlConfig, LogicalIOError, ZonedFtl, ZoneState, create_backend
 from repro.sim import Simulator
+from tests.test_ftl import GEO, drive, make_ftl
 
-GEO = FlashGeometry(
-    channels=2, dies_per_channel=2, planes_per_die=1, blocks_per_plane=6,
-    pages_per_block=8, page_size=2048,
+# The backend-contract tests, collected again here against the zoned
+# ``backend`` fixture below.
+from tests.test_ftl import (  # noqa: F401
+    test_buffered_read_hit_before_flush,
+    test_concurrent_writers_no_protocol_violation,
+    test_gc_reclaims_space_under_overwrite_churn,
+    test_out_of_range_lpn_rejected,
+    test_oversized_write_rejected,
+    test_overwrite_returns_latest,
+    test_read_cache_disabled_by_default,
+    test_read_cache_hits_and_latency,
+    test_read_cache_invalidated_by_trim,
+    test_read_cache_invalidated_by_write,
+    test_read_cache_lru_eviction,
+    test_read_unwritten_page_returns_none,
+    test_sustained_overwrite_at_full_logical_capacity,
+    test_trim_races_inflight_destage_without_resurrection,
+    test_trim_unmaps_and_reads_none,
+    test_uncorrectable_read_surfaces_as_io_error,
+    test_write_read_roundtrip,
+)
+from tests.test_ftl_properties import (  # noqa: F401
+    oracle_mismatches,
+    test_concurrent_writers_agree_with_oracle,
+    test_ftl_agrees_with_dict_oracle,
 )
 
 CONFIG = FtlConfig(op_ratio=0.34, write_buffer_pages=4)
 
 
-def make_zoned(sim=None, geometry=GEO, config=CONFIG, zone_blocks=2,
-               max_open_zones=2, rber0=1e-9, **flash_kw):
-    sim = sim or Simulator(seed=7)
-    flash = FlashArray(
-        sim, geometry=geometry, error_model=BitErrorModel(rber0=rber0), **flash_kw
-    )
-    layout = CodewordLayout(data_bytes=min(2048, geometry.page_size))
-    ecc = EccEngine(sim, EccConfig(layout=layout))
-    ftl = ZonedFtl(sim, flash, ecc, config=config,
-                   zone_blocks=zone_blocks, max_open_zones=max_open_zones)
-    return sim, ftl
+@pytest.fixture(scope="module")
+def backend():
+    return "zoned"
 
 
-def drive(sim, gen):
-    return sim.run(sim.process(gen))
-
-
-# -- basics -----------------------------------------------------------------
-
-
-def test_write_read_roundtrip():
-    sim, ftl = make_zoned()
-
-    def flow():
-        yield from ftl.write(0, b"alpha")
-        yield from ftl.flush()
-        return (yield from ftl.read(0))
-
-    assert drive(sim, flow()) == b"alpha"
-
-
-def test_read_unwritten_page_returns_none():
-    sim, ftl = make_zoned()
-
-    def flow():
-        return (yield from ftl.read(5))
-
-    assert drive(sim, flow()) is None
-
-
-def test_buffered_read_hit_before_flush():
-    sim, ftl = make_zoned()
-
-    def flow():
-        yield from ftl.write(1, b"buffered")
-        return (yield from ftl.read(1))
-
-    assert drive(sim, flow()) == b"buffered"
-    assert ftl.buffer_read_hits == 1
-
-
-def test_overwrite_returns_latest():
-    sim, ftl = make_zoned()
-
-    def flow():
-        for value in (b"v1", b"v2", b"v3"):
-            yield from ftl.write(4, value)
-            yield from ftl.flush()
-        return (yield from ftl.read(4))
-
-    assert drive(sim, flow()) == b"v3"
-
-
-def test_trim_unmaps_and_reads_none():
-    sim, ftl = make_zoned()
-
-    def flow():
-        yield from ftl.write(2, b"doomed")
-        yield from ftl.flush()
-        yield from ftl.trim([2])
-        return (yield from ftl.read(2))
-
-    assert drive(sim, flow()) is None
-
-
-def test_out_of_range_lpn_rejected():
-    sim, ftl = make_zoned()
-    with pytest.raises(ValueError):
-        drive(sim, ftl.read(ftl.logical_pages))
-    with pytest.raises(ValueError):
-        drive(sim, ftl.write(-1, b"x"))
+def make_zoned(**kw):
+    return make_ftl(backend="zoned", **kw)
 
 
 def test_construction_validation():
@@ -124,9 +81,41 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         # 24 blocks / 12 per zone = 2 zones < 3
         ZonedFtl(sim, flash, ecc, config=CONFIG, zone_blocks=12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slack"):
         # slack below two zones of 4 blocks each
         ZonedFtl(sim, flash, ecc, config=FtlConfig(op_ratio=0.05), zone_blocks=4)
+
+
+PAGE_ONLY_KNOBS = [
+    ("gc_policy", "cost-benefit"),
+    ("wl_delta", 4),
+    ("gc_low_watermark", 2),
+    ("gc_high_watermark", 8),
+]
+
+
+@pytest.mark.parametrize("knob, value", PAGE_ONLY_KNOBS)
+def test_page_only_knobs_rejected_on_zoned(knob, value):
+    """The zoned backend has no GC policy, wear levelling or block
+    watermarks: setting one is an error naming it, in either override
+    order and on direct construction, never a silent ignore."""
+    smoke = preset("smoke")
+    for overrides in (
+        ["device.backend=zoned", f"ftl.{knob}={value}"],
+        [f"ftl.{knob}={value}", "device.backend=zoned"],
+    ):
+        with pytest.raises(ConfigError, match=f"ftl.{knob}"):
+            apply_overrides(smoke, overrides)
+    # the page backend takes the knob, and the zoned one its own ftl knobs
+    apply_overrides(smoke, [f"ftl.{knob}={value}"])
+    apply_overrides(smoke, ["device.backend=zoned", "ftl.read_cache_pages=8"])
+
+    sim = Simulator()
+    flash = FlashArray(sim, geometry=GEO)
+    ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=2048)))
+    config = FtlConfig(op_ratio=0.34, **{knob: value})
+    with pytest.raises(ValueError, match=f"ftl.{knob}"):
+        ZonedFtl(sim, flash, ecc, config=config, zone_blocks=2)
 
 
 def test_registry_constructs_zoned_backend():
@@ -165,34 +154,54 @@ def test_stats_and_health_keys():
     assert report["empty"] + report["open"] + report["full"] + report["offline"] == 12
 
 
+def test_zoned_node_exports_ftl_metrics():
+    """With ``obs.metrics`` on, a zoned device reports the same ``ftl.*``
+    series as a page device, and the GC counter agrees with ``stats()``."""
+    node = build_node(preset("smoke", ("device.backend=zoned", "obs.metrics=true")))
+    sim, ftl = node.sim, node.compstors[0].ftl
+    assert isinstance(ftl, ZonedFtl)
+
+    def flow():
+        # 2048 page writes over a 1024-page device, each round twice the
+        # 256-page write buffer: the collector must run
+        for rnd in range(4):
+            for lpn in range(512):
+                yield from ftl.write(lpn, bytes([rnd]))
+        yield from ftl.flush()
+        for lpn in range(0, 512, 8):
+            assert (yield from ftl.read(lpn)) == bytes([3])
+
+    drive(sim, flow())
+    metrics = ftl.metrics
+    for name in ("ftl.host_reads", "ftl.host_writes", "ftl.write_buffer.destages"):
+        assert metrics[name].value(device=ftl.name) > 0, name
+    collections = ftl.stats()["gc_collections"]
+    assert collections > 0
+    assert metrics["ftl.gc.collections"].value(device=ftl.name) == collections
+
+
 # -- zone semantics ---------------------------------------------------------
+
+
+def _fill_until_a_zone_is_full(ftl, payload):
+    """Write zone-sized batches until some zone closes; returns the full
+    zones (appends round-robin over the open slots)."""
+    for batch in range(2):
+        for lpn in range(batch * ftl.zone_pages, (batch + 1) * ftl.zone_pages):
+            yield from ftl.write(lpn, payload + b"%d" % lpn)
+        yield from ftl.flush()
+        full = [z for z in range(ftl.zone_count) if ftl.zone_state(z) == ZoneState.FULL]
+        if full:
+            return full
+    raise AssertionError("no zone filled")
 
 
 def test_explicit_reset_drops_zone_data():
     sim, ftl = make_zoned()
 
     def flow():
-        # fill one whole zone so it closes (FULL) and leaves the open slots
-        for lpn in range(ftl.zone_pages):
-            yield from ftl.write(lpn, b"z%d" % lpn)
-        yield from ftl.flush()
-        full = [z for z in range(ftl.zone_count)
-                if ftl.zone_state(z) == ZoneState.FULL]
-        if not full:
-            # appends round-robin over two slots; force closure by writing
-            # another zone's worth
-            for lpn in range(ftl.zone_pages, 2 * ftl.zone_pages):
-                yield from ftl.write(lpn, b"y%d" % lpn)
-            yield from ftl.flush()
-            full = [z for z in range(ftl.zone_count)
-                    if ftl.zone_state(z) == ZoneState.FULL]
-        assert full, "no zone filled"
-        victim = full[0]
-        lost = [
-            lpn
-            for block in ftl._zone_block_range(victim)
-            for lpn in ftl.page_map.valid_lpns_in_block(block)
-        ]
+        victim = (yield from _fill_until_a_zone_is_full(ftl, b"z"))[0]
+        lost = list(ftl._unit_lpns(victim))
         assert lost, "full zone holds no live pages"
         yield from ftl.reset_zone(victim)
         assert ftl.zone_state(victim) == ZoneState.EMPTY
@@ -219,77 +228,11 @@ def test_reset_refuses_open_zone():
     drive(sim, flow())
 
 
-def test_gc_reclaims_zones_under_overwrite_churn():
-    sim, ftl = make_zoned()
-    payload = b"c" * 64
-
-    def flow():
-        for _ in range(8):
-            for lpn in range(ftl.logical_pages):
-                yield from ftl.write(lpn, payload)
-            yield from ftl.flush()
-        # copy-forward preserved the final round everywhere
-        for lpn in range(ftl.logical_pages):
-            assert (yield from ftl.read(lpn)) == payload
-
-    drive(sim, flow())
-    assert ftl.gc_collections > 0
-    assert ftl.gc_pages_relocated >= 0
-    assert ftl.write_amplification() >= 1.0
-
-
-def test_sustained_overwrite_at_full_logical_capacity():
-    """The admission/stall design never deadlocks nor reports device-full
-    while the collector can still reclaim."""
-    sim, ftl = make_zoned()
-
-    def flow():
-        for rnd in range(12):
-            for lpn in range(ftl.logical_pages):
-                yield from ftl.write(lpn, bytes([rnd]) * 16)
-            yield from ftl.flush()
-        for lpn in range(ftl.logical_pages):
-            assert (yield from ftl.read(lpn)) == bytes([11]) * 16
-
-    drive(sim, flow())
-
-
-def test_concurrent_writers_no_protocol_violation():
-    """Appends from many processes: FlashArray raises on any out-of-order
-    or reprogram, so finishing cleanly proves append-only discipline."""
-    sim, ftl = make_zoned(max_open_zones=3)
-
-    def writer(lpn):
-        for rnd in range(4):
-            yield from ftl.write(lpn, bytes([rnd]) * 8)
-
-    def flow():
-        procs = [sim.process(writer(lpn)) for lpn in range(ftl.logical_pages)]
-        for proc in procs:
-            yield proc
-        yield from ftl.flush()
-
-    drive(sim, flow())
-    # every block's programmed prefix equals its NAND write pointer
-    assert ftl.flash.stats.programs == ftl.host_pages_programmed + ftl.gc_pages_relocated
-
-
 def test_grown_bad_block_takes_zone_offline():
     sim, ftl = make_zoned()
 
     def flow():
-        for lpn in range(ftl.zone_pages):
-            yield from ftl.write(lpn, b"fill")
-        yield from ftl.flush()
-        full = [z for z in range(ftl.zone_count)
-                if ftl.zone_state(z) == ZoneState.FULL]
-        if not full:
-            for lpn in range(ftl.zone_pages, 2 * ftl.zone_pages):
-                yield from ftl.write(lpn, b"more")
-            yield from ftl.flush()
-            full = [z for z in range(ftl.zone_count)
-                    if ftl.zone_state(z) == ZoneState.FULL]
-        victim = full[0]
+        victim = (yield from _fill_until_a_zone_is_full(ftl, b"fill"))[0]
         ftl.flash.mark_block_failed(victim * ftl.zone_blocks)
         yield from ftl.reset_zone(victim)
         assert ftl.zone_state(victim) == ZoneState.OFFLINE
@@ -342,12 +285,21 @@ PCONF = FtlConfig(op_ratio=0.34, write_buffer_pages=4)
 PLOGICAL = int((12 // 2) * (2 * 4) * (1 - 0.34))
 
 
-def make_property_ftl():
-    sim = Simulator(seed=1)
+def make_property_ftl(seed=1):
+    sim = Simulator(seed=seed)
     flash = FlashArray(sim, geometry=PGEO, error_model=BitErrorModel(rber0=1e-9))
     ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=512)))
     ftl = ZonedFtl(sim, flash, ecc, config=PCONF, zone_blocks=2, max_open_zones=2)
     return sim, ftl
+
+
+def resettable_zones(ftl):
+    return [
+        z for z in range(ftl.zone_count)
+        if ftl.zone_state(z) == ZoneState.FULL
+        and z not in ftl._reclaiming
+        and all(z not in zones for zones in ftl._open.values())
+    ]
 
 
 ops_strategy = st.lists(
@@ -374,53 +326,18 @@ def test_zoned_agrees_with_dict_oracle_across_resets(ops):
     must read back byte-identical.
     """
     sim, ftl = make_property_ftl()
-    oracle: dict[int, bytes] = {}
-    mismatches: list[tuple] = []
 
-    def resettable_zone(index: int):
-        candidates = [
-            z for z in range(ftl.zone_count)
-            if ftl.zone_state(z) == ZoneState.FULL
-            and z not in ftl._reclaiming
-            and all(z not in zones for zones in ftl._open.values())
-        ]
-        return candidates[index % len(candidates)] if candidates else None
+    def reset(op, index, oracle):
+        candidates = resettable_zones(ftl)
+        if not candidates:
+            return
+        zone = candidates[index % len(candidates)]
+        dropped = list(ftl._unit_lpns(zone))
+        yield from ftl.reset_zone(zone)
+        for lpn in dropped:
+            oracle.pop(lpn, None)
 
-    def driver():
-        for op, arg, payload in ops:
-            if op == "write":
-                yield from ftl.write(arg, payload)
-                oracle[arg] = payload
-            elif op == "read":
-                data = yield from ftl.read(arg)
-                expected = oracle.get(arg)
-                if data != expected:
-                    mismatches.append((arg, data, expected))
-            elif op == "trim":
-                yield from ftl.trim([arg])
-                oracle.pop(arg, None)
-            elif op == "flush":
-                yield from ftl.flush()
-            else:
-                zone = resettable_zone(arg)
-                if zone is None:
-                    continue
-                dropped = [
-                    lpn
-                    for block in ftl._zone_block_range(zone)
-                    for lpn in ftl.page_map.valid_lpns_in_block(block)
-                ]
-                yield from ftl.reset_zone(zone)
-                for lpn in dropped:
-                    oracle.pop(lpn, None)
-        yield from ftl.flush()
-        for lpn in range(ftl.logical_pages):
-            data = yield from ftl.read(lpn)
-            expected = oracle.get(lpn)
-            if data != expected:
-                mismatches.append((lpn, data, expected))
-
-    sim.run(sim.process(driver()))
+    mismatches, _ = oracle_mismatches(sim, ftl, ops, other_op=reset)
     assert mismatches == []
 
 
@@ -451,12 +368,7 @@ def test_write_pointer_monotone_between_resets(ops):
             elif op == "flush":
                 yield from ftl.flush()
             else:
-                candidates = [
-                    z for z in range(ftl.zone_count)
-                    if ftl.zone_state(z) == ZoneState.FULL
-                    and z not in ftl._reclaiming
-                    and all(z not in zones for zones in ftl._open.values())
-                ]
+                candidates = resettable_zones(ftl)
                 if candidates:
                     yield from ftl.reset_zone(candidates[arg % len(candidates)])
             wp, resets = snapshot()
@@ -473,10 +385,7 @@ def test_write_pointer_monotone_between_resets(ops):
 @given(seed=st.integers(0, 2**16), rounds=st.integers(2, 6))
 def test_copy_forward_preserves_live_data_under_churn(seed, rounds):
     """Force collections with overwrite churn; every live page survives."""
-    sim = Simulator(seed=seed)
-    flash = FlashArray(sim, geometry=PGEO, error_model=BitErrorModel(rber0=1e-9))
-    ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=512)))
-    ftl = ZonedFtl(sim, flash, ecc, config=PCONF, zone_blocks=2, max_open_zones=2)
+    sim, ftl = make_property_ftl(seed)
     survivors: list = []
 
     def driver():
