@@ -19,6 +19,7 @@ that makes end-of-life flash reads risky.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -208,8 +209,22 @@ class EccEngine:
         cfg = self.config
         n_bits = cfg.layout.codeword_bytes * 8
         codewords = cfg.layout.codewords_per_page(page_size)
-        # P(X <= t) for X ~ Binomial(n_bits, rber), exact via scipy
-        from scipy.stats import binom
-
-        p_ok = float(binom.cdf(cfg.capability, n_bits, rber))
+        p_ok = binomial_cdf(cfg.capability, n_bits, rber)
         return 1.0 - p_ok**codewords
+
+
+def binomial_cdf(t: int, n: int, p: float) -> float:
+    """P(X <= t) for X ~ Binomial(n, p): the exact sum of the ``t + 1``
+    pmf terms, each taken in log space so large ``n`` cannot overflow."""
+    if t >= n or p <= 0.0:
+        return 1.0
+    if t < 0 or p >= 1.0:
+        return 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n = math.lgamma(n + 1)
+    logs = [
+        log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q
+        for k in range(t + 1)
+    ]
+    top = max(logs)
+    return min(1.0, math.exp(top) * math.fsum(math.exp(x - top) for x in logs))

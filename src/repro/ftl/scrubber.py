@@ -94,16 +94,25 @@ class PatrolScrubber:
             # daemon timer: patrols never keep the simulation alive
             yield ftl.sim.timeout(self.interval, daemon=True)
             closed, open_ = self._patrol_targets()
+            # each refresh yields, so the collector may reclaim (and free)
+            # a listed block before its turn: re-check it just before acting
             for block in closed:
                 self.blocks_scanned += 1
-                if self._block_at_risk(block):
+                if self._block_at_risk(block) and self._still_closed(block):
                     yield from self.refresh(block)
             for block in open_:
                 # an open frontier cannot be erased, but its cold data can
                 # still be rewritten elsewhere (relocation-only refresh)
                 self.blocks_scanned += 1
-                if self._block_at_risk(block):
+                if self._block_at_risk(block) and block in ftl.allocator.open_blocks():
                     yield from self.refresh_data_only(block)
+
+    def _still_closed(self, block_index: int) -> bool:
+        ftl = self.ftl
+        return (
+            block_index in ftl.allocator.closed_blocks()
+            and ftl.page_map.valid_pages_in_block(block_index) > 0
+        )
 
     def refresh_data_only(self, block_index: int) -> Generator:
         """Relocate valid data out of a block without erasing it."""

@@ -11,12 +11,17 @@ generates a statistically similar corpus:
   expected values;
 - deterministic from the seed: same spec, same corpus, bit for bit.
 
-Set-up cost is kept low in two ways.  A book's codec output is computed
+Set-up cost is kept low in three ways.  A book's codec output is computed
 the first time ``BookFile.compressed`` (or ``compressed_size``/``ratio``)
 is read, then cached: most runs stage plain text only and never pay for
 bzip2/zlib.  Text is assembled from whole-book numpy draws (line lengths in
-batches, one join, newlines written by offset) that consume exactly the
-same RNG stream as a per-line loop, so the bytes never depend on the path.
+batches, one join over words that carry their own space or newline) that
+consume exactly the same RNG stream as a per-line loop, so the bytes never
+depend on the path.
+Words come from an inverse-CDF table built once per corpus
+(:class:`_InverseCdf`), which returns exactly what
+``rng.choice(p=weights)`` would, from the same draws, without rebuilding
+and bisecting the CDF for every book.
 
 ``CorpusSpec.paper_scale()`` reproduces the full 348-file/11.3 GB dataset
 (analytic mode recommended at that size); the default is a scaled-down
@@ -32,10 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.calibration import ANALYTIC_COMPRESSION_RATIO
+
 __all__ = ["BookCorpus", "BookFile", "CorpusSpec", "partition_round_robin"]
 
 _VOCAB_SIZE = 4096
 _MAX_WORDS_PER_LINE = 14  # lines hold 8-14 words
+_GUIDE_BUCKETS = 2**16  # a power of two, so k / 2**16 and u * 2**16 are exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,6 +121,45 @@ class BookFile:
         return self.compressed_size / self.plain_size if self.plain_size else 0.0
 
 
+class _InverseCdf:
+    """Draws indices with probabilities ``p`` exactly as
+    ``Generator.choice(len(p), size=n, p=p)`` does, without its per-call
+    set-up.
+
+    ``choice`` normalises ``p.cumsum()``, draws ``rng.random(n)`` and
+    returns ``cdf.searchsorted(u, side="right")``.  Here the CDF is built
+    once, plus a guide table ``guide[k] = cdf.searchsorted(k / 2**16,
+    side="right")``; each draw starts at its bucket's entry and steps
+    forward while ``cdf[i] <= u``.  Because ``u >= k / 2**16`` in bucket
+    ``k`` (both exact) and searchsorted is monotone, the walk starts at or
+    below the answer and stops exactly on it (``cdf[-1] == 1.0 > u``
+    bounds it).
+    """
+
+    __slots__ = ("_cdf", "_guide")
+
+    def __init__(self, p: np.ndarray):
+        cdf = np.asarray(p, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        # guide[k] = #{i: cdf[i] <= k / 2**16} = #{i: ceil(cdf[i] * 2**16) <= k}
+        # (exact), so it rises to i + 1 at bucket ceil(cdf[i] * 2**16); a
+        # repeat builds it at a tenth of searchsorted's cost
+        steps = np.ceil(cdf * _GUIDE_BUCKETS).astype(np.intp)
+        counts = np.arange(len(cdf) + 1, dtype=np.min_scalar_type(len(cdf)))
+        self._guide = np.repeat(counts, np.diff(steps, prepend=0, append=_GUIDE_BUCKETS))
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        cdf = self._cdf
+        u = rng.random(n)
+        idx = self._guide[(u * _GUIDE_BUCKETS).astype(np.intp)].astype(np.intp)
+        behind = np.flatnonzero(cdf[idx] <= u)
+        while behind.size:
+            idx[behind] += 1
+            behind = behind[cdf[idx[behind]] <= u[behind]]
+        return idx
+
+
 def _make_vocabulary(rng: np.random.Generator) -> list[bytes]:
     """A synthetic vocabulary with English-like word lengths.
 
@@ -134,16 +181,17 @@ class BookCorpus:
         self._rng = np.random.default_rng(self.spec.seed)
         self._vocab = _make_vocabulary(self._rng)
         self._mean_word = float(np.mean([len(w) for w in self._vocab])) + 1.0
-        # word table indexed by vocabulary rank; index _VOCAB_SIZE is the needle
-        needle = self.spec.needle.encode()
-        self._words = np.empty(_VOCAB_SIZE + 1, dtype=object)
-        self._words[:] = self._vocab + [needle]
-        # bytes each word takes in the text, its separator included
-        self._word_bytes = np.array([len(w) for w in self._vocab] + [len(needle)]) + 1
+        # word table indexed by vocabulary rank; index _VOCAB_SIZE is the
+        # needle.  Each word carries its separator: a space in the first
+        # half, a newline (a line's last word) in the second.
+        words = self._vocab + [self.spec.needle.encode()]
+        self._words = np.empty(2 * len(words), dtype=object)
+        self._words[:] = [w + b" " for w in words] + [w + b"\n" for w in words]
         # Zipf-ish weights over the vocabulary (s ~ 1.1)
         ranks = np.arange(1, _VOCAB_SIZE + 1, dtype=float)
         weights = ranks ** -1.1
         self._weights = weights / weights.sum()
+        self._word_sampler = _InverseCdf(self._weights)
 
     # -- generation -----------------------------------------------------------
     def _file_sizes(self) -> np.ndarray:
@@ -161,7 +209,7 @@ class BookCorpus:
         spec = self.spec
         rng = self._rng
         n_words = max(16, int(nbytes / self._mean_word))
-        idx = rng.choice(_VOCAB_SIZE, size=n_words, p=self._weights)
+        idx = self._word_sampler.draw(rng, n_words)
         needle_count = 0
         if spec.needle_rate > 0:
             hits = np.flatnonzero(rng.random(n_words) < spec.needle_rate)
@@ -178,11 +226,8 @@ class BookCorpus:
             line_ends.append(covered + np.cumsum(batch))
             covered = int(line_ends[-1][-1])
         last_words = np.minimum(np.concatenate(line_ends), n_words) - 1
-        text = bytearray(b" ".join(self._words[idx].tolist()) + b"\n")
-        np.frombuffer(text, dtype=np.uint8)[
-            np.cumsum(self._word_bytes[idx])[last_words] - 1
-        ] = ord("\n")
-        return bytes(text[:nbytes]), needle_count
+        idx[last_words] += _VOCAB_SIZE + 1
+        return b"".join(self._words[idx].tolist())[:nbytes], needle_count
 
     def generate(self, functional: bool = True) -> list[BookFile]:
         """Produce the corpus.
@@ -208,7 +253,7 @@ class BookCorpus:
                     )
                 )
             else:
-                ratio = {"gzip": 0.36, "bzip2": 0.30, "none": 1.0}[compression]
+                ratio = ANALYTIC_COMPRESSION_RATIO.get(compression, 1.0)
                 expected_needles = int(size / 7.0 * spec.needle_rate)
                 books.append(
                     BookFile(

@@ -162,3 +162,47 @@ def test_scrubber_parameter_validation():
         PatrolScrubber(ftl, margin=0)
     with pytest.raises(ValueError):
         PatrolScrubber(ftl, margin=1.5)
+
+
+def test_scrubber_skips_blocks_reclaimed_during_its_pass():
+    """A pass lists its targets once, then yields inside each refresh; a
+    block the collector reclaims meanwhile must not be refreshed (and
+    released) a second time while it is free."""
+    sim = Simulator(0)
+    geo = FlashGeometry(
+        channels=2, dies_per_channel=1, planes_per_die=1, blocks_per_plane=6,
+        pages_per_block=8, page_size=2048,
+    )
+    flash = FlashArray(sim, geometry=geo, error_model=BitErrorModel(rber0=1e-6, tau=0.01))
+    ecc = EccEngine(
+        sim, EccConfig(layout=CodewordLayout(data_bytes=2048), capability=40)
+    )
+    ftl = FlashTranslationLayer(
+        sim, flash, ecc,
+        config=FtlConfig(scrub_interval=1e-3, scrub_margin=0.01, op_ratio=0.3),
+    )
+    rng = sim.rng("w")
+    hot = int(ftl.logical_pages * 0.8)
+    last = {}
+
+    def churn():
+        for i in range(2000):
+            lpn = int(rng.integers(hot))
+            data = f"w{i}".encode()
+            yield from ftl.write(lpn, data)
+            last[lpn] = data
+            if i % 7 == 6:
+                yield sim.timeout(rng.random() * 2e-3)
+        yield from ftl.flush()
+
+    drive(sim, churn())
+    assert ftl.scrubber.blocks_refreshed > 0
+
+    def readback():
+        out = {}
+        for lpn in sorted(last):
+            out[lpn] = yield from ftl.read(lpn)
+        return out
+
+    assert drive(sim, readback()) == last
+    ftl.page_map.check_invariants()

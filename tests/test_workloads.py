@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.workloads import BookCorpus, CorpusSpec, partition_round_robin
 from repro.workloads import corpus as corpus_module
-from repro.workloads.corpus import _make_vocabulary
+from repro.workloads.corpus import _InverseCdf, _make_vocabulary
 
 
 def test_corpus_is_deterministic():
@@ -217,6 +217,77 @@ def test_generate_text_matches_per_line_oracle(seed, nbytes, needle_rate, earlie
     assert text == expected_text
     assert needles == expected_needles
     assert corpus._rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _reference_corpus(spec):
+    """Plain text and needle counts of every book, drawn the per-line way,
+    and the generator they leave behind."""
+    rng = np.random.default_rng(spec.seed)
+    vocab = _reference_vocabulary(rng)
+    weights = np.arange(1, 4097, dtype=float) ** -1.1
+    weights /= weights.sum()
+    sizes = rng.lognormal(np.log(spec.mean_file_bytes), spec.size_spread, size=spec.files)
+    sizes = np.maximum(sizes, 1024).astype(np.int64)
+    books = [_reference_text(rng, vocab, weights, spec, int(size)) for size in sizes]
+    return books, rng
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    files=st.integers(1, 4),
+    mean_file_bytes=st.integers(1024, 64 * 1024),
+    size_spread=st.floats(0.0, 0.8),
+    needle_rate=st.sampled_from([0.0, 0.01, 0.3]),
+)
+def test_generate_matches_per_line_oracle(seed, files, mean_file_bytes, size_spread,
+                                          needle_rate):
+    spec = CorpusSpec(files=files, mean_file_bytes=mean_file_bytes, size_spread=size_spread,
+                      needle_rate=needle_rate, seed=seed)
+    corpus = BookCorpus(spec)
+    books = corpus.generate()
+    expected, reference_rng = _reference_corpus(spec)
+    assert [(book.plain, book.needle_count) for book in books] == expected
+    assert corpus._rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+_ZIPF_WEIGHTS = BookCorpus()._weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 50_000),
+    weights=st.just(_ZIPF_WEIGHTS)
+    | st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=1, max_size=64).filter(any),
+)
+def test_inverse_cdf_matches_choice(seed, n, weights):
+    """Same indices as ``choice(p=...)`` and the same generator state after."""
+    p = np.asarray(weights, dtype=float)
+    p = p / p.sum()
+    sampler = _InverseCdf(p)
+    keys = np.arange(2**16) / 2**16
+    assert sampler._guide.tolist() == sampler._cdf.searchsorted(keys, side="right").tolist()
+    sampled, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = sampler.draw(sampled, n)
+    assert drawn.tolist() == reference.choice(len(p), size=n, p=p).tolist()
+    assert sampled.random() == reference.random()
+
+
+def test_inverse_cdf_steps_past_ties():
+    """A draw equal to a CDF value lands past it (searchsorted's
+    ``side="right"``), also two steps into one guide bucket."""
+    p = np.array([0.0, 1e-6, 1e-6, 0.0, 1.0 - 2e-6])
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.array([0.0, cdf[1], cdf[2], 0.5, 1.0 - 2.0**-53])
+
+    class Replay:
+        def random(self, n):
+            return u[:n].copy()
+
+    drawn = _InverseCdf(p).draw(Replay(), len(u))
+    assert drawn.tolist() == cdf.searchsorted(u, side="right").tolist() == [1, 2, 4, 4, 4]
 
 
 # -- lazy compression -----------------------------------------------------------
