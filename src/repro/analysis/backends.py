@@ -11,7 +11,9 @@ then compare the backends' storage behaviour on identical work.
 
 Cells are JSON-encodable parallel-runner work items (the ``backends``
 family in :mod:`repro.families`), so a backend sweep runs under the same
-deterministic matrix machinery as the figures.
+deterministic matrix machinery as the figures.  :func:`smart_cell`, behind
+the ``smart`` verb, reads one drive's SMART/health log after a workload
+through the backend-agnostic ``health_stats()`` surface.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.analysis.figures import _device_pass, _input_bytes
 from repro.config import DeviceBackendConfig, scenario_from_dict
 from repro.ftl import DEVICE_BACKENDS
 
-__all__ = ["BACKEND_APPS", "backend_cell"]
+__all__ = ["BACKEND_APPS", "backend_cell", "smart_cell"]
 
 #: Apps whose output the comparison pins across backends.  ``grep`` reads
 #: plain text and emits matches; ``gzip`` reads plain text and emits a
@@ -99,3 +101,32 @@ def backend_cell(
             "open": sum(r["open"] for r in reports),
         }
     return cell
+
+
+def smart_cell(scenario: dict, files: int = 4) -> list:
+    """``[attribute, value]`` rows of one CompStor's SMART/health log after
+    it gzips ``files`` freshly staged books."""
+    from repro.config import build_node
+    from repro.workloads import BookCorpus, CorpusSpec
+
+    config = scenario_from_dict(scenario)
+    config = replace(config, fleet=replace(config.fleet, devices_per_node=1))
+    node = build_node(config)
+    sim = node.sim
+    books = BookCorpus(CorpusSpec(files=files, mean_file_bytes=64 * 1024)).generate()
+    sim.run(sim.process(node.stage_corpus(books, compressed=False)))
+
+    def workload():
+        for book in books:
+            yield from node.client.run("compstor0", f"gzip {book.name}")
+
+    sim.run(sim.process(workload()))
+    rows = []
+    for key, value in node.compstors[0].controller.smart_log().items():
+        if key == "latency":
+            for opcode, stats in value.items():
+                rows.append([f"latency.{opcode}",
+                             f"n={stats['count']} mean={stats['mean'] * 1e6:.1f}us"])
+        else:
+            rows.append([key, value])
+    return rows

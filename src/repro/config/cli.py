@@ -34,14 +34,11 @@ __all__ = [
 # -- scenario flags on experiment verbs -------------------------------------
 
 
-def add_scenario_args(
-    parser: argparse.ArgumentParser, default_preset: str | None = None
-) -> None:
+def add_scenario_args(parser: argparse.ArgumentParser, default_preset: str) -> None:
     """Attach ``--preset`` / ``--set`` to an experiment verb."""
     parser.add_argument(
         "--preset", default=default_preset, choices=sorted(preset_names()),
-        help="scenario preset to start from"
-        + (f" (default: {default_preset})" if default_preset else ""),
+        help=f"scenario preset to start from (default: {default_preset})",
     )
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[],
@@ -52,17 +49,11 @@ def add_scenario_args(
 
 
 def scenario_from_args(args: argparse.Namespace) -> ScenarioConfig | None:
-    """The scenario an experiment verb should run, or None for legacy flags.
-
-    Overrides without a preset start from ``paper-prototype``.
-    """
-    overrides = tuple(getattr(args, "overrides", ()) or ())
-    name = getattr(args, "preset", None)
-    if name is None:
-        if not overrides:
-            return None
-        name = "paper-prototype"
-    return preset(name, overrides)
+    """The scenario an experiment verb should run, or None for a verb
+    without scenario flags."""
+    if getattr(args, "preset", None) is None:
+        return None
+    return preset(args.preset, tuple(args.overrides))
 
 
 def scenario_header(config: ScenarioConfig) -> str:

@@ -1,10 +1,4 @@
-"""In-situ executables operating on objects.
-
-``objscan PATTERN KEY...`` greps a set of *objects* (by key) inside the
-drive — the "in-situ processing AND object-oriented at the same time"
-combination the paper sketches.  The object namespace is just a prefix
-convention over the device filesystem, so the standard streaming machinery
-applies unchanged.
+"""The in-situ executable of the dedup object store.
 
 ``chunksum MIN AVG MAX FILE`` is the dedup store's write-path offload:
 content-defined chunking plus per-chunk SHA-1 digests computed *inside the
@@ -21,15 +15,12 @@ import hashlib
 from typing import Generator
 
 from repro.analysis.calibration import CYCLES_PER_BYTE
-from repro.apps.base import StreamingApp, UsageError, charge
+from repro.apps.base import StreamingApp, UsageError
 from repro.isos.loader import ExecContext, ExitStatus
 from repro.objstore.chunking import ChunkParams, Chunker
-from repro.objstore.store import OBJECT_PREFIX
 
-__all__ = ["ChunkSumApp", "ObjScanApp"]
+__all__ = ["ChunkSumApp"]
 
-# objscan costs what grep costs: it is a pattern scan over object payloads
-CYCLES_PER_BYTE.setdefault("objscan", dict(CYCLES_PER_BYTE["grep"]))
 # chunksum costs what sha1sum costs: the gear hash is a shift-add per byte,
 # dwarfed by the per-chunk SHA-1 that dominates the same way sha1sum's does
 CYCLES_PER_BYTE.setdefault("chunksum", dict(CYCLES_PER_BYTE["sha1sum"]))
@@ -100,40 +91,3 @@ class ChunkSumApp(StreamingApp):
             detail={"chunks": len(self._chunks), "bytes": total_bytes},
         )
         yield  # pragma: no cover - generator protocol
-
-
-class ObjScanApp:
-    """``objscan PATTERN KEY [KEY...]`` — match count per object."""
-
-    name = "objscan"
-
-    def run(self, ctx: ExecContext) -> Generator:
-        if len(ctx.args) < 2:
-            return ExitStatus(code=2, stdout=b"usage: objscan PATTERN KEY...")
-        pattern = ctx.args[0].encode()
-        results: list[str] = []
-        total = 0
-        for key in ctx.args[1:]:
-            path = OBJECT_PREFIX + key
-            if not ctx.fs.exists(path):
-                return ExitStatus(code=1, stdout=f"no such object: {key}".encode())
-            matches = 0
-            carry = b""
-            stream = ctx.stream_pages(path)
-            while not stream.exhausted:
-                chunk, take = yield from stream.next_page()
-                yield from charge(ctx, self.name, take)
-                if chunk is None:
-                    continue
-                data = carry + chunk
-                matches += data.count(pattern)
-                # avoid double counting across the seam: keep a pattern-sized tail
-                carry = data[-(len(pattern) - 1):] if len(pattern) > 1 else b""
-                matches -= carry.count(pattern)
-            results.append(f"{key}:{matches}")
-            total += matches
-        return ExitStatus(
-            code=0 if total else 1,
-            stdout=" ".join(results).encode(),
-            detail={"total_matches": total, "objects": len(ctx.args) - 1},
-        )

@@ -1,186 +1,13 @@
-"""A Kinetic-style key-value object store over the in-storage filesystem.
+"""The object-level error of the dedup object store.
 
-Objects are identified by keys (not LBAs); values live as files in the
-device filesystem under a reserved prefix, with per-object metadata
-(version, checksum, user tags).  The API mirrors the Kinetic primitives the
-paper cites: ``put`` / ``get`` / ``delete`` / ``get_key_range``, plus
-compare-and-swap versioning so concurrent clients don't clobber each other.
+It lives in its own module so callers that only catch it (the drills, the
+serving frontend) import it without pulling in the store itself.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Generator
-
-from repro.isos.filesystem import ExtentFileSystem, FsError
-
-__all__ = ["ObjectMeta", "ObjectStore", "ObjectStoreError", "VersionMismatchError"]
-
-#: Filesystem namespace reserved for object payloads / metadata.
-OBJECT_PREFIX = "obj."
-META_FILE = "objstore.meta"
+__all__ = ["ObjectStoreError"]
 
 
 class ObjectStoreError(Exception):
     """Object-level failure (missing key, bad key, space)."""
-
-
-class VersionMismatchError(ObjectStoreError):
-    """Compare-and-swap failed: the object changed under the caller."""
-
-
-@dataclass(slots=True)
-class ObjectMeta:
-    """Metadata carried with every object."""
-
-    key: str
-    size: int
-    version: int
-    sha1: str
-    tags: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "size": self.size,
-            "version": self.version,
-            "sha1": self.sha1,
-            "tags": self.tags,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ObjectMeta":
-        return cls(
-            key=obj["key"], size=obj["size"], version=obj["version"],
-            sha1=obj["sha1"], tags=dict(obj["tags"]),
-        )
-
-
-def _check_key(key: str) -> None:
-    if not key or "/" in key or "\x00" in key or len(key) > 128:
-        raise ObjectStoreError(f"invalid object key {key!r}")
-
-
-def _file_for(key: str) -> str:
-    return OBJECT_PREFIX + key
-
-
-class ObjectStore:
-    """Key-value objects over an :class:`ExtentFileSystem`."""
-
-    def __init__(self, fs: ExtentFileSystem):
-        self.fs = fs
-        self.objects: dict[str, ObjectMeta] = {}
-        self.puts = 0
-        self.gets = 0
-
-    # -- primitives ---------------------------------------------------------
-    def put(
-        self,
-        key: str,
-        value: bytes | None,
-        size: int | None = None,
-        tags: dict[str, str] | None = None,
-        expect_version: int | None = None,
-    ) -> Generator:
-        """Store an object; returns its new :class:`ObjectMeta`.
-
-        ``expect_version`` implements compare-and-swap: the put fails unless
-        the current version matches (``0`` = must not exist).
-        """
-        _check_key(key)
-        current = self.objects.get(key)
-        if expect_version is not None:
-            have = current.version if current else 0
-            if have != expect_version:
-                raise VersionMismatchError(
-                    f"{key!r}: expected version {expect_version}, found {have}"
-                )
-        if value is not None:
-            size = len(value)
-        if size is None:
-            raise ObjectStoreError("put needs a value or an explicit size")
-        try:
-            yield from self.fs.write_file(_file_for(key), value, size)
-        except FsError as exc:
-            raise ObjectStoreError(f"cannot store {key!r}: {exc}") from exc
-        sha1 = hashlib.sha1(value).hexdigest() if value is not None else ""
-        meta = ObjectMeta(
-            key=key,
-            size=size,
-            version=(current.version + 1) if current else 1,
-            sha1=sha1,
-            tags=dict(tags or {}),
-        )
-        self.objects[key] = meta
-        self.puts += 1
-        return meta
-
-    def get(self, key: str, verify: bool = True) -> Generator:
-        """Fetch an object; returns ``(value_or_None, ObjectMeta)``."""
-        meta = self._meta(key)
-        data = yield from self.fs.read_file(_file_for(key))
-        self.gets += 1
-        if verify and data is not None and meta.sha1:
-            digest = hashlib.sha1(data).hexdigest()
-            if digest != meta.sha1:
-                raise ObjectStoreError(f"{key!r}: checksum mismatch (corruption?)")
-        return data, meta
-
-    def delete(self, key: str, expect_version: int | None = None) -> Generator:
-        meta = self._meta(key)
-        if expect_version is not None and meta.version != expect_version:
-            raise VersionMismatchError(
-                f"{key!r}: expected version {expect_version}, found {meta.version}"
-            )
-        yield from self.fs.delete(_file_for(key))
-        del self.objects[key]
-        return None
-
-    # -- queries -----------------------------------------------------------
-    def _meta(self, key: str) -> ObjectMeta:
-        _check_key(key)
-        meta = self.objects.get(key)
-        if meta is None:
-            raise ObjectStoreError(f"no such object: {key!r}")
-        return meta
-
-    def head(self, key: str) -> ObjectMeta:
-        """Metadata without reading the value."""
-        return self._meta(key)
-
-    def exists(self, key: str) -> bool:
-        return key in self.objects
-
-    def get_key_range(self, start: str = "", end: str = "\xff", limit: int = 1000) -> list[str]:
-        """Kinetic's ordered key-range query."""
-        keys = sorted(k for k in self.objects if start <= k <= end)
-        return keys[:limit]
-
-    def total_bytes(self) -> int:
-        return sum(meta.size for meta in self.objects.values())
-
-    # -- persistence ---------------------------------------------------------
-    def persist(self) -> Generator:
-        """Write the object index next to the data (survives 'reboot')."""
-        blob = json.dumps(
-            {"objects": [meta.to_json() for meta in self.objects.values()]}
-        ).encode()
-        yield from self.fs.write_file(META_FILE, blob)
-        yield from self.fs.device.flush()
-        return None
-
-    def load(self) -> Generator:
-        if not self.fs.exists(META_FILE):
-            self.objects = {}
-            return None
-        blob = yield from self.fs.read_file(META_FILE)
-        if blob is None:
-            raise ObjectStoreError("cannot load object index from analytic device")
-        table = json.loads(blob.decode())
-        self.objects = {
-            obj["key"]: ObjectMeta.from_json(obj) for obj in table["objects"]
-        }
-        return None

@@ -1,9 +1,39 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config.cli import scenario_from_args
 from repro.families import FAMILIES
+
+DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+REPO = Path(__file__).resolve().parents[1]
+
+
+def documented_commands() -> list:
+    """Every ``python -m repro ...`` argv in a fenced bash block of the docs."""
+    commands = []
+    for doc in DOCS:
+        text = (REPO / doc).read_text()
+        for block in re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S):
+            for line in block.splitlines():
+                _, found, argv = line.partition("python -m repro ")
+                if found:
+                    commands.append(pytest.param(
+                        shlex.split(argv, comments=True), id=f"{doc}:{argv.split('#')[0].strip()}"
+                    ))
+    return commands
+
+
+@pytest.mark.parametrize("argv", documented_commands())
+def test_documented_command_parses(argv):
+    """Parse only: the verb, its flags and any scenario overrides resolve."""
+    args = build_parser().parse_args(argv)
+    scenario_from_args(args)
 
 
 def test_table1_command(capsys):
@@ -69,13 +99,6 @@ def test_smart_command(capsys):
     assert "SMART" in out
     assert "write_amplification" in out
     assert "latency.ISC_MINION" in out
-
-
-def test_fleet_command(capsys):
-    assert main(["fleet", "--nodes", "1", "2", "--books-per-node", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "fleet weak scaling" in out
-    assert "aggregate MB/s" in out
 
 
 def test_metrics_command(capsys):

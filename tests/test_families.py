@@ -1,6 +1,6 @@
 """Every experiment family, checked the same way.
 
-One parametrized test runs each matrix verb of :data:`repro.families.FAMILIES`
+One parametrized test runs each scenario verb of :data:`repro.families.FAMILIES`
 (plus the extra argv a family needs covered) and asserts:
 
 - a cache-hit rerun prints the same stdout bytes with ``executed=0``;
@@ -72,6 +72,8 @@ CASES = [
     pytest.param("objstore", [], _objstore_rows_end_yes, id="objstore"),
     pytest.param("objstore", ["--sweep"], _sweep_is_monotone, id="objstore-sweep"),
     pytest.param("backends", [], None, id="backends"),
+    pytest.param("chaos", [], None, id="chaos"),
+    pytest.param("smart", [], None, id="smart"),
 ]
 
 

@@ -2,17 +2,21 @@
 
 The chain under test: files written through the in-storage filesystem land
 on NAND with OOB stamps; after a power cut the FTL rebuilds its map from
-the media, the filesystem reloads its metadata region, and the object store
-reloads its index — everything a real drive must reassemble at boot.
+the media, the filesystem reloads its metadata region, and every
+content-addressed block the dedup object store wrote reads back intact —
+everything a real drive must reassemble at boot.
 """
 
-import pytest
+import hashlib
+import random
 
+from repro.config import FlashConfig, FleetConfig, ScenarioConfig, build_fleet
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
 from repro.ftl import FlashTranslationLayer, FtlConfig
 from repro.isos import ExtentFileSystem, FlashAccessDevice
-from repro.objstore import ObjectStore
+from repro.objstore import ChunkParams, DedupObjectStore
+from repro.objstore.dedup import BLOCK_PREFIX
 from repro.sim import Simulator
 
 GEO = FlashGeometry(
@@ -20,12 +24,12 @@ GEO = FlashGeometry(
     pages_per_block=8, page_size=2048,
 )
 CONFIG = FtlConfig(op_ratio=0.25)
+ECC = EccConfig(layout=CodewordLayout(data_bytes=2048))
 
 
-def build_stack(sim, flash, name="ftl"):
-    ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=2048)),
-                    name=f"{name}.ecc")
-    ftl = FlashTranslationLayer(sim, flash, ecc, config=CONFIG, name=name)
+def build_stack(sim, flash, name="ftl", config=CONFIG, ecc_config=ECC):
+    ecc = EccEngine(sim, ecc_config, name=f"{name}.ecc")
+    ftl = FlashTranslationLayer(sim, flash, ecc, config=config, name=name)
     fs = ExtentFileSystem(sim, FlashAccessDevice(sim, ftl))
     return ftl, fs
 
@@ -58,36 +62,40 @@ def test_filesystem_survives_power_cycle():
 
 
 def test_object_store_survives_power_cycle():
-    sim = Simulator(seed=14)
-    flash = FlashArray(sim, geometry=GEO, error_model=BitErrorModel(rber0=1e-9))
-    ftl, fs = build_stack(sim, flash)
-    store = ObjectStore(fs)
+    """Dedup PUTs on a one-device fleet, then a power cut: every block file
+    the rebuilt stack finds reads back with the SHA-1 it is named by."""
+    fleet = build_fleet(ScenarioConfig(
+        flash=FlashConfig(capacity_bytes=24 * 1024 * 1024),
+        fleet=FleetConfig(nodes=1, devices_per_node=1),
+    ))
+    sim = fleet.sim
+    ssd = fleet.nodes[0].compstors[0]
+    store = DedupObjectStore(
+        fleet, params=ChunkParams(min_size=64, avg_size=256, max_size=1024), replicas=1
+    )
+    shared = random.Random(1).randbytes(4096)
 
     def first_life():
-        yield from store.put("alpha", b"object one", tags={"k": "v"})
-        yield from store.put("beta", b"object two")
-        yield from store.put("alpha", b"object one v2", tags={"k": "v"})  # bump
-        yield from store.persist()
-        yield from fs.persist()
+        for i in range(4):  # a shared prefix, so later PUTs dedup against it
+            yield from store.put(f"obj{i}", shared + random.Random(10 + i).randbytes(2048))
+        yield from ssd.fs.persist()
 
     drive(sim, first_life())
+    assert store.stats.chunks_deduped > 0
+    blocks = sorted(n for n in ssd.fs.listdir() if n.startswith(BLOCK_PREFIX))
+    assert blocks
 
-    ftl2, _ = build_stack(sim, flash, name="ftl2")
+    # --- power cut: all DRAM state gone, media survives ---
+    ftl2, _ = build_stack(sim, ssd.flash, name="ftl2",
+                          config=ssd.ftl.config, ecc_config=ssd.ecc.config)
     drive(sim, ftl2.recover_from_flash())
     fs2 = ExtentFileSystem(sim, FlashAccessDevice(sim, ftl2))
     drive(sim, fs2.load())
-    store2 = ObjectStore(fs2)
-    drive(sim, store2.load())
 
-    assert store2.get_key_range() == ["alpha", "beta"]
-    assert store2.head("alpha").version == 2
-
-    def get(key):
-        return (yield from store2.get(key))
-
-    data, meta = drive(sim, get("alpha"))
-    assert data == b"object one v2"
-    assert meta.tags == {"k": "v"}
+    assert sorted(n for n in fs2.listdir() if n.startswith(BLOCK_PREFIX)) == blocks
+    for name in blocks:
+        blob = drive(sim, fs2.read_file(name))
+        assert hashlib.sha1(blob).hexdigest() == name[len(BLOCK_PREFIX):]
 
 
 def test_unpersisted_fs_metadata_is_lost_but_recoverable_data_remains():
