@@ -18,6 +18,7 @@ for every minion: ``completed + recovered + lost == dispatched``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, Sequence
 
@@ -92,24 +93,31 @@ class StorageFleet:
         self.sim = sim
         self.nodes = nodes
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_node_load = self.metrics.gauge(
-            "cluster.node.active_minions", "in-flight minions per node, sampled per job"
-        )
-        self._m_failovers = self.metrics.counter(
-            "cluster.failovers", "minions rerouted to a surviving replica"
-        )
-        self._m_host_fallbacks = self.metrics.counter(
-            "cluster.host_fallbacks", "minions executed host-side (no replica survived)"
-        )
-        self._m_lost = self.metrics.counter(
-            "cluster.minions.lost", "minions lost with no surviving copy of their data"
-        )
         #: book name -> ordered replica targets (primary first)
         self._replica_map: dict[str, list[tuple[int, str]]] = {}
-        self.failovers_total = 0
+        #: minions rerouted to a surviving replica, by the replica's device
+        self.failovers_by_device: Counter[str] = Counter()
+        #: minions lost with no surviving copy, by book
+        self.lost_by_book: Counter[str] = Counter()
         self.host_fallbacks_total = 0
-        self.lost_total = 0
         self.recovered_total = 0
+        m = self.metrics
+        m.counter_view("cluster.failovers", "minions rerouted to a surviving replica",
+                       lambda: self.failovers_by_device, keys=("device",))
+        m.counter_view("cluster.host_fallbacks",
+                       "minions executed host-side (no replica survived)",
+                       lambda: self.host_fallbacks_total)
+        m.counter_view("cluster.minions.lost",
+                       "minions lost with no surviving copy of their data",
+                       lambda: self.lost_by_book, keys=("book",))
+
+    @property
+    def failovers_total(self) -> int:
+        return sum(self.failovers_by_device.values())
+
+    @property
+    def lost_total(self) -> int:
+        return sum(self.lost_by_book.values())
 
     # -- topology -----------------------------------------------------------
     @property
@@ -234,9 +242,6 @@ class StorageFleet:
                 (device, command_for(book)) for book in dev_books
             )
             flat_meta.extend((node_index, device, book) for book in dev_books)
-        if self.metrics.enabled:
-            for node_index, assignments in enumerate(per_node_assignments):
-                self._m_node_load.set(len(assignments), node=node_index)
         procs = [
             self.sim.process(node.client.gather(assignments, return_exceptions=True))
             for node, assignments in zip(self.nodes, per_node_assignments)
@@ -273,23 +278,17 @@ class StorageFleet:
                 response = fresults[proc]
                 if response is None:
                     lost.append(book.name)
-                    if self.metrics.enabled:
-                        self._m_lost.inc(book=book.name)
+                    self.lost_by_book[book.name] += 1
                     continue
                 responses[slot] = response
                 recovered += 1
                 if response.device == "host":
                     host_fallbacks += 1
-                    if self.metrics.enabled:
-                        self._m_host_fallbacks.inc()
                 else:
                     failovers += 1
-                    if self.metrics.enabled:
-                        self._m_failovers.inc(device=response.device)
+                    self.failovers_by_device[response.device] += 1
 
-        self.failovers_total += failovers
         self.host_fallbacks_total += host_fallbacks
-        self.lost_total += len(lost)
         self.recovered_total += recovered
         report = JobReport(
             responses=responses,
@@ -331,19 +330,13 @@ class StorageFleet:
             node_index, device, book, lambda _b: command
         )
         if response is None:
-            self.lost_total += 1
-            if self.metrics.enabled:
-                self._m_lost.inc(book=book.name)
+            self.lost_by_book[book.name] += 1
             return None, "lost"
         self.recovered_total += 1
         if response.device == "host":
             self.host_fallbacks_total += 1
-            if self.metrics.enabled:
-                self._m_host_fallbacks.inc()
             return response, "host"
-        self.failovers_total += 1
-        if self.metrics.enabled:
-            self._m_failovers.inc(device=response.device)
+        self.failovers_by_device[response.device] += 1
         return response, "failover"
 
     def _failover_one(

@@ -87,8 +87,9 @@ class MinionDispatcher:
         self.balancer = balancer
         self.placements: list[tuple[str, str]] = []  # (device, command)
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_placements = self.metrics.counter(
-            "cluster.placements", "placement decisions, by device and policy"
+        self.metrics.counter_view(
+            "cluster.placements", "placement decisions, by device and policy",
+            self.device_share, keys=("device",), policy=balancer.name,
         )
 
     def submit_all(
@@ -105,8 +106,6 @@ class MinionDispatcher:
         for command in commands:
             device = yield from self.balancer.pick(self.client)
             self.placements.append((device, command.command_line or "<script>"))
-            if self.metrics.enabled:
-                self._m_placements.inc(device=device, policy=self.balancer.name)
             body = (
                 self.client._send_collect(device, command)
                 if return_exceptions

@@ -196,7 +196,7 @@ class FaultsConfig:
 
     seed: int = 0
     random: int = 0  # extra faults derived deterministically from ``seed``
-    horizon_ms: float = 10.0  # random faults land in [0, horizon_ms)
+    horizon_ms: float = 10.0  # random faults land in [0, horizon_ms) after staging
     events: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:

@@ -409,7 +409,8 @@ def _chaos_scenario(args, config):
                       "fraction": knob["transient_fraction"]},
     }
     try:
-        faults = FaultsConfig(seed=config.seed, random=args.random, events=tuple(
+        faults = FaultsConfig(seed=config.seed, random=args.random,
+                              horizon_ms=config.faults.horizon_ms, events=tuple(
             FaultSpec(kind=kind, ring_index=index, at_ms=ms, **settings[name])
             for name, kind in _FAULT_KINDS.items()
             for index, ms in getattr(args, name)

@@ -15,6 +15,7 @@ schedules for fault-free runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Generator, Mapping
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -50,15 +51,18 @@ class FaultInjector:
         self.plan = plan
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._m_injected = self.metrics.counter(
-            "faults.injected", "faults injected, by kind and target"
-        )
-        self._m_recovered = self.metrics.counter(
-            "faults.recovered", "bounded faults that reached recovery, by kind and target"
-        )
         #: ``(sim_time, description)`` log in application order — the chaos
         #: determinism tests compare this across runs.
         self.applied: list[tuple[float, str]] = []
+        #: faults injected and recovered, by (kind, target)
+        self.injected: Counter[tuple[str, str]] = Counter()
+        self.recovered: Counter[tuple[str, str]] = Counter()
+        self.metrics.counter_view("faults.injected", "faults injected, by kind and target",
+                                  lambda: self.injected, keys=("kind", "target"))
+        self.metrics.counter_view(
+            "faults.recovered", "bounded faults that reached recovery, by kind and target",
+            lambda: self.recovered, keys=("kind", "target"),
+        )
         self.minions_killed = 0
         self._started = False
 
@@ -162,8 +166,7 @@ class FaultInjector:
             self.sim.now, "faults", "fault.injected",
             fault=event.kind.value, target=self._tag(event),
         )
-        if self.metrics.enabled:
-            self._m_injected.inc(kind=event.kind.value, target=self._tag(event))
+        self.injected[event.kind.value, self._tag(event)] += 1
 
     def _recover(self, event: FaultEvent) -> None:
         node, device = event.target
@@ -187,8 +190,7 @@ class FaultInjector:
             self.sim.now, "faults", "fault.recovered",
             fault=event.kind.value, target=self._tag(event),
         )
-        if self.metrics.enabled:
-            self._m_recovered.inc(kind=event.kind.value, target=self._tag(event))
+        self.recovered[event.kind.value, self._tag(event)] += 1
 
     def _kill_in_situ(self, ssd: "CompStorSSD", reason: str) -> None:
         """SIGKILL every live process on the device's embedded OS.

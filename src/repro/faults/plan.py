@@ -14,7 +14,7 @@ terminate with complete accounting.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -163,9 +163,9 @@ class FaultPlan:
     ) -> "FaultPlan":
         """A plan from a scenario's ``faults`` section, aimed at a device ring.
 
-        Explicit events come first (``ring_index`` resolved modulo the ring,
-        times in ms relative to ``base_time``), then ``config.random``
-        seeded-random faults over ``[0, horizon_ms)``.  Pure function of
+        Explicit events come first (``ring_index`` resolved modulo the ring),
+        then ``config.random`` seeded-random faults over ``[0, horizon_ms)``;
+        all times are in ms after ``base_time``.  Pure function of
         ``(config, ring, base_time)`` — the fingerprint is reproducible.
         """
         if not ring:
@@ -193,11 +193,11 @@ class FaultPlan:
         if config.random:
             random_plan = cls.random(
                 config.seed, list(ring),
-                horizon=base_time + config.horizon_ms * 1e-3,
+                horizon=config.horizon_ms * 1e-3,
                 faults=config.random,
             )
             for event in random_plan.events():
-                plan.add(event)
+                plan.add(replace(event, time=base_time + event.time))
         return plan
 
     # -- randomised plans ----------------------------------------------------

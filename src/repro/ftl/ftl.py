@@ -161,34 +161,26 @@ class TranslationCore:
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        # Bound instruments: the read/write/destage paths run per page, so
-        # the labels are resolved once here and each hook is a single
-        # enabled-test when observability is off.
+        # Exported counters and gauges read the counts kept below when the
+        # registry is sampled; the per-page paths only bump their own.
         m = self.metrics
-        self._m_reads = m.counter(
-            "ftl.host_reads", "logical page reads served"
-        ).labels(device=name)
-        self._m_writes = m.counter(
-            "ftl.host_writes", "logical page writes accepted"
-        ).labels(device=name)
-        self._m_buffer_hits = m.counter(
-            "ftl.buffer_read_hits", "reads served from the fast-release write buffer"
-        ).labels(device=name)
-        self._m_destages = m.counter(
-            "ftl.write_buffer.destages", "write-buffer pages destaged to NAND"
-        ).labels(device=name)
-        self._m_wa = m.gauge(
-            "ftl.write_amplification", "NAND programs / host programs, sampled on destage"
-        ).labels(device=name)
-        self._m_gc_collections = m.counter(
-            "ftl.gc.collections", "garbage-collection unit reclaims"
-        ).labels(device=name)
-        self._m_gc_moves = m.counter(
-            "ftl.gc.pages_relocated", "valid pages moved by the collector"
-        ).labels(device=name)
-        self._m_free_blocks = m.gauge(
-            "ftl.free_blocks", "free erase blocks, sampled after GC reclaims"
-        ).labels(device=name)
+        m.counter_view("ftl.host_reads", "logical page reads served",
+                       lambda: self.host_reads, device=name)
+        m.counter_view("ftl.host_writes", "logical page writes accepted",
+                       lambda: self.host_writes, device=name)
+        m.counter_view("ftl.buffer_read_hits",
+                       "reads served from the fast-release write buffer",
+                       lambda: self.buffer_read_hits, device=name)
+        m.counter_view("ftl.write_buffer.destages", "write-buffer pages destaged to NAND",
+                       lambda: self.host_pages_programmed, device=name)
+        m.gauge_view("ftl.write_amplification", "NAND programs / host programs",
+                     self.write_amplification, device=name)
+        m.counter_view("ftl.gc.collections", "garbage-collection unit reclaims",
+                       lambda: self.gc.collections, device=name)
+        m.counter_view("ftl.gc.pages_relocated", "valid pages moved by the collector",
+                       lambda: self.gc.pages_relocated, device=name)
+        m.gauge_view("ftl.free_blocks", "free erase blocks",
+                     lambda: self.free_units * self._unit_blocks, device=name)
 
         geo = flash.geometry
         self._unit_blocks = unit_blocks
@@ -286,13 +278,9 @@ class TranslationCore:
         trimmed, reads as empty)."""
         self._check_lpn(lpn)
         self.host_reads += 1
-        if self.metrics.enabled:
-            self._m_reads.inc()
         hit, data = self.write_buffer.peek(lpn)
         if hit:
             self.buffer_read_hits += 1
-            if self.metrics.enabled:
-                self._m_buffer_hits.inc()
             yield self.sim.timeout(self._buffer_hit_latency)
             return data
         if self._read_cache_pages and lpn in self._read_cache:
@@ -333,8 +321,6 @@ class TranslationCore:
         if data is not None and len(data) > self.page_size:
             raise ValueError(f"payload {len(data)}B exceeds page size {self.page_size}B")
         self.host_writes += 1
-        if self.metrics.enabled:
-            self._m_writes.inc()
         self._read_cache.pop(lpn, None)  # never serve stale data post-destage
         yield from self.write_buffer.put(lpn, data)
         return None
@@ -369,9 +355,6 @@ class TranslationCore:
         finally:
             self._destaging.discard(lpn)
         self.host_pages_programmed += 1
-        if self.metrics.enabled:
-            self._m_destages.inc()
-            self._m_wa.set(self.write_amplification())
 
     def relocate(self, lpn: int, old_ppn: int) -> Generator:
         """GC relocation: read the valid copy, program it via the GC stream.

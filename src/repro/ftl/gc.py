@@ -161,7 +161,6 @@ class GarbageCollector:
         try:
             yield from ftl.relocate(lpn, old_ppn)
             self.pages_relocated += 1
-            ftl._m_gc_moves.inc()
         except LogicalIOError:
             self.relocation_failures += 1
             if ftl.page_map.lookup(lpn) == old_ppn:
@@ -186,7 +185,4 @@ class GarbageCollector:
         if not (yield from ftl._erase_unit(unit)):
             return
         self.collections += 1
-        if ftl.metrics.enabled:
-            ftl._m_gc_collections.inc()
-            ftl._m_free_blocks.set(ftl.free_units * ftl._unit_blocks)
         ftl.tracer.emit(ftl.sim.now, ftl.name, f"{self.kind}.collect", **{self.unit: unit})

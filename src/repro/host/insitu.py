@@ -20,6 +20,7 @@ client behaves (and schedules) exactly as before.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Generator, Sequence
 
 from repro.faults.retry import (
@@ -65,26 +66,37 @@ class InSituClient:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.retry_policy = retry_policy
         self.breaker_config = breaker_config
-        self._m_minions = self.metrics.counter(
-            "client.minions", "minions dispatched by the in-situ client"
-        )
         self._m_round_trip = self.metrics.histogram(
             "client.minion.round_trip_seconds", "client-observed minion round trip"
-        )
-        self._m_retries = self.metrics.counter(
-            "client.minion.retries", "minion retries, by device and failure status"
-        )
-        self._m_breaker = self.metrics.counter(
-            "client.breaker.transitions", "circuit-breaker state changes, by device"
-        )
-        self._m_fast_fails = self.metrics.counter(
-            "client.breaker.fast_fails", "commands refused locally by an open breaker"
         )
         self._devices: dict[str, NvmeController] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self.minions_sent = 0
         self.queries_sent = 0
-        self.retries = 0
+        #: minions answered without a retryable failure, by device
+        self.minions_returned: Counter[str] = Counter()
+        #: retries, by (device, failure status)
+        self.retry_counts: Counter[tuple[str, str]] = Counter()
+        m = self.metrics
+        m.counter_view("client.minions", "minions dispatched by the in-situ client",
+                       lambda: self.minions_returned, keys=("device",))
+        m.counter_view("client.minion.retries", "minion retries, by device and failure status",
+                       lambda: self.retry_counts, keys=("device", "status"))
+        m.counter_view(
+            "client.breaker.transitions", "circuit-breaker state changes, by device",
+            lambda: Counter((device, state) for device, b in self._breakers.items()
+                            for _, state in b.transitions),
+            keys=("device", "to"),
+        )
+        m.counter_view(
+            "client.breaker.fast_fails", "commands refused locally by an open breaker",
+            lambda: {device: b.fast_fails for device, b in self._breakers.items()},
+            keys=("device",),
+        )
+
+    @property
+    def retries(self) -> int:
+        return sum(self.retry_counts.values())
 
     # -- topology ------------------------------------------------------------
     def attach(self, controller: NvmeController) -> str:
@@ -106,8 +118,6 @@ class InSituClient:
                 self.sim.now, self.name, "client.breaker",
                 device=device, state=state,
             )
-            if self.metrics.enabled:
-                self._m_breaker.inc(device=device, to=state)
 
         return CircuitBreaker(self.breaker_config, on_transition=on_transition)
 
@@ -164,8 +174,6 @@ class InSituClient:
         try:
             while True:
                 if breaker is not None and not breaker.allow(self.sim.now):
-                    if self.metrics.enabled:
-                        self._m_fast_fails.inc(device=device)
                     if root_span is not None:
                         root_span.end(status="breaker-open")
                     raise BreakerOpen(
@@ -200,7 +208,7 @@ class InSituClient:
                         root_span.event(
                             "client.minion.returned", minion=returned.minion_id, device=device
                         )
-                    self._m_minions.inc(device=device)
+                    self.minions_returned[device] += 1
                     self._m_round_trip.observe(self.sim.now - minion.created_at, device=device)
                     return returned
                 if breaker is not None:
@@ -225,9 +233,7 @@ class InSituClient:
                         f"minion {minion.minion_id} failed: TIMEOUT "
                         f"(backoff past deadline after {failure})"
                     )
-                self.retries += 1
-                if self.metrics.enabled:
-                    self._m_retries.inc(device=device, status=failure)
+                self.retry_counts[device, failure] += 1
                 self.tracer.emit(
                     self.sim.now, self.name, "client.minion.retry",
                     minion=minion.minion_id, device=device,

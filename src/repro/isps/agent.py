@@ -18,6 +18,7 @@ traffic (3-4), ``minion.tracked`` (5), ``minion.responded`` (6).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Generator
 
 from repro.faults.state import FAULT_CAUSE_PREFIX, AgentUnavailable
@@ -53,19 +54,28 @@ class IspsAgent:
         self._component = f"{device_name}.agent"
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track_interval = track_interval
-        self.minions_served = 0
-        self.queries_served = 0
+        #: minions served, by response status
+        self.minion_statuses: Counter[ResponseStatus] = Counter()
+        #: admin queries served, by kind value
+        self.queries: Counter[str] = Counter()
         self.active_minions = 0
         self.watchdog_kills = 0
-        self.minions_aborted = 0
         #: Fault hook (``repro.faults.AgentFaultState``), installed lazily
         #: by a FaultInjector; ``None`` costs one attribute test per dispatch.
         self.faults = None
         self.metrics = metrics if metrics is not None else NULL_METRICS
         m = self.metrics
-        self._m_minions = m.counter(
-            "isps.minions", "minions served by the agent, by response status"
+        m.counter_view(
+            "isps.minions", "minions served by the agent, by response status",
+            lambda: {status.value: n for status, n in self.minion_statuses.items()},
+            keys=("status",), device=device_name,
         )
+        m.gauge_view("isps.minions.active", "minions currently executing on the device",
+                     lambda: self.active_minions, device=device_name)
+        m.counter_view("isps.watchdog.kills", "runaway minions killed by the agent watchdog",
+                       lambda: self.watchdog_kills, device=device_name)
+        m.counter_view("isps.queries", "admin queries served, by kind",
+                       lambda: self.queries, keys=("kind",), device=device_name)
         self._m_queue_wait = m.histogram(
             "isps.minion.queue_wait_seconds",
             "client-send to in-situ execution start (transport + agent queueing)",
@@ -73,13 +83,15 @@ class IspsAgent:
         self._m_exec = m.histogram(
             "isps.minion.exec_seconds", "in-situ execution time per minion"
         )
-        self._m_active = m.gauge(
-            "isps.minions.active", "minions currently executing on the device"
-        )
-        self._m_watchdog = m.counter(
-            "isps.watchdog.kills", "runaway minions killed by the agent watchdog"
-        )
-        self._m_queries = m.counter("isps.queries", "admin queries served, by kind")
+
+    @property
+    def minions_served(self) -> int:
+        return sum(self.minion_statuses.values())
+
+    @property
+    def minions_aborted(self) -> int:
+        """Minions killed by a device or agent crash (retryable)."""
+        return self.minion_statuses.get(ResponseStatus.ABORTED, 0)
 
     # -- NVMe ISC dispatch ---------------------------------------------------
     def handle(self, opcode: Opcode, body: Any) -> Generator:
@@ -126,7 +138,6 @@ class IspsAgent:
         self.active_minions += 1
         started = self.sim.now
         if observed:
-            self._m_active.set(self.active_minions, device=self.device_name)
             self._m_queue_wait.observe(
                 started - minion.created_at, device=self.device_name
             )
@@ -134,15 +145,12 @@ class IspsAgent:
             response = yield from self._execute(minion, span)
         finally:
             self.active_minions -= 1
-            if observed:
-                self._m_active.set(self.active_minions, device=self.device_name)
         response.execution_seconds = self.sim.now - started
         response.device = self.device_name
         minion.response = response
         minion.completed_at = self.sim.now
-        self.minions_served += 1
+        self.minion_statuses[response.status] += 1
         if observed:
-            self._m_minions.inc(device=self.device_name, status=response.status.value)
             self._m_exec.observe(response.execution_seconds, device=self.device_name)
         if traced:
             self.tracer.emit(
@@ -216,7 +224,6 @@ class IspsAgent:
             if cause.startswith(FAULT_CAUSE_PREFIX):
                 # infrastructure death (device/agent crash), not a verdict on
                 # the minion itself — retryable, unlike the watchdog kill
-                self.minions_aborted += 1
                 return Response(
                     status=ResponseStatus.ABORTED, exit_code=-1, stdout=cause.encode()
                 )
@@ -247,7 +254,6 @@ class IspsAgent:
         if process.state == ProcessState.RUNNING:
             process.sim_process.interrupt("agent watchdog timeout")
             self.watchdog_kills += 1
-            self._m_watchdog.inc(device=self.device_name)
         return None
 
     def _track(self, minion: Minion, process, span: Span | None = None) -> Generator:
@@ -287,14 +293,12 @@ class IspsAgent:
             query.reply = f"loaded {query.payload.name}"
         else:  # pragma: no cover - exhaustive over QueryKind
             raise ValueError(f"unknown query kind {query.kind}")
-        self.queries_served += 1
-        self._m_queries.inc(device=self.device_name, kind=query.kind.value)
+        self.queries[query.kind.value] += 1
         return query
 
     def _serve_load(self, executable) -> Generator:
         yield self.sim.timeout(200e-6)  # image transfer/installation overhead
         self.isps.os.install_executable(executable)
-        self.queries_served += 1
         return f"loaded {executable.name}"
 
     def telemetry(self) -> TelemetrySnapshot:

@@ -12,6 +12,7 @@ here without the controller knowing anything about minions.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Generator
 
 from repro.faults.state import AgentUnavailable
@@ -80,14 +81,13 @@ class NvmeController:
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_commands = self.metrics.counter(
-            "nvme.commands", "NVMe commands completed, by opcode and status"
-        )
         self._m_latency = self.metrics.histogram(
             "nvme.command.latency_seconds", "submission-to-completion latency per opcode"
         )
-        self._m_qdepth = self.metrics.gauge(
-            "nvme.queue.depth", "outstanding commands per queue pair, sampled at fetch"
+        self.metrics.counter_view(
+            "nvme.commands", "NVMe commands completed, by opcode and status",
+            lambda: {(op, status.name): n for (op, status), n in self.completions.items()},
+            keys=("opcode", "status"), device=name,
         )
         self.queues = [
             QueuePair(sim, qid=q, depth=queue_depth, name=f"{name}.qp") for q in range(queue_pairs)
@@ -98,6 +98,8 @@ class NvmeController:
         self.faults = None
         self.commands_executed = 0
         self.isc_commands = 0
+        #: completions posted, refused ones included, by (opcode name, Status)
+        self.completions: Counter[tuple[str, Status]] = Counter()
         # per-opcode latency accounting (count, total, max) for QoS reporting
         self._latency: dict[str, list[float]] = {}
         self._workers = [
@@ -127,10 +129,6 @@ class NvmeController:
             # Enum .name is a descriptor lookup; resolve it once per command
             # for the bookkeeping below.
             opname = command.opcode.name
-            if self.metrics.enabled:
-                self._m_qdepth.set(
-                    qp.outstanding, device=self.name, queue=qp.qid, opcode=opname,
-                )
             refusal = self.faults.intercept() if self.faults is not None else None
             if refusal is not None:
                 # a crashed/flaky front end aborts immediately: the host
@@ -142,11 +140,7 @@ class NvmeController:
                     submitted_at=submitted_at,
                     completed_at=self.sim.now,
                 )
-                if self.metrics.enabled:
-                    self._m_commands.inc(
-                        device=self.name, opcode=opname,
-                        status=completion.status.name,
-                    )
+                self.completions[opname, completion.status] += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
                         self.sim.now, self.name, "nvme.refused",
@@ -180,10 +174,8 @@ class NvmeController:
             stats[0] += 1
             stats[1] += completion.latency
             stats[2] = max(stats[2], completion.latency)
+            self.completions[opname, status] += 1
             if self.metrics.enabled:
-                self._m_commands.inc(
-                    device=self.name, opcode=opname, status=status.name
-                )
                 self._m_latency.observe(
                     completion.latency, device=self.name, opcode=opname
                 )

@@ -5,7 +5,8 @@ utilization, or temperature of the cores ... used for load balancing"),
 grown to fleet scale:
 
 - :mod:`repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram`` instruments
-  in a :class:`MetricsRegistry`, sampled against simulation time;
+  and pull ``View`` families over components' own counts, in a
+  :class:`MetricsRegistry`, sampled against simulation time;
 - :mod:`repro.obs.spans` — causal span trees over :class:`repro.sim.Tracer`
   (a minion's life as one tree, per Table III);
 - :mod:`repro.obs.health` — :class:`HealthAggregator` folding per-device
@@ -13,8 +14,9 @@ grown to fleet scale:
 - :mod:`repro.obs.export` — Prometheus-text and JSON-lines exporters
   (``python -m repro metrics`` dumps both).
 
-Everything is default-off: components bound to :data:`NULL_METRICS` pay one
-attribute test per hook (enforced by ``benchmarks/test_obs_overhead.py``).
+Everything is default-off: with :data:`NULL_METRICS` no view is registered
+and each histogram hook is one attribute test (enforced by
+``benchmarks/test_obs_overhead.py``).
 """
 
 from repro.obs.export import to_json_lines, to_prometheus
@@ -25,6 +27,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    View,
 )
 from repro.obs.spans import (
     Span,
@@ -55,4 +58,5 @@ __all__ = [
     "start_trace",
     "to_json_lines",
     "to_prometheus",
+    "View",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, _HistogramState
+from repro.obs.metrics import Histogram, MetricsRegistry, _HistogramState
 
 __all__ = ["to_json_lines", "to_prometheus"]
 
@@ -60,7 +60,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
         samples = instrument.samples()
         if not samples:
             continue
-        suffix = "_total" if isinstance(instrument, Counter) else ""
+        suffix = "_total" if instrument.kind == "counter" else ""
         family = _prom_name(instrument.name, suffix)
         if instrument.help:
             lines.append(f"# HELP {family} {instrument.help}")

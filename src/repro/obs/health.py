@@ -346,13 +346,15 @@ class HealthAggregator:
     def summary(self) -> FleetHealth:
         if not self._devices and not self._unreachable:
             raise ValueError("no device observations to summarise")
+        nodes = len({n for n, _ in self._devices} | {n for n, _ in self._unreachable})
+        devices = len(self._devices) + len(self._unreachable)
+        unreachable = tuple(f"node{n}/{d}" for n, d in sorted(self._unreachable))
         if not self._devices:
             # every device is down: still report, with zeros and loud alerts
-            unreachable = tuple(f"node{n}/{d}" for n, d in sorted(self._unreachable))
             return FleetHealth(
                 time=0.0,
-                nodes=len({n for n, _ in self._unreachable}),
-                devices=0,
+                nodes=nodes,
+                devices=devices,
                 active_minions=0,
                 running_processes=0,
                 mean_utilization=0.0,
@@ -409,7 +411,6 @@ class HealthAggregator:
             n_samples = 0
 
         max_temp = max(d.snapshot.temperature_c for d in snaps)
-        unreachable = tuple(f"node{n}/{d}" for n, d in sorted(self._unreachable))
         alerts: list[str] = [f"{tag}: unreachable" for tag in unreachable]
         for device in self._breakers_open:
             alerts.append(f"{device}: circuit breaker open")
@@ -429,8 +430,8 @@ class HealthAggregator:
 
         return FleetHealth(
             time=max(d.snapshot.time for d in snaps),
-            nodes=len({d.node for d in snaps}),
-            devices=len(snaps),
+            nodes=nodes,
+            devices=devices,
             active_minions=sum(d.snapshot.active_minions for d in snaps),
             running_processes=sum(d.snapshot.running_processes for d in snaps),
             mean_utilization=sum(utilizations) / len(utilizations),

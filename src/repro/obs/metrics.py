@@ -8,14 +8,16 @@ utilization, or temperature of the cores ... used for load balancing").
 
 Design constraints, in order:
 
-1. **The default path pays nothing.**  Components hold an instrument bound
-   at construction time against :data:`NULL_METRICS`; every update method
-   starts with one attribute test and returns.  The overhead guard bench
-   (``benchmarks/test_obs_overhead.py``) enforces this.
-2. **Simulation-time aware.**  Updates are stamped with the registry's
+1. **One counter per fact; the default path pays nothing.**  Components
+   count in their own attributes and export counters and gauges as
+   :class:`View` families (``counter_view``/``gauge_view``) read only when
+   the registry is collected; a disabled registry such as
+   :data:`NULL_METRICS` registers none.  Histograms, which need every
+   observation, are pushed behind one ``metrics.enabled`` test.  The
+   overhead guard bench (``benchmarks/test_obs_overhead.py``) enforces this.
+2. **Simulation-time aware.**  Samples are stamped with the registry's
    clock (wire ``clock=lambda: sim.now``), and ``keep_series=True`` records
-   a bounded ``(time, value)`` history per instrument/label-set so
-   time-series can be extracted per component after a run.
+   a bounded ``(time, value)`` history per pushed instrument/label-set.
 3. **No new dependencies** — exporters (:mod:`repro.obs.export`) turn the
    same samples into Prometheus text or JSON lines.
 """
@@ -23,6 +25,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import bisect
+from functools import partialmethod
 from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
+    "View",
 ]
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -115,31 +119,9 @@ class Counter(Instrument):
         self._values[key] = value
         self._stamp(key, value)
 
-    def labels(self, **labels: Any) -> "BoundCounter":
-        return BoundCounter(self, _label_key(labels))
-
     def total(self) -> float:
         """Sum across all label sets."""
         return float(sum(self._values.values()))
-
-
-class BoundCounter:
-    """A counter pre-bound to one label set: zero-allocation hot-path inc."""
-
-    __slots__ = ("_counter", "_key")
-
-    def __init__(self, counter: Counter, key: LabelKey):
-        self._counter = counter
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        counter = self._counter
-        if not counter.registry.enabled:
-            return
-        key = self._key
-        value = counter._values.get(key, 0.0) + amount
-        counter._values[key] = value
-        counter._stamp(key, value)
 
 
 class Gauge(Instrument):
@@ -162,34 +144,45 @@ class Gauge(Instrument):
         self._values[key] = value
         self._stamp(key, value)
 
-    def labels(self, **labels: Any) -> "BoundGauge":
-        return BoundGauge(self, _label_key(labels))
 
+class View(Instrument):
+    """A counter or gauge family read from components when it is sampled.
 
-class BoundGauge:
-    """A gauge pre-bound to one label set."""
+    Each source is ``(labels, keys, read)``. Without ``keys``, ``read()``
+    returns the one sample under ``labels``; with ``keys``, a mapping from
+    key values (a tuple for several keys) to samples, each key adding its
+    labels. Sources that land on one label set add up. A counter view
+    exports a label set only while it is non-zero, a gauge view every one.
+    Samples are floats stamped with the registry clock when read; views
+    keep no series history.
+    """
 
-    __slots__ = ("_gauge", "_key")
+    def __init__(self, registry: "MetricsRegistry", name: str, help: str, kind: str):
+        self.registry = registry
+        self.name = name
+        self.help = help
+        self.kind = kind
+        self._sources: list[tuple[dict[str, Any], tuple[str, ...], Callable[[], Any]]] = []
 
-    def __init__(self, gauge: Gauge, key: LabelKey):
-        self._gauge = gauge
-        self._key = key
+    @property
+    def _values(self) -> dict[LabelKey, float]:
+        totals: dict[LabelKey, float] = {}
+        for labels, keys, read in self._sources:
+            for key, value in (read().items() if keys else [((), read())]):
+                label_key = _label_key(
+                    {**labels, **dict(zip(keys, (key,) if len(keys) == 1 else key))}
+                )
+                totals[label_key] = totals.get(label_key, 0.0) + value
+        if self.kind == "counter":
+            return {key: value for key, value in totals.items() if value}
+        return totals
 
-    def set(self, value: float) -> None:
-        gauge = self._gauge
-        if not gauge.registry.enabled:
-            return
-        gauge._values[self._key] = float(value)
-        gauge._stamp(self._key, value)
+    def samples(self) -> list[tuple[dict[str, str], Any, float]]:
+        now = self.registry.now()
+        values = self._values
+        return [(dict(key), values[key], now) for key in sorted(values)]
 
-    def add(self, delta: float) -> None:
-        gauge = self._gauge
-        if not gauge.registry.enabled:
-            return
-        key = self._key
-        value = gauge._values.get(key, 0.0) + delta
-        gauge._values[key] = value
-        gauge._stamp(key, value)
+    total = Counter.total
 
 
 class _HistogramState:
@@ -264,8 +257,6 @@ class Histogram(Instrument):
                 state.samples = None  # degrade permanently; memory stays bounded
         self._stamp(key, value)
 
-    def labels(self, **labels: Any) -> "BoundHistogram":
-        return BoundHistogram(self, _label_key(labels))
 
     # -- statistics ---------------------------------------------------------
     def _state(self, **labels: Any) -> _HistogramState | None:
@@ -348,39 +339,6 @@ class Histogram(Instrument):
         return probe.percentile(q)
 
 
-class BoundHistogram:
-    """A histogram pre-bound to one label set."""
-
-    __slots__ = ("_histogram", "_key")
-
-    def __init__(self, histogram: Histogram, key: LabelKey):
-        self._histogram = histogram
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        hist = self._histogram
-        if not hist.registry.enabled:
-            return
-        key = self._key
-        state = hist._values.get(key)
-        if state is None:
-            state = hist._values[key] = _HistogramState(
-                len(hist.buckets), keep_samples=hist.exact_limit > 0
-            )
-        index = bisect.bisect_left(hist.buckets, value)
-        state.bucket_counts[index] += 1
-        state.count += 1
-        state.sum += value
-        if value > state.max:
-            state.max = value
-        if value < state.min:
-            state.min = value
-        if state.samples is not None:
-            state.samples.append(value)
-            if len(state.samples) > hist.exact_limit:
-                state.samples = None
-        hist._stamp(key, value)
-
 
 class MetricsRegistry:
     """Owns every instrument; the unit of export and of enable/disable.
@@ -447,6 +405,25 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._instrument(Gauge, name, help)
+
+    def _view(
+        self, kind: str, name: str, help: str, read: Callable[[], Any],
+        keys: tuple[str, ...] = (), **labels: Any,
+    ) -> None:
+        """Export ``read()``, a count or current value a component keeps
+        itself, as a :class:`View` source. A disabled registry registers
+        nothing, so it never holds a reference to the component."""
+        if not self.enabled:
+            return
+        view = self._instruments.get(name)
+        if view is None:
+            view = self._instruments[name] = View(self, name, help, kind)
+        elif not isinstance(view, View) or view.kind != kind:
+            raise ValueError(f"instrument {name!r} already registered as {view.kind}")
+        view._sources.append((labels, tuple(keys), read))
+
+    counter_view = partialmethod(_view, "counter")
+    gauge_view = partialmethod(_view, "gauge")
 
     def histogram(
         self,

@@ -67,8 +67,9 @@ class PowerMeter:
         self._active: defaultdict[str, float] = defaultdict(float)
         self._static: dict[str, float] = {}
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_energy = self.metrics.counter(
-            "power.energy_joules", "active energy charged per component"
+        self.metrics.counter_view(
+            "power.energy_joules", "active energy charged per component",
+            lambda: self._active, keys=("component",),
         )
 
     # -- wiring -----------------------------------------------------------
@@ -77,8 +78,6 @@ class PowerMeter:
         if joules < 0:
             raise ValueError("joules must be non-negative")
         self._active[component] += joules
-        if self.metrics.enabled:
-            self._m_energy.inc(joules, component=component)
 
     def register_static(self, component: str, watts: float) -> None:
         """Declare a constant power draw (idle/uncore/platform)."""

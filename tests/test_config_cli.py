@@ -8,6 +8,7 @@ scorecard identifies its experiment completely.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,24 @@ def test_chaos_fault_flags_header_names_the_plan_that_ran(capsys):
     assert main(["config", "show", "chaos-drill",
                  "--set", f"faults.events={json.dumps(events)}"]) == 0
     assert _header_digest(capsys.readouterr().out) == run_digest
+
+
+def test_chaos_health_counts_the_killed_device(capsys):
+    assert main(["chaos", "--kill", "1@0.2"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^nodes / devices +2 / 4 *$", out, re.M)
+    assert "node0/compstor1" in out  # the dead drive, still named unreachable
+
+
+def test_chaos_random_drill_lands_inside_the_job(capsys):
+    """The documented random drill: its faults fall inside the job and
+    make it recover from at least one of them."""
+    assert main(["chaos", "--random", "3", "--set", "seed=7", "--set", "corpus.seed=7",
+                 "--set", "faults.horizon_ms=2"]) == 0
+    out = capsys.readouterr().out
+    retries = int(re.search(r"^retries +(\d+)", out, re.M).group(1))
+    failovers = int(re.search(r"^replica failovers +(\d+)", out, re.M).group(1))
+    assert retries + failovers >= 1
 
 
 @pytest.mark.parametrize("argv, message", [

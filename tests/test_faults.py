@@ -9,7 +9,7 @@ into runs a bit-identical schedule.
 
 import pytest
 
-from repro.config import FlashConfig, FleetConfig, ScenarioConfig
+from repro.config import FaultsConfig, FlashConfig, FleetConfig, ScenarioConfig
 from repro.config import build_node as build_node_from
 from repro.faults import (
     AgentFaultState,
@@ -77,6 +77,18 @@ def test_random_plan_is_a_pure_function_of_its_arguments():
     assert FaultPlan.random(8, devices, horizon=10e-3).fingerprint() != a.fingerprint()
     with pytest.raises(ValueError):
         FaultPlan.random(0, [], horizon=10e-3)
+
+
+def test_random_faults_from_config_start_at_base_time():
+    """``faults.random`` draws over ``[0, horizon_ms)`` after ``base_time``,
+    like explicit events, not over the absolute window up to it."""
+    devices = [(0, "compstor0"), (0, "compstor1"), (1, "compstor0")]
+    base, horizon_ms = 5e-3, 2.0
+    config = FaultsConfig(seed=7, random=12, horizon_ms=horizon_ms)
+    plan = FaultPlan.from_config(config, devices, base_time=base)
+    times = [event.time for event in plan.events()]
+    assert len(times) == 12
+    assert all(base <= t < base + horizon_ms * 1e-3 for t in times), times
 
 
 # ---------------------------------------------------------------------------

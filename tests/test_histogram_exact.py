@@ -99,11 +99,10 @@ def test_aggregate_percentile_falls_back_when_any_series_degraded():
     )
 
 
-def test_bound_histogram_feeds_the_reservoir():
+def test_labelled_histogram_feeds_the_reservoir():
     hist = _histogram(exact_limit=16)
-    bound = hist.labels(device="d0")
     for v in (0.002, 0.9):
-        bound.observe(v)
+        hist.observe(v, device="d0")
     assert hist.percentile(0.5, device="d0") == pytest.approx(0.451)
 
 

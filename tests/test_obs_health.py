@@ -57,6 +57,21 @@ def test_reobserving_a_device_replaces_it():
     assert health.time == 2.0
 
 
+def test_unreachable_devices_count_as_nodes_and_devices():
+    agg = HealthAggregator()
+    agg.observe_device(0, "d0", snap("d0"))
+    agg.observe_unreachable(0, "d1")
+    agg.observe_unreachable(1, "d0")
+    health = agg.summary()
+    assert (health.nodes, health.devices) == (2, 3)
+    assert health.rows()[0] == ["nodes / devices", "2 / 3"]
+    everything_down = HealthAggregator()
+    everything_down.observe_unreachable(0, "d0")
+    everything_down.observe_unreachable(1, "d0")
+    health = everything_down.summary()
+    assert (health.nodes, health.devices) == (2, 2)
+
+
 def test_latency_percentiles_from_raw_samples():
     agg = HealthAggregator()
     agg.observe_device(0, "d0", snap())

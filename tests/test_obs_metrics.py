@@ -19,23 +19,15 @@ def test_counter_accumulates_per_label_set():
     assert counter.value(device="d0") == 4
     assert counter.value(device="d1") == 1
     assert counter.total() == 5
+    counter.inc(device="d0", opcode="READ")
+    # label order must not matter
+    assert counter.value(opcode="READ", device="d0") == 1
 
 
 def test_counter_rejects_negative():
     counter = MetricsRegistry().counter("c")
     with pytest.raises(ValueError):
         counter.inc(-1)
-
-
-def test_bound_counter_shares_state_with_family():
-    registry = MetricsRegistry()
-    counter = registry.counter("nvme.commands")
-    bound = counter.labels(device="d0", opcode="READ")
-    bound.inc()
-    bound.inc(2)
-    assert counter.value(device="d0", opcode="READ") == 3
-    # label order must not matter
-    assert counter.value(opcode="READ", device="d0") == 3
 
 
 # -- gauges -------------------------------------------------------------------
@@ -45,10 +37,73 @@ def test_gauge_set_and_add():
     gauge.set(4, queue=0)
     gauge.add(-1, queue=0)
     assert gauge.value(queue=0) == 3
-    bound = gauge.labels(queue=1)
-    bound.set(7)
-    bound.add(1)
+    gauge.set(7, queue=1)
+    gauge.add(1, queue=1)
     assert gauge.value(queue=1) == 8
+
+
+# -- views --------------------------------------------------------------------
+
+class _Component:
+    def __init__(self):
+        self.reads = 0
+        self.by_status = {}
+        self.depth = 0
+
+
+def test_counter_view_reads_the_component_at_sampling_time():
+    t = [0.0]
+    registry = MetricsRegistry(clock=lambda: t[0], keep_series=True)
+    part = _Component()
+    registry.counter_view("c.reads", "reads", lambda: part.reads, device="d0")
+    view = registry["c.reads"]
+    assert view.kind == "counter"
+    assert view.samples() == []  # a counter view exports non-zero values only
+    assert view.get(device="d0") is None
+    part.reads = 4
+    t[0] = 2.5
+    assert view.samples() == [({"device": "d0"}, 4.0, 2.5)]
+    assert view.value(device="d0") == 4.0 and view.total() == 4.0
+    [record] = [json.loads(line) for line in to_json_lines(registry).splitlines()]
+    assert record["value"] == 4.0 and isinstance(record["value"], float)
+    assert record["time"] == 2.5  # the registry clock at export
+    assert '"value": 4.0' in to_json_lines(registry)
+    assert 'repro_c_reads_total{device="d0"} 4\n' in to_prometheus(registry)
+    assert registry.series("c.reads", device="d0") == []  # no series history
+
+
+def test_views_under_one_label_set_add_up_and_sort():
+    registry = MetricsRegistry()
+    a, b = _Component(), _Component()
+    a.by_status = {("READ", "OK"): 2, ("WRITE", "OK"): 1}
+    b.by_status = {("READ", "OK"): 3}
+    for part in (a, b):  # e.g. compstor0 on node0 and on node1
+        registry.counter_view("cmds", "", lambda part=part: part.by_status,
+                              keys=("opcode", "status"), device="d0")
+    view = registry["cmds"]
+    assert view.value(device="d0", opcode="READ", status="OK") == 5.0
+    assert [labels for labels, _, _ in view.samples()] == [
+        {"device": "d0", "opcode": "READ", "status": "OK"},
+        {"device": "d0", "opcode": "WRITE", "status": "OK"},
+    ]
+    assert view.total() == 6.0
+
+
+def test_gauge_view_exports_zero_values():
+    registry = MetricsRegistry()
+    part = _Component()
+    registry.gauge_view("depth", "", lambda: {0: part.depth}, keys=("queue",))
+    assert registry["depth"].samples() == [({"queue": "0"}, 0.0, 0.0)]
+    assert "repro_depth{queue=\"0\"} 0" in to_prometheus(registry)
+
+
+def test_view_kind_mismatch_is_rejected():
+    registry = MetricsRegistry()
+    registry.counter_view("x", "", lambda: 1)
+    with pytest.raises(ValueError):
+        registry.gauge_view("x", "", lambda: 1)
+    with pytest.raises(ValueError):
+        registry.counter("x")
 
 
 # -- histograms ----------------------------------------------------------------
@@ -120,12 +175,13 @@ def test_disabled_registry_is_noop():
     gauge = registry.gauge("g")
     hist = registry.histogram("h")
     counter.inc(device="d0")
-    counter.labels(device="d0").inc()
     gauge.set(1)
     hist.observe(0.5)
+    registry.counter_view("v", "", lambda: 1)
     assert counter.samples() == []
     assert gauge.samples() == []
     assert hist.samples() == []
+    assert "v" not in registry  # a disabled registry holds no view
 
 
 def test_null_metrics_is_shared_and_disabled():
