@@ -19,15 +19,24 @@ def test_counter_accumulates_per_label_set():
     assert counter.value(device="d0") == 4
     assert counter.value(device="d1") == 1
     assert counter.total() == 5
-    counter.inc(device="d0", opcode="READ")
-    # label order must not matter
-    assert counter.value(opcode="READ", device="d0") == 1
 
 
 def test_counter_rejects_negative():
     counter = MetricsRegistry().counter("c")
     with pytest.raises(ValueError):
         counter.inc(-1)
+
+
+def test_bound_counter_shares_state_with_family():
+    registry = MetricsRegistry()
+    counter = registry.counter("nvme.commands")
+    counter.inc(device="d0", opcode="READ")
+    counter.inc(2, opcode="READ", device="d0")
+    # label order must not matter: both calls feed one series of the family
+    assert counter.value(device="d0", opcode="READ") == 3
+    assert counter.value(opcode="READ", device="d0") == 3
+    assert registry.counter("nvme.commands") is counter
+    assert counter.total() == 3
 
 
 # -- gauges -------------------------------------------------------------------
