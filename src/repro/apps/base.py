@@ -8,11 +8,20 @@ from typing import Generator
 from repro.analysis.calibration import cycles_for
 from repro.isos.loader import ExecContext, ExitStatus
 
-__all__ = ["PayloadMemo", "StreamingApp", "UsageError", "charge", "clear_payload_cache"]
+__all__ = [
+    "PayloadMemo",
+    "StreamingApp",
+    "UsageError",
+    "charge",
+    "clear_payload_cache",
+    "clears_with_payloads",
+]
 
 #: Entry bound of every :class:`PayloadMemo`.
 _PAYLOAD_MEMO_MAX = 1024
-_PAYLOAD_MEMOS: list["PayloadMemo"] = []
+#: Every memo, and the counters kept beside them, that
+#: :func:`clear_payload_cache` empties.
+_PAYLOAD_MEMOS: list[dict] = []
 
 
 class PayloadMemo(dict):
@@ -35,8 +44,16 @@ class PayloadMemo(dict):
         self[key] = value
 
 
+def clears_with_payloads(counts: dict) -> dict:
+    """Register ``counts`` (kept beside a memo) to be emptied by
+    :func:`clear_payload_cache`; returns it."""
+    _PAYLOAD_MEMOS.append(counts)
+    return counts
+
+
 def clear_payload_cache() -> None:
-    """Drop every memoized payload (codec outputs and page scans)."""
+    """Drop every memoized payload (codec outputs and page scans) and the
+    counters kept beside them."""
     for memo in _PAYLOAD_MEMOS:
         memo.clear()
 

@@ -222,6 +222,11 @@ class FlashArray:
             self.tracer.emit(self.sim.now, self.name, "flash.read", addr=addr, errors=errors)
         return ReadResult(addr, self._data.get(idx), errors)
 
+    def stored_page(self, ppn: int) -> bytes | None:
+        """The payload :meth:`read_page` returns for page ``ppn``, without
+        simulated time (``None`` in analytic mode)."""
+        return self._data.get(ppn)
+
     def page_oob(self, addr: PageAddress) -> Any:
         """Spare-area metadata of a page (``None`` if absent)."""
         return self._oob.get(self.geometry.page_index(addr))

@@ -5,7 +5,8 @@ driver, the staging and objstore paths — uses a narrow surface of it,
 captured here as the :class:`TranslationBackend` protocol:
 
 - logical page I/O: ``read`` / ``write`` / ``trim`` / ``flush`` (simulation
-  generators);
+  generators), and ``peek``, the payload a read would return, looked up
+  without simulated time;
 - capacity: ``logical_pages`` / ``page_size`` / ``logical_capacity_bytes``;
 - accounting: ``host_reads`` / ``host_writes`` / ``uncorrectable_reads``,
   ``write_amplification()`` and the free-form ``stats()`` dict;
@@ -71,6 +72,8 @@ class TranslationBackend(Protocol):
     def logical_capacity_bytes(self) -> int: ...
 
     def read(self, lpn: int) -> Generator: ...
+
+    def peek(self, lpn: int) -> bytes | None: ...
 
     def write(self, lpn: int, data: bytes | None) -> Generator: ...
 

@@ -3,7 +3,7 @@
 Both translation backends export one logical page device:
 
 - ``read(lpn)`` — write-buffer hit, read-cache hit, or flash read + ECC
-  decode;
+  decode (``peek(lpn)`` looks the same payload up without simulated time);
 - ``write(lpn, data)`` — fast-release: completes when the data lands in the
   write buffer; background flushers destage to NAND;
 - ``trim(lpns)`` — drops mappings (and buffered copies) without media work;
@@ -307,6 +307,20 @@ class TranslationCore:
         if self._read_cache_pages:
             self._cache_insert(lpn, result.data)
         return result.data
+
+    def peek(self, lpn: int) -> bytes | None:
+        """The payload :meth:`read` would return now, looked up in the same
+        order (write buffer, read cache, page map) without simulated time,
+        counters or cache updates."""
+        hit, data = self.write_buffer.peek(lpn)
+        if hit:
+            return data
+        if lpn in self._read_cache:
+            return self._read_cache[lpn]
+        ppn = self.page_map.lookup(lpn)
+        if ppn == UNMAPPED:
+            return None
+        return self.flash.stored_page(ppn)
 
     def _cache_insert(self, lpn: int, data: bytes | None) -> None:
         cache = self._read_cache

@@ -78,7 +78,7 @@ class InSituClient:
         #: retries, by (device, failure status)
         self.retry_counts: Counter[tuple[str, str]] = Counter()
         m = self.metrics
-        m.counter_view("client.minions", "minions dispatched by the in-situ client",
+        m.counter_view("client.minions", "minions answered without a retryable failure",
                        lambda: self.minions_returned, keys=("device",))
         m.counter_view("client.minion.retries", "minion retries, by device and failure status",
                        lambda: self.retry_counts, keys=("device", "status"))

@@ -64,6 +64,11 @@ class FlashAccessDevice:
         self.reads += 1
         return data
 
+    def peek(self, lpn: int) -> bytes | None:
+        """The payload :meth:`read` would return now, without simulated
+        time (the NVMe path has no such shortcut)."""
+        return self.ftl.peek(lpn)
+
     def write(self, lpn: int, data: bytes | None) -> Generator:
         yield self.sim.timeout(self.driver_latency)
         yield from self.ftl.write(lpn, data)

@@ -236,6 +236,30 @@ class ExtentFileSystem:
             chunk = self._pad(chunk)[:take]
         return chunk, take
 
+    def peek_pages(self, name: str) -> list[bytes] | None:
+        """The chunks :meth:`read_page_of` would return for every page of
+        ``name`` now, looked up without simulated time.
+
+        ``None`` when the device cannot look pages up (the NVMe path) or a
+        page holds no payload (analytic mode).  A later write may change
+        what the reads return, so callers check each chunk they read.
+        """
+        peek = getattr(self.device, "peek", None)
+        if peek is None:
+            return None
+        inode = self.stat(name)
+        page_size = self.page_size
+        pages = []
+        for index, lpn in enumerate(inode.pages):
+            chunk = peek(lpn)
+            if chunk is None:
+                return None
+            take = min(page_size, inode.size - index * page_size)
+            if len(chunk) != take:
+                chunk = self._pad(chunk)[:take]
+            pages.append(chunk)
+        return pages
+
     def page_count(self, name: str) -> int:
         return len(self.stat(name).pages)
 

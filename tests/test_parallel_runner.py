@@ -77,15 +77,23 @@ def test_execute_job_clears_compress_blob_cache():
     survived from one pool-worker job to the next, so a long matrix run
     grew worker memory without bound and let warm-cache timing leak across
     supposedly hermetic cells.  The grep/gawk scan memo must go the same
-    way."""
+    way, and so must a codec-lane task still in flight and the lane's
+    counters."""
+    from concurrent.futures import Future
+
     from repro.apps import compress, search
 
+    in_flight = Future()
     compress._BLOB_CACHE.put(("gzip", b"sentinel"), b"stale")
+    compress._BLOB_CACHE.put(("gzip", b"in flight"), in_flight)
+    compress.LANE_COUNTS["tasks"] += 1
     search._SCAN_MEMO.put(("grep", b"x", False, b"", b"sentinel"), (1, 1, 0, b""))
     result = execute_job(ping_spec(1))
     assert result.error is None
     assert compress._BLOB_CACHE == {}
+    assert compress.LANE_COUNTS == {}
     assert search._SCAN_MEMO == {}
+    assert not in_flight.done()  # dropped, not waited for
 
 
 def test_execute_job_captures_traceback_instead_of_raising():

@@ -7,7 +7,10 @@ Two classes of code break that silently:
   (``np.random.rand`` etc.), or ``random.seed()`` resetting global state;
   all model randomness must flow through ``Simulator.rng(stream)``;
 * **wall-clock reads** — ``time.time()``, ``perf_counter``,
-  ``datetime.now``: simulation time is ``sim.now``, never the host clock.
+  ``datetime.now``: simulation time is ``sim.now``, never the host clock;
+* **host threads** — ``threading`` and ``ThreadPoolExecutor``: a thread
+  that touched simulator state would make a schedule depend on how the
+  host interleaves threads.
 
 This test greps ``src/`` and the test trees for both.  The perf harness
 measures the host *on purpose* and is allowlisted, as are the benchmark
@@ -58,6 +61,18 @@ ALLOWLIST = {
 }
 
 
+#: Host threads may appear only here, each with the reason no schedule
+#: can depend on them.
+THREADS = re.compile(r"\b(threading|ThreadPoolExecutor)\b")
+THREAD_ALLOWLIST = {
+    # the gzip/bzip2 codec lane: its workers run a pure codec over their
+    # arguments and touch no simulator state; only the simulator's thread
+    # reads the memo and waits on the futures, at points the schedule fixes
+    "src/repro/apps/compress.py",
+    "tests/test_rng_wallclock_lint.py",  # this file quotes the pattern
+}
+
+
 def _source_files() -> list[Path]:
     files: list[Path] = []
     for tree in ("src", "tests", "benchmarks"):
@@ -80,7 +95,18 @@ def test_no_unseeded_rng_or_wallclock():
     assert not violations, "determinism leaks found:\n" + "\n".join(violations)
 
 
+def test_host_threads_only_in_the_codec_lane():
+    violations = [
+        f"{rel}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        if (rel := path.relative_to(REPO).as_posix()) not in THREAD_ALLOWLIST
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if THREADS.search(line.split("#", 1)[0])
+    ]
+    assert not violations, "host threads outside the codec lane:\n" + "\n".join(violations)
+
+
 def test_allowlist_entries_exist():
     """Stale allowlist entries hide future violations under old names."""
-    missing = [rel for rel in sorted(ALLOWLIST) if not (REPO / rel).exists()]
+    missing = [rel for rel in sorted(ALLOWLIST | THREAD_ALLOWLIST) if not (REPO / rel).exists()]
     assert not missing, f"allowlisted files no longer exist: {missing}"
