@@ -106,6 +106,8 @@ class StreamingApp:
             pending = ctx.sim.process(stream.next_page(), name=ra_name)
         while pending is not None:
             chunk, take = yield pending
+            if stream.error is not None:
+                return stream.error_status(self.name)
             pending = (
                 ctx.sim.process(stream.next_page(), name=ra_name)
                 if not stream.exhausted

@@ -63,6 +63,8 @@ class HeadApp(StreamingApp):
         stream = ctx.stream_pages(path)
         while not stream.exhausted and len(lines) < want:
             chunk, take = yield from stream.next_page()
+            if stream.error is not None:
+                return stream.error_status(self.name)
             yield from charge(ctx, self.name, take)
             if chunk is None:
                 continue

@@ -178,16 +178,29 @@ def _validate_render(args, values):
 # -- families added since: serving, overload, object store, backends ---------
 
 TRAFFIC_MIXES = ("poisson", "diurnal", "bursty")
+_TRAFFIC_CELL = "repro.service.drill:run_traffic_cell"
 #: Dedup-ratio dials of the default ``objstore --sweep``, in dial order.
 OBJSTORE_SWEEP_DIALS = (0.0, 0.25, 0.5, 0.75, 0.9)
 
 
+def _traffic_scenario(args, config):
+    """``--mixes`` picks open-loop arrival patterns; a closed-loop scenario
+    has none to pick."""
+    if config.closed_loop is not None and args.mixes is not None:
+        raise argparse.ArgumentTypeError(
+            "--mixes sets open-loop arrival patterns; "
+            f"scenario {config.name!r} serves closed-loop sessions"
+        )
+    return config
+
+
 def _traffic_cells(args, scenario):
-    """One serving cell per arrival mix."""
+    """One serving cell per arrival mix, or one for a closed-loop scenario."""
+    if scenario.get("closed_loop") is not None:
+        return [JobSpec("traffic.closed-loop", _TRAFFIC_CELL, {"scenario": scenario})]
     return [
-        JobSpec(f"traffic.{mix}", "repro.service.drill:run_traffic_cell",
-                {"mix": mix, "scenario": scenario})
-        for mix in args.mixes
+        JobSpec(f"traffic.{mix}", _TRAFFIC_CELL, {"mix": mix, "scenario": scenario})
+        for mix in args.mixes or TRAFFIC_MIXES
     ]
 
 
@@ -486,10 +499,11 @@ FAMILIES: dict[str, Family] = {family.verb: family for family in (
     Family(
         "traffic", "multi-tenant serving drill (admission/WFQ/SLO scorecard)",
         _traffic_cells, _traffic_render,
-        flags=(_flag("--mixes", nargs="+", default=list(TRAFFIC_MIXES),
-                     choices=list(TRAFFIC_MIXES),
-                     help="arrival mixes to serve, one matrix cell each"),),
-        preset="traffic-smoke", golden="traffic-smoke",
+        flags=(_flag("--mixes", nargs="+", choices=list(TRAFFIC_MIXES),
+                     help="open-loop arrival mixes to serve, one matrix cell "
+                          "each (default: all three); a closed-loop scenario "
+                          "serves its sessions in one cell"),),
+        preset="traffic-smoke", golden="traffic-smoke", configure=_traffic_scenario,
     ),
     Family(
         "drill",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Protocol, runtime_checkable
 
 from repro.cpu.scheduler import RunQueue
-from repro.isos.filesystem import ExtentFileSystem
+from repro.isos.filesystem import ExtentFileSystem, FsError
 from repro.sim import Simulator
 
 __all__ = ["ExecContext", "Executable", "ExecutableRegistry", "ExitStatus"]
@@ -113,6 +113,9 @@ class PageStream:
         self.name = name
         self.index = 0
         self.total = ctx.fs.page_count(name)
+        #: The :class:`FsError` that ended the stream early: the file shrank
+        #: or vanished after the stream sized itself.
+        self.error: FsError | None = None
 
     @property
     def exhausted(self) -> bool:
@@ -127,9 +130,21 @@ class PageStream:
         return self._read(index)
 
     def _read(self, index: int) -> Generator:
-        data, take = yield from self.ctx.fs.read_page_of(self.name, index)
+        try:
+            data, take = yield from self.ctx.fs.read_page_of(self.name, index)
+        except FsError as exc:
+            # A readahead process has no waiter yet, so a raise here would
+            # escape the simulation; end the stream and let the app fail.
+            self.error = exc
+            return None, 0
         self.ctx.bytes_read += take
         return data, take
+
+    def error_status(self, app: str) -> ExitStatus:
+        """The failed exit of an app whose input changed under its scan."""
+        return ExitStatus(
+            code=1, stdout=f"{app}: {self.name}: changed during read ({self.error})".encode()
+        )
 
 
 class ExecutableRegistry:

@@ -19,6 +19,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.obs.metrics import _exact_quantile
+
 __all__ = ["FleetHealth", "HealthAggregator", "burn_rate_alerts"]
 
 
@@ -82,42 +84,32 @@ def burn_rate_alerts(
     return tuple(verdicts)
 
 
-def _percentile(sorted_samples: list[float], q: float) -> float:
-    """Nearest-rank-with-interpolation percentile over raw samples."""
-    if not sorted_samples:
-        return 0.0
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    position = q * (len(sorted_samples) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(sorted_samples) - 1)
-    fraction = position - lower
-    return sorted_samples[lower] * (1 - fraction) + sorted_samples[upper] * fraction
-
-
 @dataclass(frozen=True, slots=True)
 class FleetHealth:
-    """Point-in-time rollup across every device in a fleet."""
+    """Point-in-time rollup across every device in a fleet.
 
-    time: float
+    The device-derived fields default to zero: with every device down
+    there is nothing to derive them from."""
+
     nodes: int
     devices: int
-    active_minions: int
-    running_processes: int
-    mean_utilization: float
-    max_utilization: float
-    per_node_utilization: dict[int, float]
-    max_temperature_c: float
-    total_free_bytes: int
-    minion_latency_p50: float
-    minion_latency_p95: float
-    minion_latency_p99: float
-    minion_latency_samples: int
-    grown_bad_blocks: int
-    media_errors: int
-    max_percentage_used: int
-    max_write_amplification: float
-    gc_collections: int
+    time: float = 0.0
+    active_minions: int = 0
+    running_processes: int = 0
+    mean_utilization: float = 0.0
+    max_utilization: float = 0.0
+    per_node_utilization: dict[int, float] = field(default_factory=dict)
+    max_temperature_c: float = 0.0
+    total_free_bytes: int = 0
+    minion_latency_p50: float = 0.0
+    minion_latency_p95: float = 0.0
+    minion_latency_p99: float = 0.0
+    minion_latency_samples: int = 0
+    grown_bad_blocks: int = 0
+    media_errors: int = 0
+    max_percentage_used: int = 0
+    max_write_amplification: float = 0.0
+    gc_collections: int = 0
     #: Fault/recovery accounting (PR 2): how much trouble the fleet has
     #: absorbed, and where it is still degraded right now.
     watchdog_kills: int = 0
@@ -130,20 +122,6 @@ class FleetHealth:
     unreachable_devices: tuple[str, ...] = ()
     breakers_open: tuple[str, ...] = ()
     alerts: tuple[str, ...] = ()
-    #: Service-frontend rollup (PR 6): only meaningful when a traffic run
-    #: fed the aggregator (``service_engaged``).
-    service_engaged: bool = False
-    service_requests: int = 0
-    service_shed: int = 0
-    service_violations: int = 0
-    service_p999_ms: float = 0.0
-    service_jain: float = 1.0
-    #: Overload-resilience rollup (PR 7): per-reason shed counts (includes
-    #: ``brownout``/``retry_budget`` once defenses are engaged), CoDel
-    #: drops, and fired multi-window burn-rate alerts.
-    service_shed_reasons: tuple[tuple[str, int], ...] = ()
-    service_dropped: int = 0
-    service_burn_alerts: tuple[str, ...] = ()
 
     @property
     def degraded(self) -> bool:
@@ -177,24 +155,7 @@ class FleetHealth:
             ["max write amplification", f"{self.max_write_amplification:.2f}"],
             ["GC collections", self.gc_collections],
             ["alerts", "; ".join(self.alerts) if self.alerts else "none"],
-        ] + (
-            [
-                ["service requests / shed / violations",
-                 f"{self.service_requests} / {self.service_shed} / {self.service_violations}"],
-                ["service shed by reason",
-                 ", ".join(f"{reason}={count}"
-                           for reason, count in self.service_shed_reasons)
-                 or "none"],
-                ["service dropped (codel)", self.service_dropped],
-                ["service burn alerts",
-                 "; ".join(self.service_burn_alerts)
-                 if self.service_burn_alerts else "none"],
-                ["service latency p999", f"{self.service_p999_ms:.2f} ms"],
-                ["service fairness (Jain)", f"{self.service_jain:.4f}"],
-            ]
-            if self.service_engaged
-            else []
-        )
+        ]
 
 
 @dataclass
@@ -230,7 +191,6 @@ class HealthAggregator:
             "retries": 0, "failovers": 0, "host_fallbacks": 0, "lost_minions": 0
         }
         self._breakers_open: tuple[str, ...] = ()
-        self._service: Any = None
 
     # -- feeding ------------------------------------------------------------
     def observe_device(
@@ -273,60 +233,6 @@ class HealthAggregator:
         self._recovery["lost_minions"] = lost_minions
         self._breakers_open = tuple(breakers_open)
 
-    def observe_service(self, report: Any) -> None:
-        """Fold a service-frontend scorecard
-        (:class:`repro.service.slo.SloReport`) into the next summary —
-        shed traffic and SLO violations become operator alerts."""
-        self._service = report
-
-    @staticmethod
-    def _burn_alert_strings(report: Any) -> tuple[str, ...]:
-        burn = getattr(report, "burn", None)
-        if not burn:
-            return ()
-        return tuple(
-            f"burn-rate {alert['long_ms']:g}ms/{alert['short_ms']:g}ms "
-            f">= {alert['threshold']:g}x (worst {alert['worst']:.1f}x)"
-            for alert in burn
-            if alert.get("fired")
-        )
-
-    def _service_fields(self) -> dict[str, Any]:
-        if self._service is None:
-            return {}
-        report = self._service
-        return {
-            "service_engaged": True,
-            "service_requests": report.requests,
-            "service_shed": report.shed_total,
-            "service_violations": report.violations,
-            "service_p999_ms": report.p999_ms,
-            "service_jain": report.jain,
-            "service_shed_reasons": tuple(sorted(report.shed.items())),
-            "service_dropped": getattr(report, "dropped", None) or 0,
-            "service_burn_alerts": self._burn_alert_strings(report),
-        }
-
-    def _service_alerts(self) -> list[str]:
-        if self._service is None:
-            return []
-        report = self._service
-        alerts = []
-        if report.shed_total:
-            alerts.append(f"service: {report.shed_total} requests shed at admission")
-        if report.violations:
-            alerts.append(f"service: {report.violations} SLO violations")
-        if report.lost:
-            alerts.append(f"service: {report.lost} requests lost in dispatch")
-        dropped = getattr(report, "dropped", None)
-        if dropped:
-            alerts.append(f"service: {dropped} stale requests dropped (CoDel)")
-        alerts.extend(f"service: {s}" for s in self._burn_alert_strings(report))
-        return alerts
-
-    def observe_minion_latency(self, seconds: float) -> None:
-        self._latencies.append(seconds)
-
     def observe_minion_latencies(self, seconds: Iterable[float]) -> None:
         self._latencies.extend(seconds)
 
@@ -352,36 +258,15 @@ class HealthAggregator:
         if not self._devices:
             # every device is down: still report, with zeros and loud alerts
             return FleetHealth(
-                time=0.0,
                 nodes=nodes,
                 devices=devices,
-                active_minions=0,
-                running_processes=0,
-                mean_utilization=0.0,
-                max_utilization=0.0,
-                per_node_utilization={},
-                max_temperature_c=0.0,
-                total_free_bytes=0,
-                minion_latency_p50=0.0,
-                minion_latency_p95=0.0,
-                minion_latency_p99=0.0,
-                minion_latency_samples=0,
-                grown_bad_blocks=0,
-                media_errors=0,
-                max_percentage_used=0,
-                max_write_amplification=0.0,
-                gc_collections=0,
                 retries=self._recovery["retries"],
                 failovers=self._recovery["failovers"],
                 host_fallbacks=self._recovery["host_fallbacks"],
                 lost_minions=self._recovery["lost_minions"],
                 unreachable_devices=unreachable,
                 breakers_open=self._breakers_open,
-                alerts=tuple(
-                    [f"{tag}: unreachable" for tag in unreachable]
-                    + self._service_alerts()
-                ),
-                **self._service_fields(),
+                alerts=tuple(f"{tag}: unreachable" for tag in unreachable),
             )
         snaps = list(self._devices.values())
         utilizations = [d.snapshot.core_utilization for d in snaps]
@@ -398,11 +283,10 @@ class HealthAggregator:
         max_wa = max((float(s.get("write_amplification", 0.0)) for s in smarts), default=0.0)
 
         if self._latencies:
-            ordered = sorted(self._latencies)
-            p50 = _percentile(ordered, 0.50)
-            p95 = _percentile(ordered, 0.95)
-            p99 = _percentile(ordered, 0.99)
-            n_samples = len(ordered)
+            p50, p95, p99 = (
+                _exact_quantile(self._latencies, q) for q in (0.50, 0.95, 0.99)
+            )
+            n_samples = len(self._latencies)
         elif self._histogram_percentiles is not None:
             p50, p95, p99 = self._histogram_percentiles
             n_samples = self._histogram_samples
@@ -426,7 +310,6 @@ class HealthAggregator:
                 alerts.append(f"{tag}: wear {d.smart['percentage_used']}% of rated life")
             if d.smart and int(d.smart.get("bad_blocks", 0)) > 0:
                 alerts.append(f"{tag}: {d.smart['bad_blocks']} grown bad blocks")
-        alerts.extend(self._service_alerts())
 
         return FleetHealth(
             time=max(d.snapshot.time for d in snaps),
@@ -458,5 +341,4 @@ class HealthAggregator:
             unreachable_devices=unreachable,
             breakers_open=self._breakers_open,
             alerts=tuple(alerts),
-            **self._service_fields(),
         )

@@ -1,10 +1,14 @@
 """Traffic cells: one seeded serving run as a hermetic, cacheable job.
 
-``run_traffic_cell`` is the parallel-runner target behind the ``traffic``
-CLI verb and the matrix builder — module-path addressable, JSON-in /
-JSON-out, hermetic (the scenario dict is the entire input), so the result
-cache can replay a cell from its payload digest and ``--workers N``
-produces byte-identical scorecards.
+``run_traffic_cell`` is the one serving cell: the parallel-runner target
+behind the ``traffic`` CLI verb, and the run the metastable drill
+(``run_metastable_cell``, the ``drill`` verb) scores.  It serves a
+scenario's closed-loop sessions when it has a ``closed_loop`` section and
+open-loop arrivals otherwise, with the objstore write mix in either loop
+when ``objstore.write_fraction`` is set.  Cells are module-path
+addressable, JSON-in / JSON-out and hermetic (the scenario dict is the
+entire input), so the result cache can replay a cell from its payload
+digest and ``--workers N`` produces byte-identical scorecards.
 """
 
 from __future__ import annotations
@@ -13,38 +17,28 @@ from dataclasses import replace
 from typing import Any, Mapping
 
 from repro.config.codec import scenario_from_dict, to_dict
-from repro.config.schema import (
-    ClosedLoopConfig,
-    ScenarioConfig,
-    ServiceConfig,
-    TrafficConfig,
-)
+from repro.config.schema import ClosedLoopConfig, ServiceConfig, TrafficConfig
 
-__all__ = [
-    "closed_loop_scenario",
-    "run_closedloop_cell",
-    "run_metastable_cell",
-    "run_traffic_cell",
-    "service_scenario",
-]
-
-
-def service_scenario(config: ScenarioConfig, mix: str | None = None) -> ScenarioConfig:
-    """A scenario with its service layer engaged (defaults filled in) and,
-    optionally, the traffic pattern overridden to ``mix``."""
-    service = config.service if config.service is not None else ServiceConfig()
-    traffic = config.traffic if config.traffic is not None else TrafficConfig()
-    if mix is not None:
-        traffic = replace(traffic, pattern=mix)
-    return replace(config, service=service, traffic=traffic)
+__all__ = ["run_metastable_cell", "run_traffic_cell"]
 
 
 def run_traffic_cell(
-    scenario: Mapping[str, Any] | None = None, mix: str | None = None
+    scenario: Mapping[str, Any] | None = None,
+    mix: str | None = None,
+    defenses: bool = True,
 ) -> dict:
-    """Stage, arm faults, serve the whole arrival stream, return the
+    """Stage, arm faults, serve the whole traffic source, return the
     scorecard payload (a plain JSON dict; see
-    :meth:`repro.service.slo.SloReport.to_payload`)."""
+    :meth:`repro.service.slo.SloReport.to_payload`).
+
+    A scenario with a ``closed_loop`` section serves its sessions; any
+    other serves open-loop arrivals (``traffic`` defaults filled in), and
+    ``mix`` overrides their pattern.  ``defenses=False`` drops the
+    ``overload`` section (retry budget, CoDel, brownout, AIMD): the *same*
+    scenario — same digest, seed and fault trigger — with the fixed
+    queue-full check and fixed concurrency, the counterfactual the
+    metastable drill scores against.
+    """
     from repro.config.factory import build_corpus, build_fault_plan, build_fleet
     from repro.config.presets import preset
     from repro.faults import FaultInjector
@@ -53,7 +47,11 @@ def run_traffic_cell(
     config = (
         scenario_from_dict(scenario) if scenario is not None else preset("traffic-smoke")
     )
-    config = service_scenario(config, mix=mix)
+    traffic = None
+    if config.closed_loop is None:
+        traffic = config.traffic if config.traffic is not None else TrafficConfig()
+        if mix is not None:
+            traffic = replace(traffic, pattern=mix)
     fleet = build_fleet(config)
     sim = fleet.sim
     books = build_corpus(config)
@@ -61,7 +59,6 @@ def run_traffic_cell(
     if config.faults.any:
         plan = build_fault_plan(config, fleet.device_ring(), base_time=sim.now)
         FaultInjector.for_fleet(fleet, plan).start()
-    # the objstore write mix rides along only when the scenario asks for it
     store = None
     if config.objstore is not None and config.objstore.write_fraction > 0.0:
         from repro.objstore.dedup import DedupObjectStore
@@ -70,64 +67,19 @@ def run_traffic_cell(
             fleet, params=config.objstore.params(), replicas=config.objstore.replicas
         )
     frontend = ServiceFrontend(
-        fleet, config.service, config.traffic, books,
-        overload=config.overload, objstore=store, objstore_config=config.objstore,
+        fleet,
+        config.service if config.service is not None else ServiceConfig(),
+        traffic,
+        books,
+        closed_loop=config.closed_loop,
+        overload=config.overload if defenses else None,
+        objstore=store,
+        objstore_config=config.objstore,
     )
     report = sim.run(sim.process(frontend.run()))
     if store is not None:
         report = replace(report, objstore=store.stats.to_payload())
     return report.to_payload()
-
-
-def closed_loop_scenario(config: ScenarioConfig) -> ScenarioConfig:
-    """A scenario with its service and closed-loop sections engaged."""
-    service = config.service if config.service is not None else ServiceConfig()
-    closed = config.closed_loop if config.closed_loop is not None else ClosedLoopConfig()
-    return replace(config, service=service, closed_loop=closed)
-
-
-def run_closedloop_cell(
-    scenario: Mapping[str, Any] | None = None, defenses: bool = True
-) -> dict:
-    """One closed-loop serving run: sessions with think time and
-    retries-on-shed over the staged fleet, faults armed.
-
-    ``defenses`` arms the scenario's overload section (retry budget, CoDel,
-    brownout, AIMD); with ``defenses=False`` the *same* scenario — same
-    digest, same seed, same fault trigger — runs with the fixed queue-full
-    check and fixed concurrency, the counterfactual the metastable drill
-    scores against.
-    """
-    from repro.config.factory import build_corpus, build_fault_plan, build_fleet
-    from repro.config.presets import preset
-    from repro.faults import FaultInjector
-    from repro.service.frontend import ServiceFrontend
-
-    config = (
-        scenario_from_dict(scenario)
-        if scenario is not None
-        else preset("traffic-closedloop")
-    )
-    config = closed_loop_scenario(config)
-    fleet = build_fleet(config)
-    sim = fleet.sim
-    books = build_corpus(config)
-    sim.run(sim.process(fleet.stage_corpus(books, replicas=config.fleet.replicas)))
-    if config.faults.any:
-        plan = build_fault_plan(config, fleet.device_ring(), base_time=sim.now)
-        FaultInjector.for_fleet(fleet, plan).start()
-    frontend = ServiceFrontend(
-        fleet,
-        config.service,
-        None,
-        books,
-        closed_loop=config.closed_loop,
-        overload=config.overload if defenses else None,
-    )
-    report = sim.run(sim.process(frontend.run()))
-    payload = report.to_payload()
-    payload["defenses"] = bool(defenses)
-    return payload
 
 
 def run_metastable_cell(
@@ -148,8 +100,10 @@ def run_metastable_cell(
     config = (
         scenario_from_dict(scenario) if scenario is not None else preset("metastable")
     )
-    config = closed_loop_scenario(config)
-    payload = run_closedloop_cell(scenario=to_dict(config), defenses=defenses)
+    if config.closed_loop is None:
+        config = replace(config, closed_loop=ClosedLoopConfig())
+    payload = run_traffic_cell(scenario=to_dict(config), defenses=defenses)
+    payload["defenses"] = bool(defenses)
 
     closed = config.closed_loop
     window_s = closed.goodput_window_ms / 1e3

@@ -26,16 +26,19 @@
 The traffic source is either the open-loop :class:`TrafficGenerator`
 stream (``traffic`` config) or the closed-loop session population
 (:class:`~repro.service.traffic.ClosedLoopDriver`, ``closed_loop``
-config), where shed work feeds back as retries.
+config), where shed work feeds back as retries.  Both go through one
+admission function, :meth:`ServiceFrontend.offer`, and one dispatch loop.
+With an objstore supplied and ``objstore.write_fraction`` set, a stable
+share of tenants issue PUTs through the dedup store instead of reads, in
+either loop.
 
 Determinism: open-loop arrivals are materialised up front from the traffic
 seed, closed-loop sessions draw from per-session named streams, admission
 is pure bookkeeping, the WFQ breaks ties by push order, and the
 simulator's event order is stable — so the scorecard is a pure function of
 the scenario config.  Every overload feature is gated on its config
-section, and the gates sit outside the legacy code paths, so runs without
-``overload``/``closed_loop`` sections replay the exact historical
-schedules (the pinned traffic goldens).
+section, so a run without ``overload``/``closed_loop`` sections schedules
+no event of theirs (the pinned traffic goldens hold that).
 """
 
 from __future__ import annotations
@@ -64,17 +67,13 @@ from repro.service.overload import (
 from repro.service.scheduler import WeightedFairQueue
 from repro.service.slo import SloReport, SloTracker
 from repro.service.tokens import TenantBuckets
-from repro.service.traffic import (
-    Arrival,
-    ClosedLoopDriver,
-    TrafficGenerator,
-    assign_class,
-)
+from repro.service.traffic import ClosedLoopDriver, TrafficGenerator, assign_class
 from repro.workloads import BookFile
 
 __all__ = ["QueuedRequest", "ServiceFrontend"]
 
-#: Arrivals between token-bucket eviction sweeps (state-bound housekeeping).
+#: Arrivals (open loop) or queued offers (closed loop) between token-bucket
+#: eviction sweeps (state-bound housekeeping).
 EVICT_EVERY = 64
 
 
@@ -150,8 +149,7 @@ class ServiceFrontend:
         self._wait_sum = 0.0
         self._wait_count = 0
         # Objstore write mix: engaged only when a store is supplied AND the
-        # config asks for write traffic — every other run never touches this
-        # path, so legacy scorecards stay byte-identical.
+        # config asks for write traffic; every other run never touches it.
         self._objstore = objstore
         self._write_fraction = (
             objstore_config.write_fraction
@@ -210,35 +208,17 @@ class ServiceFrontend:
 
     # -- admission -------------------------------------------------------------
 
-    def _admit(self, arrival: Arrival) -> None:
-        """Open-loop admission: the legacy path, byte-for-byte."""
-        cls = self._classes[assign_class(arrival.tenant, self.service.classes)]
-        self.tracker.on_arrival(cls.name)
-        now = self.sim.now
-        if not self.buckets.allow(arrival.tenant, cls.rate, cls.burst, now):
-            self.tracker.on_shed(cls.name, "rate_limited", at=now)
-            return
-        if self._brownout is not None and self._brownout.sheds(
-            cls.name, len(self._queue), self.service.queue_depth
-        ):
-            self.tracker.on_shed(cls.name, "brownout", at=now)
-            return
-        if len(self._queue) >= self.service.queue_depth:
-            self.tracker.on_shed(cls.name, "queue_full", at=now)
-            return
-        if self.retry_budget is not None:
-            self.retry_budget.earn()
-        self._queue.push(cls.name, QueuedRequest(arrival.tenant, cls.name, now))
-        self.tracker.on_queue_depth(len(self._queue))
-        self._kick()
-
     def offer(self, tenant: int, retry: bool = False) -> QueuedRequest | None:
-        """Closed-loop admission: returns the queued request (carrying a
-        ``done`` event the session can wait on) or ``None`` when shed.
+        """Admission for both traffic sources: returns the queued request or
+        ``None`` when shed.
 
-        Retries are charged against the fleet-wide retry budget *first* —
-        under overload, keeping retry pressure off the queue matters more
-        than any per-tenant fairness decision.
+        Retries (closed loop only) are charged against the fleet-wide retry
+        budget *first* — under overload, keeping retry pressure off the
+        queue matters more than any per-tenant fairness decision.  A
+        closed-loop request carries a ``done`` event its session waits on,
+        and every ``EVICT_EVERY`` queued offers sweep the token buckets; an
+        open-loop request has no waiter, and :meth:`_arrivals` sweeps by
+        arrival count instead.
         """
         cls = self._classes[assign_class(tenant, self.service.classes)]
         self.tracker.on_arrival(cls.name)
@@ -261,13 +241,15 @@ class ServiceFrontend:
             return None
         if not retry and self.retry_budget is not None:
             self.retry_budget.earn()
+        closed = self.driver is not None
         request = QueuedRequest(tenant, cls.name, now,
-                                done=self.sim.event("service.done"))
+                                done=self.sim.event("service.done") if closed else None)
         self._queue.push(cls.name, request)
         self.tracker.on_queue_depth(len(self._queue))
-        self._offers += 1
-        if self._offers % EVICT_EVERY == 0:
-            self.buckets.evict_restorable(now)
+        if closed:
+            self._offers += 1
+            if self._offers % EVICT_EVERY == 0:
+                self.buckets.evict_restorable(now)
         self._kick()
         return request
 
@@ -283,7 +265,7 @@ class ServiceFrontend:
             target = start + arrival.time
             if target > self.sim.now:
                 yield self.sim.timeout(target - self.sim.now)
-            self._admit(arrival)
+            self.offer(arrival.tenant)
             if (index + 1) % EVICT_EVERY == 0:
                 self.buckets.evict_restorable(self.sim.now)
         self._arrivals_done = True
@@ -303,8 +285,8 @@ class ServiceFrontend:
 
     def _drained_kick(self) -> None:
         """Wake index-gated workers parked above the AIMD allowance so
-        they can observe completion (gated runs only — the legacy path
-        never parks a worker after the source finishes)."""
+        they can observe completion (gated runs only — an ungated worker
+        never parks after the source finishes)."""
         if self._gated and self._arrivals_done and not self._queue:
             self._kick()
 

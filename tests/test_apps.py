@@ -439,3 +439,38 @@ def test_sort_then_uniq_script():
     final = results[-1][1]
     assert final.stdout == b"a\nb\nc"
     assert final.detail["duplicates"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, pages",
+    [("grep fox book.txt", 3), ("head -n 100000 book.txt", 8)],
+    ids=["grep-readahead", "head"],
+)
+def test_input_rewritten_shorter_mid_scan_fails_the_command(command, pages):
+    """The file is rewritten to an eighth of a page 1 us into the scan; the
+    new inode lands while the scan still has pages to read (``head`` reads
+    faster, so it gets a longer file).  The page the stream sized itself
+    for is gone: the command exits 1 naming the file, and the simulation
+    keeps serving."""
+    from repro.config import build_node, preset
+
+    node = build_node(preset("smoke"))
+    sim = node.sim
+    fs = node.compstors[0].fs
+    page = fs.page_size
+    sim.run(sim.process(fs.write_file("book.txt", b"fox jumps\n" * (pages * page // 10))))
+    assert fs.page_count("book.txt") == pages
+
+    def rewrite():
+        yield sim.timeout(1e-6)
+        yield from fs.write_file("book.txt", b"f" * (page // 8))
+
+    def session(line):
+        return (yield from node.client.run("compstor0", line))
+
+    sim.process(rewrite())
+    response = sim.run(sim.process(session(command)))
+    assert response.exit_code == 1
+    assert b"book.txt: changed during read" in response.stdout
+    after = sim.run(sim.process(session("grep f book.txt")))
+    assert (after.exit_code, after.stdout) == (0, b"1")

@@ -83,6 +83,32 @@ def test_bench_verb_is_gone(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_traffic_closed_loop_serves_the_sessions(capsys):
+    """A closed-loop scenario prints one ``closed-loop`` row: the
+    preset's sessions, not open-loop mixes."""
+    from repro.config import preset, to_dict
+    from repro.service.drill import run_traffic_cell
+
+    assert main(["traffic", "--preset", "traffic-closedloop", "--no-cache"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["closed-loop"], ["poisson"], ["diurnal"],
+                                    ["bursty"])]
+    value = run_traffic_cell(to_dict(preset("traffic-closedloop")))
+    assert rows == [[
+        "closed-loop", str(value["requests"]), str(value["admitted"]),
+        str(sum(value["shed"].values())), str(value["completed"]),
+        str(value["lost"]), f"{value['p50_ms']:.3f}", f"{value['p99_ms']:.3f}",
+        f"{value['p999_ms']:.3f}", f"{value['jain']:.4f}", str(value["violations"]),
+    ]]
+
+
+def test_traffic_mixes_on_a_closed_loop_preset_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["traffic", "--preset", "traffic-closedloop", "--mixes", "poisson"])
+    assert exc.value.code == 2
+    assert "closed-loop sessions" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_app():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig6", "--app", "fortnite"])

@@ -68,6 +68,8 @@ CASES = [
         _header_is_the_scenario, id="validate",
     ),
     pytest.param("traffic", [], None, id="traffic"),
+    pytest.param("traffic", ["--preset", "traffic-closedloop"], None,
+                 id="traffic-closedloop"),
     pytest.param("drill", [], None, id="drill"),
     pytest.param("objstore", [], _objstore_rows_end_yes, id="objstore"),
     pytest.param("objstore", ["--sweep"], _sweep_is_monotone, id="objstore-sweep"),

@@ -19,8 +19,9 @@ Mirrors ``test_traffic_determinism.py`` for the closed-loop cells:
 from __future__ import annotations
 
 from repro.cli import main
+from repro.config import preset, to_dict
 from repro.parallel import payload_digest
-from repro.service.drill import run_closedloop_cell, run_metastable_cell
+from repro.service.drill import run_metastable_cell, run_traffic_cell
 from tests.test_families import golden_digests
 
 
@@ -90,10 +91,11 @@ def test_engaged_accounting_identities():
 
 
 def test_closedloop_cell_without_faults_is_deterministic():
-    first = run_closedloop_cell(defenses=True)
-    second = run_closedloop_cell(defenses=True)
+    scenario = to_dict(preset("traffic-closedloop"))
+    first = run_traffic_cell(scenario)
+    second = run_traffic_cell(scenario)
     assert first == second
-    assert first["defenses"]
+    assert first["pattern"] == "closed-loop"
     assert "metastable" not in first  # scoring is the drill's job
     assert sum(first["goodput"]["windows"]) > 0
 

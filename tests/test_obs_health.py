@@ -70,6 +70,9 @@ def test_unreachable_devices_count_as_nodes_and_devices():
     everything_down.observe_unreachable(1, "d0")
     health = everything_down.summary()
     assert (health.nodes, health.devices) == (2, 2)
+    # nothing to derive device fields from: they read zero
+    assert (health.time, health.max_utilization, health.per_node_utilization) == (0.0, 0.0, {})
+    assert health.alerts == ("node0/d0: unreachable", "node1/d0: unreachable")
 
 
 def test_latency_percentiles_from_raw_samples():

@@ -197,6 +197,25 @@ def test_traffic_burst_exercises_every_mechanism():
     assert payload["peak_buckets"] < 2000
 
 
+@pytest.mark.parametrize("name", ["traffic-smoke", "traffic-closedloop"])
+def test_objstore_write_mix_serves_in_both_loops(name):
+    """A quarter of the tenants PUT through the dedup store instead of
+    reading; every PUT commits, and both the store and the scorecard
+    conserve what they were offered."""
+    scenario = to_dict(preset(name, ("objstore.write_fraction=0.25",)))
+    payload = run_traffic_cell(scenario)
+    store = payload["objstore"]
+    assert store["puts"] > 0
+    assert store["failed_puts"] == 0
+    assert store["stored_bytes"] + store["deduped_bytes"] == store["offered_bytes"]
+    assert payload["requests"] == payload["admitted"] + sum(payload["shed"].values())
+    # CoDel drops exist only with the overload defenses armed
+    assert payload["admitted"] == (
+        payload["completed"] + payload["lost"] + (payload.get("dropped") or 0)
+    )
+    assert run_traffic_cell(scenario) == payload
+
+
 def test_service_config_validation():
     with pytest.raises(ValueError, match="queue_depth"):
         ServiceConfig(queue_depth=0)
