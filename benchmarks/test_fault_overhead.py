@@ -35,14 +35,14 @@ def rig(armed: bool, nodes: int, devices: int) -> ScenarioConfig:
     )
 
 
-def run_node_workload(armed=False):
-    """One node, four devices, one grep minion per book; returns the
-    schedule-identity tuple (finish time + every stdout)."""
+def run_node_workload(armed=False, files=8):
+    """One node, four devices, one grep minion per book (``files`` books);
+    returns the schedule-identity tuple (finish time + every stdout)."""
     node = build_node(rig(armed, nodes=1, devices=4))
     sim = node.sim
     if armed:
         FaultInjector.for_node(node, FaultPlan()).start()
-    books = BookCorpus(CorpusSpec(files=8, mean_file_bytes=64 * 1024)).generate()
+    books = BookCorpus(CorpusSpec(files=files, mean_file_bytes=64 * 1024)).generate()
     sim.run(sim.process(node.stage_corpus(books, compressed=False)))
     assignments = [
         (device, Command(command_line=f"grep xylophone {book.name}"))

@@ -19,7 +19,7 @@ from repro.config import (
     build_fleet,
     config_digest,
 )
-from repro.obs import HealthAggregator
+from repro.obs import MetricsRegistry
 from repro.proto import Command
 from repro.workloads import CorpusSpec
 
@@ -35,12 +35,12 @@ SCENARIO = ScenarioConfig(
 
 def main() -> None:
     print(f"scenario {SCENARIO.name} digest={config_digest(SCENARIO)[:16]}")
-    fleet = build_fleet(SCENARIO)
+    # an enabled registry keeps the client round-trip histogram that
+    # fleet.health() takes its minion-latency percentiles from
+    fleet = build_fleet(SCENARIO, metrics=MetricsRegistry())
     sim = fleet.sim
     books = build_corpus(SCENARIO)
     sim.run(sim.process(fleet.stage_corpus(books)))
-
-    aggregator = HealthAggregator()
 
     def workload():
         # mixed job: compress odd shards, scan even shards
@@ -54,7 +54,6 @@ def main() -> None:
         ok = sum(1 for r in responses if r.exit_code in (0, 1))
         print(f"job: {len(responses)} minions over {fleet.total_devices} devices "
               f"in {wall * 1e3:.1f} ms simulated ({ok} completed)\n")
-        aggregator.observe_minion_latencies(r.execution_seconds for r in responses)
 
         # telemetry sweep (the query path)
         snaps = yield from fleet.telemetry()
@@ -93,12 +92,12 @@ def main() -> None:
 
     # fleet health rollup: telemetry + SMART + minion latencies in one report
     def rollup():
-        health = yield from fleet.health(aggregator)
+        health = yield from fleet.health()
         return health
 
     health = sim.run(sim.process(rollup()))
     print("\n" + format_series_table(
-        "fleet health (HealthAggregator)", ["attribute", "value"], health.rows()
+        "fleet health", ["attribute", "value"], health.rows()
     ))
 
 

@@ -12,8 +12,8 @@ then compare the backends' storage behaviour on identical work.
 Cells are JSON-encodable parallel-runner work items (the ``backends``
 family in :mod:`repro.families`), so a backend sweep runs under the same
 deterministic matrix machinery as the figures.  :func:`smart_cell`, behind
-the ``smart`` verb, reads one drive's SMART/health log after a workload
-through the backend-agnostic ``health_stats()`` surface.
+the ``smart`` verb, reads one drive's SMART/health log after a workload;
+SMART builds its page from the backend's one snapshot, ``stats()``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def backend_cell(
             throughput_mb_s(_input_bytes(run.books, app), run.seconds), 3
         ),
         "output_digest": digest.hexdigest()[:16],
-        "gc_collections": sum(ftl.health_stats()["gc_collections"] for ftl in ftls),
+        "gc_collections": sum(ftl.stats()["gc_collections"] for ftl in ftls),
         "write_amplification": round(
             programs / host_pages if host_pages else 1.0, 4
         ),

@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, Iterator, Sequence
 from repro.cluster.node import StorageNode
 from repro.faults.retry import CircuitBreaker
 from repro.host.insitu import InSituError
-from repro.obs.health import FleetHealth, HealthAggregator
+from repro.obs.health import fleet_health
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.proto.entities import Command, Response, ResponseStatus
 from repro.sim import Simulator
@@ -424,7 +424,7 @@ class StorageFleet:
             if state != CircuitBreaker.CLOSED
         )
 
-    def health(self, aggregator: HealthAggregator | None = None) -> Generator:
+    def health(self) -> Generator:
         """Poll every device and roll the fleet up into one report.
 
         Telemetry queries travel the ISC wire concurrently (they cost
@@ -437,28 +437,25 @@ class StorageFleet:
 
         Returns the :class:`FleetHealth` summary.
         """
-        aggregator = aggregator if aggregator is not None else HealthAggregator()
         snapshots = yield from self.telemetry(return_exceptions=True)
+        devices, unreachable = [], []
         for (node_index, device), snap in sorted(snapshots.items()):
             if isinstance(snap, Exception):
-                aggregator.observe_unreachable(node_index, device)
-                continue
-            ssd = self._ssd(node_index, device)
-            aggregator.observe_device(
-                node_index, device, snap, smart=ssd.controller.smart_log()
-            )
-        aggregator.observe_recovery(
+                unreachable.append((node_index, device))
+            else:
+                smart = self._ssd(node_index, device).controller.smart_log()
+                devices.append((node_index, device, snap, smart))
+        round_trip = "client.minion.round_trip_seconds"
+        return fleet_health(
+            devices,
+            unreachable,
             retries=sum(node.client.retries for node in self.nodes),
             failovers=self.failovers_total,
             host_fallbacks=self.host_fallbacks_total,
             lost_minions=self.lost_total,
             breakers_open=self.breakers_open(),
+            latencies=self.metrics[round_trip] if round_trip in self.metrics else None,
         )
-        if self.metrics.enabled and "client.minion.round_trip_seconds" in self.metrics:
-            aggregator.observe_latency_histogram(
-                self.metrics["client.minion.round_trip_seconds"]
-            )
-        return aggregator.summary()
 
     def total_minions_served(self) -> int:
         return sum(ssd.agent.minions_served for node in self.nodes for ssd in node.compstors)

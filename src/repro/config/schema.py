@@ -27,7 +27,7 @@ Construction of live systems from a scenario lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.ecc import EccConfig
 from repro.faults.retry import BreakerConfig, RetryPolicy
@@ -648,6 +648,3 @@ class ScenarioConfig:
 
     def with_name(self, name: str) -> "ScenarioConfig":
         return replace(self, name=name)
-
-    def section_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self))

@@ -28,10 +28,6 @@ class RunQueue:
         # quantum and spec are fixed after construction
         self._quantum_cycles = quantum * cluster.spec.freq_hz
 
-    @property
-    def quantum_cycles(self) -> float:
-        return self._quantum_cycles
-
     def run_cycles(self, cycles: float, priority: int = 0) -> Generator:
         """Execute ``cycles`` in quantum slices; returns elapsed seconds."""
         if cycles < 0:

@@ -9,11 +9,11 @@ captured here as the :class:`TranslationBackend` protocol:
   without simulated time;
 - capacity: ``logical_pages`` / ``page_size`` / ``logical_capacity_bytes``;
 - accounting: ``host_reads`` / ``host_writes`` / ``uncorrectable_reads``,
-  ``write_amplification()`` and the free-form ``stats()`` dict;
-- health: ``health_stats()`` — the backend-agnostic spare/bad/GC/scrub
-  counters SMART and fleet telemetry aggregate (previously read off
-  concrete page-FTL attributes, which made any other backend silently
-  report zeros);
+  ``write_amplification()`` and ``stats()``, the backend's one snapshot:
+  host, GC and space counts (free and bad space in erase blocks on both
+  backends) that SMART, the backend cells and the benchmark all read, plus
+  the few keys only one backend has (``scrub_refreshes`` on the page FTL,
+  ``zones_*`` and ``zone_resets`` on the zoned one);
 - fault hooks: the raw ``flash`` array stays reachable, so media-level
   fault injection (``mark_block_failed``, error-model tweaks) works against
   any backend.
@@ -84,8 +84,6 @@ class TranslationBackend(Protocol):
     def write_amplification(self) -> float: ...
 
     def stats(self) -> dict[str, float]: ...
-
-    def health_stats(self) -> dict[str, float]: ...
 
 
 def create_backend(

@@ -123,11 +123,10 @@ class TranslationCore:
     - ``_program(lpn, data, stream, expect_ppn, oob=None)`` — program one
       page and bind it (compare-and-bind when ``expect_ppn`` is set);
     - ``free_units`` — the free pool the collector keeps between its
-      watermarks;
+      watermarks, and ``retired_units`` — the units taken out of service;
     - ``_choose_victim()`` — the next unit to collect, or None;
     - ``_erase_unit(unit)`` — release and erase a mapping-free unit;
       returns whether it went back into service;
-    - ``health_stats()``;
     - ``self.gc`` (a :class:`~repro.ftl.gc.GarbageCollector`) and
       ``self.write_buffer`` (:meth:`_start_write_buffer`), built in its own
       constructor: the order their processes spawn in is part of the
@@ -396,7 +395,10 @@ class TranslationCore:
 
     # -- reporting -------------------------------------------------------------
     def stats(self) -> dict[str, float]:
-        health = self.health_stats()
+        """The FTL's one snapshot, read by SMART (``NvmeController.
+        smart_log``), the backend cells and the benchmark.  Space is counted
+        in erase blocks on both backends; a backend adds only the keys it
+        alone has."""
         return {
             "host_reads": self.host_reads,
             "host_writes": self.host_writes,
@@ -408,9 +410,9 @@ class TranslationCore:
             "gc_pages_relocated": self.gc.pages_relocated,
             "wl_migrations": self.gc.wl_migrations,
             "write_amplification": self.write_amplification(),
-            "free_blocks": health["available_spare"],
+            "free_blocks": self.free_units * self._unit_blocks,
+            "bad_blocks": self.retired_units * self._unit_blocks,
             "uncorrectable_reads": self.uncorrectable_reads,
-            "scrub_refreshes": health["scrub_refreshes"],
         }
 
 
@@ -472,6 +474,10 @@ class FlashTranslationLayer(TranslationCore):
     @property
     def free_units(self) -> int:
         return self.allocator.free_blocks
+
+    @property
+    def retired_units(self) -> int:
+        return len(self.allocator.retired)
 
     # -- placement -------------------------------------------------------------
     def _program(
@@ -648,13 +654,5 @@ class FlashTranslationLayer(TranslationCore):
         return len(best)
 
     # -- reporting -------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Backend-agnostic health counters (the
-        :class:`~repro.ftl.backend.TranslationBackend` surface SMART and
-        fleet telemetry aggregate)."""
-        return {
-            "available_spare": self.allocator.free_blocks,
-            "bad_blocks": len(self.allocator.retired),
-            "gc_collections": self.gc.collections,
-            "scrub_refreshes": self.scrubber.blocks_refreshed,
-        }
+    def stats(self) -> dict[str, float]:
+        return {**super().stats(), "scrub_refreshes": self.scrubber.blocks_refreshed}

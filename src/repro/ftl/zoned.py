@@ -133,6 +133,10 @@ class ZonedFtl(TranslationCore):
     def free_units(self) -> int:
         return len(self._free)
 
+    @property
+    def retired_units(self) -> int:
+        return self.zones_retired
+
     # -- zone accessors ------------------------------------------------------
     def zone_state(self, zone: int) -> ZoneState:
         return ZoneState(int(self._zone_state[zone]))
@@ -397,12 +401,4 @@ class ZonedFtl(TranslationCore):
             "zones_full": report["full"],
             "zones_offline": report["offline"],
             "zone_resets": self.zone_resets,
-        }
-
-    def health_stats(self) -> dict[str, float]:
-        return {
-            "available_spare": len(self._free) * self.zone_blocks,
-            "bad_blocks": self.zones_retired * self.zone_blocks,
-            "gc_collections": self.gc.collections,
-            "scrub_refreshes": 0,
         }

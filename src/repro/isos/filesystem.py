@@ -92,9 +92,6 @@ class ExtentFileSystem:
     def listdir(self) -> list[str]:
         return sorted(self.files)
 
-    def total_bytes_used(self) -> int:
-        return sum(inode.size for inode in self.files.values())
-
     # -- mutation ------------------------------------------------------------
     @staticmethod
     def _check_name(name: str) -> None:

@@ -44,10 +44,6 @@ class Opcode(IntEnum):
     def is_vendor(self) -> bool:
         return 0xC0 <= self.value < 0x100
 
-    @property
-    def is_admin(self) -> bool:
-        return self in (Opcode.IDENTIFY, Opcode.GET_LOG_PAGE)
-
 
 class Status(IntEnum):
     SUCCESS = 0x0

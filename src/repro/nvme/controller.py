@@ -115,10 +115,6 @@ class NvmeController:
             raise RuntimeError("ISC handler already registered")
         self._isc_handler = handler
 
-    @property
-    def admin_queue(self) -> QueuePair:
-        return self.queues[0]
-
     def queue(self, index: int = 0) -> QueuePair:
         return self.queues[index]
 
@@ -297,29 +293,27 @@ class NvmeController:
         """SMART / health information (NVMe log page 0x02 analogue).
 
         Aggregates FTL and media health the way a real drive's SMART log
-        does — the monitoring surface fleet operators scrape.
+        does — the monitoring surface fleet operators scrape.  FTL counts
+        come from the backend's one snapshot (``stats()``); a zoned backend
+        has no patrol scrubber, so it reports no scrub refreshes.
         """
         flash = self.ftl.flash
         pe = flash.pe_cycles
         rated = flash.error_model.pe_rated
-        # Spare/bad/GC/scrub counters go through the backend-agnostic
-        # health surface: a zoned backend has no block allocator or patrol
-        # scrubber, and reading concrete page-FTL attributes here would
-        # silently report zeros for it.
-        health = self.ftl.health_stats()
+        stats = self.ftl.stats()
         return {
-            "media_errors": self.ftl.uncorrectable_reads,
+            "media_errors": stats["uncorrectable_reads"],
             "data_units_read": flash.stats.bytes_read // 512000 or 0,
             "data_units_written": flash.stats.bytes_programmed // 512000 or 0,
-            "host_reads": self.ftl.host_reads,
-            "host_writes": self.ftl.host_writes,
-            "write_amplification": self.ftl.write_amplification(),
+            "host_reads": stats["host_reads"],
+            "host_writes": stats["host_writes"],
+            "write_amplification": stats["write_amplification"],
             "percentage_used": min(100, int(100 * float(pe.mean()) / rated)),
             "max_pe_cycles": int(pe.max()),
-            "available_spare": health["available_spare"],
-            "bad_blocks": health["bad_blocks"],
-            "gc_collections": health["gc_collections"],
-            "scrub_refreshes": health["scrub_refreshes"],
+            "available_spare": stats["free_blocks"],
+            "bad_blocks": stats["bad_blocks"],
+            "gc_collections": stats["gc_collections"],
+            "scrub_refreshes": stats.get("scrub_refreshes", 0),
             "latency": self.latency_stats(),
         }
 

@@ -1,15 +1,16 @@
-"""Fleet-level health aggregation.
+"""Fleet-level health rollup.
 
-Folds per-device :class:`~repro.isps.telemetry.TelemetrySnapshot`s and SMART
-log pages (``NvmeController.smart_log``) into one :class:`FleetHealth`
-summary — the report an SRE dashboard would render for a rack of CompStor
-nodes: minion-latency percentiles, per-node utilisation, grown-bad-block
-totals, wear, thermal headroom.
+:func:`fleet_health` folds per-device
+:class:`~repro.isps.telemetry.TelemetrySnapshot`s and SMART log pages
+(``NvmeController.smart_log``) into one :class:`FleetHealth` summary — the
+report an SRE dashboard would render for a rack of CompStor nodes:
+minion-latency percentiles, per-node utilisation, grown-bad-block totals,
+wear, thermal headroom.
 
-The aggregator is deliberately pull-based and simulation-agnostic: feed it
-snapshots from :meth:`StorageFleet.telemetry`, SMART dicts from each
-controller, and minion latencies from responses (or an enabled
-:class:`~repro.obs.metrics.Histogram`), then ask for :meth:`summary`.
+The rollup is a pure function of one poll and simulation-agnostic:
+:meth:`StorageFleet.health` feeds it the snapshots, each controller's SMART
+page, the fleet's recovery counters and the client round-trip
+:class:`~repro.obs.metrics.Histogram`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.obs.metrics import _exact_quantile
+from repro.obs.metrics import Histogram
 
-__all__ = ["FleetHealth", "HealthAggregator", "burn_rate_alerts"]
+__all__ = ["FleetHealth", "burn_rate_alerts", "fleet_health"]
+
+#: Alert thresholds: saturated cores, hot devices, wear-out.
+UTILIZATION_WARN = 0.95
+TEMPERATURE_WARN_C = 85.0
+PERCENTAGE_USED_WARN = 90
 
 
 def burn_rate_alerts(
@@ -158,187 +164,96 @@ class FleetHealth:
         ]
 
 
-@dataclass
-class _DeviceHealth:
-    node: int
-    device: str
-    snapshot: Any
-    smart: Mapping[str, Any] | None = None
+def fleet_health(
+    devices: Sequence[tuple[int, str, Any, Mapping[str, Any]]],
+    unreachable: Sequence[tuple[int, str]] = (),
+    *,
+    retries: int = 0,
+    failovers: int = 0,
+    host_fallbacks: int = 0,
+    lost_minions: int = 0,
+    breakers_open: tuple[str, ...] = (),
+    latencies: Histogram | None = None,
+) -> FleetHealth:
+    """Roll one poll of a fleet up into a :class:`FleetHealth`.
 
-
-class HealthAggregator:
-    """Accumulates device observations; :meth:`summary` rolls them up.
+    ``devices`` holds ``(node, device, snapshot, smart)`` for every device
+    that answered: its :class:`~repro.isps.telemetry.TelemetrySnapshot` and
+    its SMART page (``NvmeController.smart_log``).  ``unreachable`` names
+    the ``(node, device)`` pairs that did not; they stay in the report (as
+    alerts and in ``unreachable_devices``) instead of poisoning the poll.
+    The recovery counters are the fleet's own; minion-latency percentiles
+    come from the client round-trip histogram when one is given.
 
     Thresholds fire operator alerts (strings, not exceptions): hot devices,
     saturated cores, wear-out, grown bad blocks.
     """
+    if not devices and not unreachable:
+        raise ValueError("no device observations to summarise")
+    tags = tuple(f"node{n}/{d}" for n, d in sorted(unreachable))
+    fleet = dict(
+        nodes=len({d[0] for d in devices} | {n for n, _ in unreachable}),
+        devices=len(devices) + len(unreachable),
+        retries=retries,
+        failovers=failovers,
+        host_fallbacks=host_fallbacks,
+        lost_minions=lost_minions,
+        unreachable_devices=tags,
+        breakers_open=breakers_open,
+    )
+    alerts = [f"{tag}: unreachable" for tag in tags]
+    alerts.extend(f"{device}: circuit breaker open" for device in breakers_open)
+    if lost_minions:
+        alerts.append(f"{lost_minions} minions lost (no surviving replica)")
+    if not devices:
+        # every device is down: still report, with zeros and loud alerts
+        return FleetHealth(**fleet, alerts=tuple(alerts))
+    snaps = [snap for _, _, snap, _ in devices]
+    smarts = [smart for _, _, _, smart in devices]
+    utilizations = [s.core_utilization for s in snaps]
+    per_node: dict[int, list[float]] = defaultdict(list)
+    for node, _, snap, _ in devices:
+        per_node[node].append(snap.core_utilization)
 
-    def __init__(
-        self,
-        utilization_warn: float = 0.95,
-        temperature_warn_c: float = 85.0,
-        percentage_used_warn: int = 90,
-    ):
-        self.utilization_warn = utilization_warn
-        self.temperature_warn_c = temperature_warn_c
-        self.percentage_used_warn = percentage_used_warn
-        self._devices: dict[tuple[int, str], _DeviceHealth] = {}
-        self._latencies: list[float] = []
-        self._histogram_percentiles: tuple[float, float, float] | None = None
-        self._histogram_samples = 0
-        self._unreachable: dict[tuple[int, str], None] = {}
-        self._recovery: dict[str, int] = {
-            "retries": 0, "failovers": 0, "host_fallbacks": 0, "lost_minions": 0
-        }
-        self._breakers_open: tuple[str, ...] = ()
+    if latencies is not None:
+        p50, p95, p99 = (latencies.aggregate_percentile(q) for q in (0.50, 0.95, 0.99))
+        samples = latencies.aggregate_count()
+    else:
+        p50 = p95 = p99 = 0.0
+        samples = 0
 
-    # -- feeding ------------------------------------------------------------
-    def observe_device(
-        self,
-        node: int,
-        device: str,
-        snapshot: Any,
-        smart: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Record one device's telemetry (+ optional SMART page).
+    for node, device, snap, smart in devices:
+        tag = f"node{node}/{device}"
+        if snap.core_utilization >= UTILIZATION_WARN:
+            alerts.append(f"{tag}: cores saturated ({snap.core_utilization * 100:.0f}%)")
+        if snap.temperature_c >= TEMPERATURE_WARN_C:
+            alerts.append(f"{tag}: hot ({snap.temperature_c:.0f}C)")
+        if int(smart["percentage_used"]) >= PERCENTAGE_USED_WARN:
+            alerts.append(f"{tag}: wear {smart['percentage_used']}% of rated life")
+        if int(smart["bad_blocks"]) > 0:
+            alerts.append(f"{tag}: {smart['bad_blocks']} grown bad blocks")
 
-        Re-observing a device replaces its previous observation, so one
-        aggregator can be polled across a run.
-        """
-        self._devices[(node, device)] = _DeviceHealth(node, device, snapshot, smart)
-        self._unreachable.pop((node, device), None)
-
-    def observe_unreachable(self, node: int, device: str) -> None:
-        """Record a device that did not answer its telemetry query.
-
-        Unreachable devices stay in the report (as alerts and in
-        ``unreachable_devices``) instead of poisoning the whole poll —
-        a degraded fleet still has health.
-        """
-        self._unreachable[(node, device)] = None
-        self._devices.pop((node, device), None)
-
-    def observe_recovery(
-        self,
-        retries: int = 0,
-        failovers: int = 0,
-        host_fallbacks: int = 0,
-        lost_minions: int = 0,
-        breakers_open: tuple[str, ...] = (),
-    ) -> None:
-        """Fold fleet-level recovery counters into the next summary."""
-        self._recovery["retries"] = retries
-        self._recovery["failovers"] = failovers
-        self._recovery["host_fallbacks"] = host_fallbacks
-        self._recovery["lost_minions"] = lost_minions
-        self._breakers_open = tuple(breakers_open)
-
-    def observe_minion_latencies(self, seconds: Iterable[float]) -> None:
-        self._latencies.extend(seconds)
-
-    def observe_latency_histogram(self, histogram: Any) -> None:
-        """Take percentiles from a :class:`repro.obs.metrics.Histogram`
-        (used when raw per-minion latencies were not retained)."""
-        self._histogram_percentiles = (
-            histogram.aggregate_percentile(0.50),
-            histogram.aggregate_percentile(0.95),
-            histogram.aggregate_percentile(0.99),
-        )
-        self._histogram_samples = sum(
-            state.count for state in histogram._values.values()
-        )
-
-    # -- rollup -------------------------------------------------------------
-    def summary(self) -> FleetHealth:
-        if not self._devices and not self._unreachable:
-            raise ValueError("no device observations to summarise")
-        nodes = len({n for n, _ in self._devices} | {n for n, _ in self._unreachable})
-        devices = len(self._devices) + len(self._unreachable)
-        unreachable = tuple(f"node{n}/{d}" for n, d in sorted(self._unreachable))
-        if not self._devices:
-            # every device is down: still report, with zeros and loud alerts
-            return FleetHealth(
-                nodes=nodes,
-                devices=devices,
-                retries=self._recovery["retries"],
-                failovers=self._recovery["failovers"],
-                host_fallbacks=self._recovery["host_fallbacks"],
-                lost_minions=self._recovery["lost_minions"],
-                unreachable_devices=unreachable,
-                breakers_open=self._breakers_open,
-                alerts=tuple(f"{tag}: unreachable" for tag in unreachable),
-            )
-        snaps = list(self._devices.values())
-        utilizations = [d.snapshot.core_utilization for d in snaps]
-        per_node: dict[int, list[float]] = defaultdict(list)
-        for d in snaps:
-            per_node[d.node].append(d.snapshot.core_utilization)
-        node_util = {n: sum(v) / len(v) for n, v in sorted(per_node.items())}
-
-        smarts = [d.smart for d in snaps if d.smart is not None]
-        bad_blocks = sum(int(s.get("bad_blocks", 0)) for s in smarts)
-        media_errors = sum(int(s.get("media_errors", 0)) for s in smarts)
-        gc_collections = sum(int(s.get("gc_collections", 0)) for s in smarts)
-        pct_used = max((int(s.get("percentage_used", 0)) for s in smarts), default=0)
-        max_wa = max((float(s.get("write_amplification", 0.0)) for s in smarts), default=0.0)
-
-        if self._latencies:
-            p50, p95, p99 = (
-                _exact_quantile(self._latencies, q) for q in (0.50, 0.95, 0.99)
-            )
-            n_samples = len(self._latencies)
-        elif self._histogram_percentiles is not None:
-            p50, p95, p99 = self._histogram_percentiles
-            n_samples = self._histogram_samples
-        else:
-            p50 = p95 = p99 = 0.0
-            n_samples = 0
-
-        max_temp = max(d.snapshot.temperature_c for d in snaps)
-        alerts: list[str] = [f"{tag}: unreachable" for tag in unreachable]
-        for device in self._breakers_open:
-            alerts.append(f"{device}: circuit breaker open")
-        if self._recovery["lost_minions"]:
-            alerts.append(f"{self._recovery['lost_minions']} minions lost (no surviving replica)")
-        for d in snaps:
-            tag = f"node{d.node}/{d.device}"
-            if d.snapshot.core_utilization >= self.utilization_warn:
-                alerts.append(f"{tag}: cores saturated ({d.snapshot.core_utilization * 100:.0f}%)")
-            if d.snapshot.temperature_c >= self.temperature_warn_c:
-                alerts.append(f"{tag}: hot ({d.snapshot.temperature_c:.0f}C)")
-            if d.smart and int(d.smart.get("percentage_used", 0)) >= self.percentage_used_warn:
-                alerts.append(f"{tag}: wear {d.smart['percentage_used']}% of rated life")
-            if d.smart and int(d.smart.get("bad_blocks", 0)) > 0:
-                alerts.append(f"{tag}: {d.smart['bad_blocks']} grown bad blocks")
-
-        return FleetHealth(
-            time=max(d.snapshot.time for d in snaps),
-            nodes=nodes,
-            devices=devices,
-            active_minions=sum(d.snapshot.active_minions for d in snaps),
-            running_processes=sum(d.snapshot.running_processes for d in snaps),
-            mean_utilization=sum(utilizations) / len(utilizations),
-            max_utilization=max(utilizations),
-            per_node_utilization=node_util,
-            max_temperature_c=max_temp,
-            total_free_bytes=sum(d.snapshot.free_bytes for d in snaps),
-            minion_latency_p50=p50,
-            minion_latency_p95=p95,
-            minion_latency_p99=p99,
-            minion_latency_samples=n_samples,
-            grown_bad_blocks=bad_blocks,
-            media_errors=media_errors,
-            max_percentage_used=pct_used,
-            max_write_amplification=max_wa,
-            gc_collections=gc_collections,
-            watchdog_kills=sum(getattr(d.snapshot, "watchdog_kills", 0) for d in snaps),
-            minions_aborted=sum(getattr(d.snapshot, "minions_aborted", 0) for d in snaps),
-            agent_restarts=sum(getattr(d.snapshot, "agent_restarts", 0) for d in snaps),
-            retries=self._recovery["retries"],
-            failovers=self._recovery["failovers"],
-            host_fallbacks=self._recovery["host_fallbacks"],
-            lost_minions=self._recovery["lost_minions"],
-            unreachable_devices=unreachable,
-            breakers_open=self._breakers_open,
-            alerts=tuple(alerts),
-        )
+    return FleetHealth(
+        **fleet,
+        time=max(s.time for s in snaps),
+        active_minions=sum(s.active_minions for s in snaps),
+        running_processes=sum(s.running_processes for s in snaps),
+        mean_utilization=sum(utilizations) / len(utilizations),
+        max_utilization=max(utilizations),
+        per_node_utilization={n: sum(v) / len(v) for n, v in sorted(per_node.items())},
+        max_temperature_c=max(s.temperature_c for s in snaps),
+        total_free_bytes=sum(s.free_bytes for s in snaps),
+        minion_latency_p50=p50,
+        minion_latency_p95=p95,
+        minion_latency_p99=p99,
+        minion_latency_samples=samples,
+        grown_bad_blocks=sum(int(s["bad_blocks"]) for s in smarts),
+        media_errors=sum(int(s["media_errors"]) for s in smarts),
+        max_percentage_used=max(int(s["percentage_used"]) for s in smarts),
+        max_write_amplification=max(float(s["write_amplification"]) for s in smarts),
+        gc_collections=sum(int(s["gc_collections"]) for s in smarts),
+        watchdog_kills=sum(s.watchdog_kills for s in snaps),
+        minions_aborted=sum(s.minions_aborted for s in snaps),
+        agent_restarts=sum(s.agent_restarts for s in snaps),
+        alerts=tuple(alerts),
+    )

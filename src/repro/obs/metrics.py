@@ -310,6 +310,10 @@ class Histogram(Instrument):
                 return lower + (upper - lower) * fraction
         return state.max
 
+    def aggregate_count(self) -> int:
+        """Observations over every label set."""
+        return sum(state.count for state in self._values.values())
+
     def aggregate_percentile(self, q: float) -> float:
         """Percentile over the union of every label set's observations.
 

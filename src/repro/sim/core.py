@@ -247,10 +247,6 @@ class Process(Event):
         sim._urgent.append(init)
         sim._live += 1
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self._triggered:

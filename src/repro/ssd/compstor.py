@@ -105,9 +105,6 @@ class CompStorSSD(ConventionalSSD):
         """The in-storage filesystem (staging and assertions)."""
         return self.isps.fs
 
-    def telemetry(self):
-        return self.agent.telemetry()
-
     def describe(self) -> dict:
         info = super().describe()
         info["isc"] = True

@@ -1,9 +1,9 @@
-"""Fleet health aggregation: percentiles, alerts, SMART folding, fleet rollup."""
+"""Fleet health rollup: percentiles, alerts, SMART folding, fleet integration."""
 
 import pytest
 
 from repro.isps import TelemetrySnapshot
-from repro.obs import FleetHealth, HealthAggregator, MetricsRegistry
+from repro.obs import FleetHealth, MetricsRegistry, fleet_health
 
 
 def snap(device="d0", utilization=0.2, temperature=40.0, minions=0,
@@ -27,15 +27,15 @@ def smart(bad_blocks=0, media_errors=0, percentage_used=0, wa=1.0, gc=0):
 
 def test_summary_requires_observations():
     with pytest.raises(ValueError):
-        HealthAggregator().summary()
+        fleet_health([])
 
 
 def test_rollup_across_nodes_and_devices():
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap("d0", utilization=0.2, minions=1, free=100))
-    agg.observe_device(0, "d1", snap("d1", utilization=0.4, minions=2, free=200))
-    agg.observe_device(1, "d0", snap("d0", utilization=0.6, temperature=50.0, free=300))
-    health = agg.summary()
+    health = fleet_health([
+        (0, "d0", snap("d0", utilization=0.2, minions=1, free=100), smart()),
+        (0, "d1", snap("d1", utilization=0.4, minions=2, free=200), smart()),
+        (1, "d0", snap("d0", utilization=0.6, temperature=50.0, free=300), smart()),
+    ])
     assert isinstance(health, FleetHealth)
     assert health.nodes == 2
     assert health.devices == 3
@@ -47,43 +47,22 @@ def test_rollup_across_nodes_and_devices():
     assert health.total_free_bytes == 600
 
 
-def test_reobserving_a_device_replaces_it():
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap(minions=5))
-    agg.observe_device(0, "d0", snap(minions=1, time=2.0))
-    health = agg.summary()
-    assert health.devices == 1
-    assert health.active_minions == 1
-    assert health.time == 2.0
-
-
 def test_unreachable_devices_count_as_nodes_and_devices():
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap("d0"))
-    agg.observe_unreachable(0, "d1")
-    agg.observe_unreachable(1, "d0")
-    health = agg.summary()
+    health = fleet_health([(0, "d0", snap("d0"), smart())], [(0, "d1"), (1, "d0")])
     assert (health.nodes, health.devices) == (2, 3)
     assert health.rows()[0] == ["nodes / devices", "2 / 3"]
-    everything_down = HealthAggregator()
-    everything_down.observe_unreachable(0, "d0")
-    everything_down.observe_unreachable(1, "d0")
-    health = everything_down.summary()
+    health = fleet_health([], [(0, "d0"), (1, "d0")])
     assert (health.nodes, health.devices) == (2, 2)
     # nothing to derive device fields from: they read zero
     assert (health.time, health.max_utilization, health.per_node_utilization) == (0.0, 0.0, {})
     assert health.alerts == ("node0/d0: unreachable", "node1/d0: unreachable")
-
-
-def test_latency_percentiles_from_raw_samples():
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap())
-    agg.observe_minion_latencies([i / 1000 for i in range(1, 101)])  # 1..100 ms
-    health = agg.summary()
-    assert health.minion_latency_samples == 100
-    assert health.minion_latency_p50 == pytest.approx(0.0505, rel=0.01)
-    assert health.minion_latency_p95 <= health.minion_latency_p99
-    assert health.minion_latency_p99 <= 0.100 + 1e-9
+    # fleet-level trouble still alerts with every device down
+    health = fleet_health([], [(0, "d0")], lost_minions=3, breakers_open=("node0/d0",))
+    assert health.alerts == (
+        "node0/d0: unreachable",
+        "node0/d0: circuit breaker open",
+        "3 minions lost (no surviving replica)",
+    )
 
 
 def test_latency_percentiles_fall_back_to_histogram():
@@ -93,22 +72,18 @@ def test_latency_percentiles_fall_back_to_histogram():
         hist.observe(0.005, device="d0")
     for _ in range(10):
         hist.observe(0.5, device="d1")
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap())
-    agg.observe_latency_histogram(hist)
-    health = agg.summary()
+    health = fleet_health([(0, "d0", snap(), smart())], latencies=hist)
     assert health.minion_latency_samples == 100
     assert 0.001 < health.minion_latency_p50 <= 0.01
     assert health.minion_latency_p99 > 0.1
 
 
 def test_smart_folding_sums_and_maxes():
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap("d0"), smart=smart(bad_blocks=2, gc=10, wa=1.5))
-    agg.observe_device(0, "d1", snap("d1"),
-                       smart=smart(bad_blocks=1, media_errors=3, gc=5, wa=2.5,
-                                   percentage_used=40))
-    health = agg.summary()
+    health = fleet_health([
+        (0, "d0", snap("d0"), smart(bad_blocks=2, gc=10, wa=1.5)),
+        (0, "d1", snap("d1"),
+         smart(bad_blocks=1, media_errors=3, gc=5, wa=2.5, percentage_used=40)),
+    ])
     assert health.grown_bad_blocks == 3
     assert health.media_errors == 3
     assert health.gc_collections == 15
@@ -117,12 +92,11 @@ def test_smart_folding_sums_and_maxes():
 
 
 def test_alerts_fire_on_thresholds():
-    agg = HealthAggregator(utilization_warn=0.9, temperature_warn_c=80.0,
-                           percentage_used_warn=90)
-    agg.observe_device(0, "hot", snap("hot", utilization=0.95, temperature=85.0),
-                       smart=smart(bad_blocks=4, percentage_used=95))
-    agg.observe_device(0, "fine", snap("fine"))
-    health = agg.summary()
+    health = fleet_health([
+        (0, "hot", snap("hot", utilization=0.95, temperature=85.0),
+         smart(bad_blocks=4, percentage_used=95)),
+        (0, "fine", snap("fine"), smart()),
+    ])
     joined = " ".join(health.alerts)
     assert "node0/hot: cores saturated" in joined
     assert "hot (85C)" in joined
@@ -132,9 +106,7 @@ def test_alerts_fire_on_thresholds():
 
 
 def test_health_rows_render_every_attribute():
-    agg = HealthAggregator()
-    agg.observe_device(0, "d0", snap())
-    rows = agg.summary().rows()
+    rows = fleet_health([(0, "d0", snap(), smart())]).rows()
     keys = [r[0] for r in rows]
     assert "minion latency p50/p95/p99" in keys
     assert "grown bad blocks" in keys

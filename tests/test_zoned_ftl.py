@@ -140,15 +140,15 @@ def test_stats_and_health_keys():
 
     drive(sim, flow())
     stats = ftl.stats()
-    # the shared dashboard keys the page FTL also reports
+    # the shared snapshot keys the page FTL also reports, in erase blocks
     for key in ("host_reads", "host_writes", "host_pages_programmed",
                 "gc_collections", "write_amplification", "free_blocks",
-                "uncorrectable_reads", "scrub_refreshes", "wl_migrations"):
+                "bad_blocks", "uncorrectable_reads", "wl_migrations"):
         assert key in stats
-    health = ftl.health_stats()
-    assert set(health) == {
-        "available_spare", "bad_blocks", "gc_collections", "scrub_refreshes"
-    }
+    # the zoned backend has no patrol scrubber
+    assert "scrub_refreshes" not in stats
+    assert stats["free_blocks"] == ftl.free_units * ftl.zone_blocks
+    assert stats["bad_blocks"] == 0
     report = ftl.zone_report()
     assert report["zones"] == 12
     assert report["empty"] + report["open"] + report["full"] + report["offline"] == 12
@@ -239,7 +239,7 @@ def test_grown_bad_block_takes_zone_offline():
 
     drive(sim, flow())
     assert ftl.zones_retired == 1
-    assert ftl.health_stats()["bad_blocks"] == ftl.zone_blocks
+    assert ftl.stats()["bad_blocks"] == ftl.zone_blocks
 
 
 def test_device_full_surfaces_as_logical_io_error():
