@@ -125,6 +125,10 @@ class EccEngine:
         # page_size -> codeword count; the layout is frozen so the divmod
         # (and its validation) only needs to run once per distinct size.
         self._codewords_memo: dict[int, int] = {}
+        # page_size -> (energy, outcome) of an error-free decode: both are
+        # fixed per page size, and the outcome is frozen, so every clean
+        # read of one size shares them.
+        self._clean_memo: dict[int, tuple[float, DecodeOutcome]] = {}
 
     def _codewords(self, page_size: int) -> int:
         n = self._codewords_memo.get(page_size)
@@ -158,23 +162,29 @@ class EccEngine:
     def decode_page(self, page_size: int, raw_bit_errors: int) -> Generator:
         """Decode one page's codewords; returns :class:`DecodeOutcome`."""
         cfg = self.config
-        codewords = self._codewords(page_size)
         if raw_bit_errors == 0:
             # Fast path for the dominant error-free read: spread_errors
             # would return all zeros without touching the RNG, so latency,
             # energy and state updates below are byte-identical to the
             # general path with every per-codeword count at zero.
+            clean = self._clean_memo.get(page_size)
+            if clean is None:
+                energy = cfg.e_per_byte * page_size
+                clean = self._clean_memo[page_size] = (
+                    energy,
+                    DecodeOutcome(
+                        corrected_bits=0,
+                        codewords=self._codewords(page_size),
+                        latency=cfg.t_decode,
+                        energy_j=energy,
+                    ),
+                )
             yield self.sim.timeout(cfg.t_decode)
-            energy = cfg.e_per_byte * page_size
             if self.energy_sink is not None:
-                self.energy_sink(self.name, energy)
+                self.energy_sink(self.name, clean[0])
             self.pages_decoded += 1
-            return DecodeOutcome(
-                corrected_bits=0,
-                codewords=codewords,
-                latency=cfg.t_decode,
-                energy_j=energy,
-            )
+            return clean[1]
+        codewords = self._codewords(page_size)
         per_cw = self.spread_errors(raw_bit_errors, codewords)
         worst = int(per_cw.max()) if codewords else 0
         total = int(per_cw.sum())

@@ -58,8 +58,12 @@ class BitErrorModel:
         if pe_cycles < 0 or retention_s < 0:
             raise ValueError("pe_cycles and retention_s must be non-negative")
         wear = 1.0 + (pe_cycles / self.pe_rated) ** self.alpha
-        rate = self.rber0 * wear * float(np.exp(min(retention_s / self.tau, 50.0)))
-        return min(rate, 0.5)
+        # min(x, cap) spelled as a conditional that picks the same operand,
+        # NaN included; the exponent stays numpy's, so the rate is
+        # bit-identical to the builtin form.
+        age = retention_s / self.tau
+        rate = self.rber0 * wear * float(np.exp(50.0 if age > 50.0 else age))
+        return 0.5 if rate > 0.5 else rate
 
     def sample_errors(
         self,

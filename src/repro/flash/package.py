@@ -13,6 +13,13 @@ limited by the bus — exactly the structure behind the paper's Fig. 1.
 NAND protocol rules are enforced: pages within a block must be programmed
 sequentially, a programmed page cannot be re-programmed before the block is
 erased, and reading an erased page is a model bug (raises).
+
+Reads are addressed by the flat page index (``ppn``, the row-major index of
+:meth:`FlashGeometry.page_index`) that the FTL's page map holds: the die and
+channel of a page follow from it by two integer divisions by constants
+hoisted at construction, and a :class:`PageAddress` is built only for the
+tracer and for the error raised on an erased page.  Program and erase take
+addresses, as the allocators hand them out.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ __all__ = [
     "FlashOpError",
     "FlashStats",
     "PageState",
-    "ReadResult",
 ]
 
 
@@ -61,19 +67,6 @@ class PageState(IntEnum):
 #: compares an ``int8`` element with an ``IntEnum`` only after probing the
 #: enum class for array dunders, one ``EnumType.__getattr__`` call each.
 _PROGRAMMED = int(PageState.PROGRAMMED)
-
-
-@dataclass(frozen=True, slots=True)
-class ReadResult:
-    """Outcome of a page read.
-
-    ``data`` is the stored payload in functional mode (``None`` in analytic
-    mode); ``raw_bit_errors`` feeds the ECC engine.
-    """
-
-    address: PageAddress
-    data: bytes | None
-    raw_bit_errors: int
 
 
 @dataclass(slots=True)
@@ -164,6 +157,11 @@ class FlashArray:
         self._page_bits = geo.page_size * 8
         self._e_read_page = self.energy.e_read + self.energy.transfer_energy(geo.page_size)
         self._e_prog_page = self.energy.e_prog + self.energy.transfer_energy(geo.page_size)
+        # Flat-index arithmetic of the read path (see the module docstring).
+        self._pages = geo.pages
+        self._pages_per_block = geo.pages_per_block
+        self._pages_per_die = geo.planes_per_die * geo.blocks_per_plane * geo.pages_per_block
+        self._dies_per_channel = geo.dies_per_channel
 
     # -- helpers ----------------------------------------------------------
     def _die_id(self, addr: PageAddress | BlockAddress) -> int:
@@ -186,50 +184,62 @@ class FlashArray:
         return self.geometry.channels * self.timing.channel_rate
 
     # -- operations (simulation processes) ---------------------------------
-    def read_page(self, addr: PageAddress, retention_s: float | None = None) -> Generator:
-        """Read one page: die array-read, then bus transfer.
+    def read_page(self, ppn: int, retention_s: float | None = None) -> Generator:
+        """Read page ``ppn`` (its flat index): die array-read, then bus
+        transfer.
 
-        Yields inside a process; returns a :class:`ReadResult`.
+        Yields inside a process; returns ``(data, raw_bit_errors)``: the
+        stored payload (``None`` in analytic mode) and the sampled raw bit
+        errors that feed the ECC engine.
         """
-        geo = self.geometry
-        idx = geo.page_index(addr)
-        if self.page_state[idx] != _PROGRAMMED:
-            raise FlashOpError(f"read of erased page {addr}")
-        die = self.die_units[self._die_id(addr)]
-        bus = self.channel_bus[addr.channel]
+        if not 0 <= ppn < self._pages:
+            raise ValueError(f"page index {ppn} out of range [0, {self._pages})")
+        if self.page_state[ppn] != _PROGRAMMED:
+            raise FlashOpError(f"read of erased page {self.geometry.page_address(ppn)}")
+        die_id = ppn // self._pages_per_die
+        die = self.die_units[die_id]
+        bus = self.channel_bus[die_id // self._dies_per_channel]
+        sim = self.sim
 
         with die.request() as dreq:
             yield dreq
-            yield self.sim.timeout(self.timing.t_read)
+            yield sim.timeout(self.timing.t_read)
         with bus.request() as breq:
             yield breq
-            yield self.sim.timeout(self._t_page_xfer)
+            yield sim.timeout(self._t_page_xfer)
 
-        block_idx = idx // geo.pages_per_block
+        block_idx = ppn // self._pages_per_block
         if retention_s is None:
-            retention_s = max(0.0, self.sim.now - float(self.program_time[block_idx]))
+            # max(0.0, age) without the builtin call: NaN and -0.0 map to
+            # 0.0 exactly as max() maps them.
+            retention_s = sim._now - float(self.program_time[block_idx])
+            if not retention_s > 0.0:
+                retention_s = 0.0
         errors = self.error_model.sample_errors(
-            self._rng,
-            nbits=self._page_bits,
-            pe_cycles=int(self.pe_cycles[block_idx]),
-            retention_s=retention_s,
+            self._rng, self._page_bits, int(self.pe_cycles[block_idx]), retention_s
         )
         stats = self.stats
         stats.reads += 1
-        stats.bytes_read += geo.page_size
-        self._charge(self._e_read_page)
+        stats.bytes_read += self.geometry.page_size
+        # _charge inlined
+        stats.energy_j += self._e_read_page
+        if self.energy_sink is not None:
+            self.energy_sink(self.name, self._e_read_page)
         if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, self.name, "flash.read", addr=addr, errors=errors)
-        return ReadResult(addr, self._data.get(idx), errors)
+            self.tracer.emit(
+                sim.now, self.name, "flash.read",
+                addr=self.geometry.page_address(ppn), errors=errors,
+            )
+        return self._data.get(ppn), errors
 
     def stored_page(self, ppn: int) -> bytes | None:
         """The payload :meth:`read_page` returns for page ``ppn``, without
         simulated time (``None`` in analytic mode)."""
         return self._data.get(ppn)
 
-    def page_oob(self, addr: PageAddress) -> Any:
-        """Spare-area metadata of a page (``None`` if absent)."""
-        return self._oob.get(self.geometry.page_index(addr))
+    def page_oob(self, ppn: int) -> Any:
+        """Spare-area metadata of page ``ppn`` (``None`` if absent)."""
+        return self._oob.get(ppn)
 
     def program_page(
         self, addr: PageAddress, data: bytes | None = None, oob: Any = None

@@ -291,21 +291,20 @@ class TranslationCore:
         if ppn == UNMAPPED:
             yield self.sim.timeout(self._buffer_hit_latency)
             return None
-        geo = self.flash.geometry
         unit = ppn // self._unit_pages
         self._readers[unit] += 1
         try:
-            result = yield from self.flash.read_page(geo.page_address(ppn))
+            data, errors = yield from self.flash.read_page(ppn)
             try:
-                yield from self.ecc.decode_page(geo.page_size, result.raw_bit_errors)
+                yield from self.ecc.decode_page(self.flash.geometry.page_size, errors)
             except UncorrectableError as exc:
                 self.uncorrectable_reads += 1
                 raise LogicalIOError(f"uncorrectable read at lpn {lpn}") from exc
         finally:
             self._readers[unit] -= 1
         if self._read_cache_pages:
-            self._cache_insert(lpn, result.data)
-        return result.data
+            self._cache_insert(lpn, data)
+        return data
 
     def peek(self, lpn: int) -> bytes | None:
         """The payload :meth:`read` would return now, looked up in the same
@@ -376,17 +375,13 @@ class TranslationCore:
         relocated copy never outranks a concurrent host write of the same
         lpn during power-off recovery.
         """
-        geo = self.flash.geometry
-        addr = geo.page_address(old_ppn)
-        result = yield from self.flash.read_page(addr)
+        data, errors = yield from self.flash.read_page(old_ppn)
         try:
-            yield from self.ecc.decode_page(geo.page_size, result.raw_bit_errors)
+            yield from self.ecc.decode_page(self.flash.geometry.page_size, errors)
         except UncorrectableError as exc:
             raise LogicalIOError(f"uncorrectable GC read at lpn {lpn}") from exc
-        oob = self.flash.page_oob(addr)
-        yield from self._program(
-            lpn, result.data, stream=self.GC, expect_ppn=old_ppn, oob=oob
-        )
+        oob = self.flash.page_oob(old_ppn)
+        yield from self._program(lpn, data, stream=self.GC, expect_ppn=old_ppn, oob=oob)
         return None
 
     def _check_lpn(self, lpn: int) -> None:

@@ -205,6 +205,16 @@ def fleet_health(
     alerts.extend(f"{device}: circuit breaker open" for device in breakers_open)
     if lost_minions:
         alerts.append(f"{lost_minions} minions lost (no surviving replica)")
+    # Round trips are the client's record, not a device's: they stand even
+    # when no device answers this poll.
+    if latencies is not None:
+        p50, p95, p99 = (latencies.aggregate_percentile(q) for q in (0.50, 0.95, 0.99))
+        fleet.update(
+            minion_latency_p50=p50,
+            minion_latency_p95=p95,
+            minion_latency_p99=p99,
+            minion_latency_samples=latencies.aggregate_count(),
+        )
     if not devices:
         # every device is down: still report, with zeros and loud alerts
         return FleetHealth(**fleet, alerts=tuple(alerts))
@@ -214,13 +224,6 @@ def fleet_health(
     per_node: dict[int, list[float]] = defaultdict(list)
     for node, _, snap, _ in devices:
         per_node[node].append(snap.core_utilization)
-
-    if latencies is not None:
-        p50, p95, p99 = (latencies.aggregate_percentile(q) for q in (0.50, 0.95, 0.99))
-        samples = latencies.aggregate_count()
-    else:
-        p50 = p95 = p99 = 0.0
-        samples = 0
 
     for node, device, snap, smart in devices:
         tag = f"node{node}/{device}"
@@ -243,10 +246,6 @@ def fleet_health(
         per_node_utilization={n: sum(v) / len(v) for n, v in sorted(per_node.items())},
         max_temperature_c=max(s.temperature_c for s in snaps),
         total_free_bytes=sum(s.free_bytes for s in snaps),
-        minion_latency_p50=p50,
-        minion_latency_p95=p95,
-        minion_latency_p99=p99,
-        minion_latency_samples=samples,
         grown_bad_blocks=sum(int(s["bad_blocks"]) for s in smarts),
         media_errors=sum(int(s["media_errors"]) for s in smarts),
         max_percentage_used=max(int(s["percentage_used"]) for s in smarts),

@@ -36,6 +36,10 @@ class Direction(Enum):
     RX = "rx"  # device -> host (upstream reads/results)
 
 
+_TX = Direction.TX
+_RX = Direction.RX
+
+
 @dataclass(frozen=True, slots=True)
 class LinkParams:
     gen: PcieGen = PcieGen.GEN3
@@ -59,7 +63,12 @@ class LinkParams:
 
 
 class PcieLink:
-    """One full-duplex link with per-direction serialization."""
+    """One full-duplex link with per-direction serialization.
+
+    ``params`` is fixed after construction: the per-transfer latency,
+    bandwidth and energy terms are read from it once, here, so a transfer
+    evaluates no property chain of the enum-valued generation.
+    """
 
     def __init__(
         self,
@@ -73,30 +82,47 @@ class PcieLink:
         self.params = params or LinkParams(**param_overrides)
         self.name = name
         self.energy_sink = energy_sink
-        self._channels = {
-            Direction.TX: Resource(sim, capacity=1, name=f"{name}.tx"),
-            Direction.RX: Resource(sim, capacity=1, name=f"{name}.rx"),
-        }
-        self.bytes_moved = {Direction.TX: 0, Direction.RX: 0}
+        self._latency = self.params.latency
+        self._bandwidth = self.params.bandwidth
+        self._energy_per_byte = self.params.energy_per_byte
+        # One attribute per direction, chosen by identity: an Enum key would
+        # cost a Python-level __hash__ per dict lookup.
+        self._tx = Resource(sim, capacity=1, name=f"{name}.tx")
+        self._rx = Resource(sim, capacity=1, name=f"{name}.rx")
+        self._bytes_tx = 0
+        self._bytes_rx = 0
 
     @property
     def bandwidth(self) -> float:
-        return self.params.bandwidth
+        return self._bandwidth
+
+    @property
+    def bytes_moved(self) -> dict[Direction, int]:
+        """Bytes moved so far, per direction."""
+        return {_TX: self._bytes_tx, _RX: self._bytes_rx}
 
     def transfer(self, nbytes: int, direction: Direction) -> Generator:
         """Move ``nbytes`` in ``direction``; returns the elapsed seconds."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        channel = self._channels[direction]
-        start = self.sim.now
+        if direction is _TX:
+            channel = self._tx
+        elif direction is _RX:
+            channel = self._rx
+        else:
+            raise KeyError(direction)
+        sim = self.sim
+        start = sim._now
         with channel.request() as req:
             yield req
-            duration = self.params.latency + nbytes / self.params.bandwidth
-            yield self.sim.timeout(duration)
-        self.bytes_moved[direction] += nbytes
+            yield sim.timeout(self._latency + nbytes / self._bandwidth)
+        if direction is _TX:
+            self._bytes_tx += nbytes
+        else:
+            self._bytes_rx += nbytes
         if self.energy_sink is not None and nbytes:
-            self.energy_sink(self.name, nbytes * self.params.energy_per_byte)
-        return self.sim.now - start
+            self.energy_sink(self.name, nbytes * self._energy_per_byte)
+        return sim._now - start
 
     def utilization(self, direction: Direction) -> float:
-        return self._channels[direction].utilization()
+        return {_TX: self._tx, _RX: self._rx}[direction].utilization()

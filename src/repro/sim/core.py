@@ -15,6 +15,13 @@ heap order.  That order is exactly ``(time, priority, seq)``: an entry due at
 of anything scheduled at ``T``, and within a lane FIFO order is seq order.
 Routing is by ``now + delay == now``, so a positive delay that rounds to the
 current time keeps its FIFO place.
+
+Every yield of every model process passes through :meth:`Process._resume`,
+so the per-yield work is kept to the minimum: each process binds its resume
+callback once, at creation, and registers that same object with the
+``Initialize`` event, with every event it waits on, and removes it again on
+an interrupt.  The callback is dropped when the process ends, so a finished
+process holds no reference cycle and is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import itertools
 import zlib
 from collections import deque
 from collections.abc import Callable, Generator, Iterable
+from types import GeneratorType
 from typing import Any
 
 import numpy as np
@@ -217,15 +225,19 @@ class Process(Event):
     event's exception raised at the yield point).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"process() needs a generator, got {generator!r}")
         # Flattened Event.__init__: processes are created per page in the
-        # streaming-app readahead loop.
+        # streaming-app readahead loop.  A plain generator is the common
+        # case; anything else only needs the send/throw protocol.
+        if type(generator) is GeneratorType:
+            self.name = name or generator.__name__
+        elif hasattr(generator, "send") and hasattr(generator, "throw"):
+            self.name = name or getattr(generator, "__name__", "process")
+        else:
+            raise TypeError(f"process() needs a generator, got {generator!r}")
         self.sim = sim
-        self.name = name or getattr(generator, "__name__", "process")
         self.callbacks = []
         self._value = None
         self._ok = True
@@ -233,13 +245,16 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self._target: Event | None = None
+        # The one bound resume callback of this process (see the module
+        # docstring); _resume clears it when the process ends.
+        resume = self._resume_cb = self._resume
         # The Initialize event, built in place and put straight on the
         # urgent lane: a new process starts at the current time, before
         # anything NORMAL due now.
         init = _new(Initialize)
         init.sim = sim
         init.name = "init"
-        init.callbacks = [self._resume]
+        init.callbacks = [resume]
         init._value = None
         init._ok = True
         init._triggered = True
@@ -268,9 +283,10 @@ class Process(Event):
             return
         # Unhook from whatever we were waiting on; the wait stays pending
         # and the process decides whether to re-wait.
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
         self._target = None
@@ -278,23 +294,25 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         # The inner interpreter loop: every yield in every model process
-        # passes through here, so locals are bound once up front.
+        # passes through here.  The generator's methods are called, not
+        # bound: almost every resumption runs the loop once, and a bound
+        # method would be allocated for nothing.
         sim = self.sim
-        send = self._generator.send
-        throw = self._generator.throw
+        generator = self._generator
         sim._active = self
         self._target = None
         while True:
             try:
                 if event._ok:
-                    next_event = send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self._triggered = True
                 self._ok = True
                 self._value = stop.value
+                self._resume_cb = None
                 sim._normal.append(self)
                 sim._live += 1
                 break
@@ -302,6 +320,7 @@ class Process(Event):
                 self._triggered = True
                 self._ok = False
                 self._value = exc
+                self._resume_cb = None
                 sim._normal.append(self)
                 sim._live += 1
                 break
@@ -323,7 +342,7 @@ class Process(Event):
                 # (loop top sends the value or throws the exception).
                 event = next_event
                 continue
-            callbacks.append(self._resume)
+            callbacks.append(self._resume_cb)
             self._target = next_event
             break
         sim._active = None
@@ -590,89 +609,94 @@ class Simulator:
         ``run(until=<time>)`` window.  When ``until`` is an :class:`Event`,
         returns that event's value.
         """
-        # The three dispatch loops below are step() inlined, with the
-        # callbacks run in place: take from the urgent lane, else the normal
-        # lane, else advance the clock to the heap top.  The past-event
-        # guard is unreachable here (only a negative delay handed straight
-        # to _schedule could produce one); step() keeps it for external
-        # single-step callers.
+        # The dispatch loops here and in _run_to are step() inlined, with
+        # the callbacks run in place: take from the urgent lane, else the
+        # normal lane, else advance the clock to the heap top.  The
+        # past-event guard is unreachable here (only a negative delay handed
+        # straight to _schedule could produce one); step() keeps it for
+        # external single-step callers.
+        urgent_pop = self._urgent.popleft
+        normal_pop = self._normal.popleft
+        urgent, normal, queue = self._urgent, self._normal, self._queue
+        daemons = self._lane_daemons
+        # Appended to when ``until``, an event, fires; empty otherwise.
+        flag: list[bool] = []
+        stop: Event | None = None
+        if isinstance(until, Event):
+            stop = until
+            if stop.callbacks is None:
+                return stop._value if stop._ok else self._raise(stop)
+            stop.callbacks.append(lambda ev: flag.append(True))
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+            if horizon != float("inf"):
+                self._run_to(horizon)
+                return None
+
+        # Until the live schedule drains or ``stop`` fires: the loop every
+        # model run spends its time in.
+        while self._live > 0 and not flag:
+            if urgent:
+                event = urgent_pop()
+            elif normal:
+                event = normal_pop()
+            else:
+                # _advance() inlined
+                when, _prio, _seq, daemon, event = _heappop(queue)
+                self._now = when
+                if daemon:
+                    daemons.add(event)
+                while queue and queue[0][0] == when:
+                    _when, prio, _seq, daemon, other = _heappop(queue)
+                    (urgent if prio == URGENT else normal).append(other)
+                    if daemon:
+                        daemons.add(other)
+            if daemons and event in daemons:
+                daemons.remove(event)
+            else:
+                self._live -= 1
+            self.events_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for cb in callbacks:
+                cb(event)
+            if not event._ok and not event._defused:
+                raise event._value
+        if stop is None:
+            return None
+        if not flag:
+            raise SimulationError(f"live schedule drained before {stop!r} fired")
+        return stop._value if stop._ok else self._raise(stop)
+
+    def _run_to(self, horizon: float) -> None:
+        """``run(until=horizon)``: every event due by ``horizon``, daemon
+        events included, then the clock moves to ``horizon``."""
         urgent_pop = self._urgent.popleft
         normal_pop = self._normal.popleft
         urgent, normal, queue = self._urgent, self._normal, self._queue
         daemons = self._lane_daemons
         advance = self._advance
-        if isinstance(until, Event):
-            stop = until
-            if stop.callbacks is None:
-                return stop._value if stop._ok else self._raise(stop)
-            flag: list[bool] = []
-            stop.callbacks.append(lambda ev: flag.append(True))
-            while self._live > 0 and not flag:
-                if urgent:
-                    event = urgent_pop()
-                elif normal:
-                    event = normal_pop()
-                else:
-                    event = advance()
-                if daemons and event in daemons:
-                    daemons.remove(event)
-                else:
-                    self._live -= 1
-                self.events_processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for cb in callbacks:
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            if not flag:
-                raise SimulationError(
-                    f"live schedule drained before {stop!r} fired"
-                )
-            return stop._value if stop._ok else self._raise(stop)
-
-        horizon = float("inf") if until is None else float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        if horizon == float("inf"):
-            while self._live > 0:
-                if urgent:
-                    event = urgent_pop()
-                elif normal:
-                    event = normal_pop()
-                else:
-                    event = advance()
-                if daemons and event in daemons:
-                    daemons.remove(event)
-                else:
-                    self._live -= 1
-                self.events_processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for cb in callbacks:
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        else:
-            while True:
-                if urgent:
-                    event = urgent_pop()
-                elif normal:
-                    event = normal_pop()
-                elif queue and queue[0][0] <= horizon:
-                    event = advance()
-                else:
-                    break
-                if daemons and event in daemons:
-                    daemons.remove(event)
-                else:
-                    self._live -= 1
-                self.events_processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for cb in callbacks:
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            self._now = horizon
-        return None
+        while True:
+            if urgent:
+                event = urgent_pop()
+            elif normal:
+                event = normal_pop()
+            elif queue and queue[0][0] <= horizon:
+                event = advance()
+            else:
+                break
+            if daemons and event in daemons:
+                daemons.remove(event)
+            else:
+                self._live -= 1
+            self.events_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for cb in callbacks:
+                cb(event)
+            if not event._ok and not event._defused:
+                raise event._value
+        self._now = horizon
 
     @staticmethod
     def _raise(event: Event) -> Any:

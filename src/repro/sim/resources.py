@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, Simulator, _new
 
 __all__ = ["Container", "PreemptionError", "PriorityResource", "Resource", "Store"]
 
@@ -27,44 +27,36 @@ class PreemptionError(Exception):
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
+    """A pending claim on a :class:`Resource` slot.
+
+    Built only by :meth:`Resource.request`, without an ``__init__`` call.
+    A request is granted at creation when a slot is free and nobody waits,
+    else it joins the resource's wait queue.  Leaving the ``with`` block
+    returns a granted slot (and grants the queue head) or withdraws a
+    queued request.
+    """
 
     __slots__ = ("resource", "priority", "_key")
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        # Flattened Event.__init__; the name is precomputed once per
-        # resource (_req_name) rather than formatted per request — requests
-        # are created on every command/page/bus transaction.
-        sim = self.sim = resource.sim
-        self.name = resource._req_name
-        self.callbacks = []
-        self._ok = True
-        self._defused = False
-        self.resource = resource
-        self.priority = priority
-        self._key = (priority, next(resource._ticket))
-        users = resource.users
-        if len(users) < resource.capacity and not resource.queue:
-            # Resource._grant and Event.succeed inlined for the uncontended
-            # case, the common one on every bus and queue slot.
-            now = sim._now
-            resource._busy_integral += len(users) * (now - resource._last_change)
-            resource._last_change = now
-            users.append(self)
-            self._value = resource
-            self._triggered = True
-            sim._normal.append(self)
-            sim._live += 1
-        else:
-            self._value = None
-            self._triggered = False
-            resource._enqueue(self)
 
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
+        # Resource.release inlined for the common case, a granted slot: the
+        # queue head is taken only when somebody waits.
+        resource = self.resource
+        users = resource.users
+        if self in users:
+            now = resource.sim._now
+            resource._busy_integral += len(users) * (now - resource._last_change)
+            resource._last_change = now
+            users.remove(self)
+            if resource._waiting:
+                nxt = resource._dequeue()
+                if nxt is not None:
+                    resource._grant(nxt)
+        else:
+            resource._withdraw(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request (no-op if already granted)."""
@@ -86,8 +78,10 @@ class Resource:
         self._req_name = f"request({name})"
         self.capacity = capacity
         self.users: list[Request] = []
-        self.queue: deque[Request] | list[Request] = deque()
-        self._ticket = itertools.count()
+        self.queue: deque[Request] | _HeapQueueView = deque()
+        #: The container the waiting requests live in; its truthiness is
+        #: "somebody waits" without a Python-level ``__bool__`` call.
+        self._waiting: deque[Request] | list = self.queue
         # busy-time integral for utilisation reporting
         self._busy_integral = 0.0
         self._last_change = 0.0
@@ -113,14 +107,48 @@ class Resource:
 
     # -- protocol ----------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
+        # The Request is built in this frame (flattened Event.__init__): a
+        # request is made for every command, page and bus transaction.  Its
+        # name is precomputed once per resource (_req_name).
+        sim = self.sim
+        req = _new(Request)
+        req.sim = sim
+        req.name = self._req_name
+        req.callbacks = []
+        req._ok = True
+        req._defused = False
+        req.resource = self
+        req.priority = priority
+        users = self.users
+        if len(users) < self.capacity and not self._waiting:
+            # _grant and Event.succeed inlined for the uncontended case, the
+            # common one on every bus and queue slot.
+            now = sim._now
+            self._busy_integral += len(users) * (now - self._last_change)
+            self._last_change = now
+            users.append(req)
+            req._value = self
+            req._triggered = True
+            sim._normal.append(req)
+            sim._live += 1
+        else:
+            req._value = None
+            req._triggered = False
+            self._enqueue(req)
+        return req
 
     def _enqueue(self, req: Request) -> None:
         self.queue.append(req)
 
     def _dequeue(self) -> Request | None:
-        assert isinstance(self.queue, deque)
-        return self.queue.popleft() if self.queue else None
+        """The next request to grant; called only while somebody waits."""
+        return self.queue.popleft()
+
+    def _withdraw(self, req: Request) -> None:
+        try:
+            self.queue.remove(req)
+        except ValueError:
+            pass  # releasing twice, or a request that was never granted
 
     def _grant(self, req: Request) -> None:
         # _account() inlined: grant/release bracket every command, page and
@@ -133,21 +161,10 @@ class Resource:
         req.succeed(self)
 
     def release(self, req: Request) -> None:
-        """Return a slot (or withdraw a queued request)."""
-        users = self.users
-        if req in users:
-            now = self.sim._now
-            self._busy_integral += len(users) * (now - self._last_change)
-            self._last_change = now
-            users.remove(req)
-            nxt = self._dequeue()
-            if nxt is not None:
-                self._grant(nxt)
-        else:
-            try:
-                self.queue.remove(req)
-            except ValueError:
-                pass  # releasing twice, or a request that was never granted
+        """Return a slot (or withdraw a queued request); the body is
+        :meth:`Request.__exit__`, where the ``with`` block runs it without
+        this extra call."""
+        req.__exit__(None, None, None)
 
 
 class _HeapQueueView:
@@ -175,16 +192,24 @@ class _HeapQueueView:
 
 class PriorityResource(Resource):
     """A resource whose wait queue is ordered by ``priority`` (lower first),
-    FIFO within a priority level."""
+    FIFO within a priority level.
+
+    Only a queued request draws its ``(priority, ticket)`` heap key: tickets
+    are drawn in enqueue order, so FIFO order within a level holds, and an
+    uncontended request costs the same as on a plain :class:`Resource`.
+    """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "prio-resource"):
         super().__init__(sim, capacity, name)
+        self._ticket = itertools.count()
         self._heap: list[tuple[tuple[int, int], Request]] = []
-        # queue is a live view; release() mutates _heap in place so the
+        # queue is a live view; _withdraw mutates _heap in place so the
         # view never dangles.
         self.queue = _HeapQueueView(self._heap)
+        self._waiting = self._heap
 
     def _enqueue(self, req: Request) -> None:
+        req._key = (req.priority, next(self._ticket))
         heapq.heappush(self._heap, (req._key, req))
 
     def _dequeue(self) -> Request | None:
@@ -194,12 +219,9 @@ class PriorityResource(Resource):
                 return req
         return None
 
-    def release(self, req: Request) -> None:
-        if req in self.users:
-            super().release(req)
-        else:
-            self._heap[:] = [(k, r) for (k, r) in self._heap if r is not req]
-            heapq.heapify(self._heap)
+    def _withdraw(self, req: Request) -> None:
+        self._heap[:] = [(k, r) for (k, r) in self._heap if r is not req]
+        heapq.heapify(self._heap)
 
 
 class Store:

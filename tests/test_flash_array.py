@@ -37,12 +37,12 @@ def test_program_then_read_returns_data():
 
     def flow():
         yield from arr.program_page(addr, b"hello world")
-        result = yield from arr.read_page(addr)
-        return result
+        data, errors = yield from arr.read_page(GEO.page_index(addr))
+        return data, errors
 
-    result = run(sim, flow())
-    assert result.data == b"hello world"
-    assert result.address == addr
+    data, errors = run(sim, flow())
+    assert data == b"hello world"
+    assert errors == 0
     assert arr.stats.programs == 1
     assert arr.stats.reads == 1
 
@@ -70,7 +70,7 @@ def test_read_timing_includes_tread_and_transfer():
     def flow():
         yield from arr.program_page(addr, b"x")
         start = sim.now
-        yield from arr.read_page(addr)
+        yield from arr.read_page(GEO.page_index(addr))
         return sim.now - start
 
     elapsed = run(sim, flow())
@@ -82,10 +82,45 @@ def test_read_erased_page_is_protocol_error():
     arr = make_array(sim)
 
     def flow():
-        yield from arr.read_page(PageAddress(0, 0, 0, 0, 0))
+        yield from arr.read_page(0)
 
-    with pytest.raises(FlashOpError, match="erased"):
+    with pytest.raises(FlashOpError, match=r"erased page PageAddress\(channel=0, die=0"):
         run(sim, flow())
+
+
+@pytest.mark.parametrize("ppn", [-1, GEO.pages])
+def test_read_outside_geometry_rejected(ppn):
+    sim = Simulator()
+    arr = make_array(sim)
+
+    def flow():
+        yield from arr.read_page(ppn)
+
+    with pytest.raises(ValueError, match="out of range"):
+        run(sim, flow())
+
+
+def test_read_page_uses_the_die_and_bus_of_its_flat_index():
+    """The flat index of the last page lands on the last die and channel."""
+    sim = Simulator()
+    arr = make_array(sim)
+    last = GEO.page_address(GEO.pages - 1)
+    block = last.block_addr
+
+    def flow():
+        for page in range(GEO.pages_per_block):
+            yield from arr.program_page(block.page(page), b"p")
+        start = sim.now
+        yield from arr.read_page(GEO.pages - 1)
+        return start
+
+    start = run(sim, flow())
+    die = arr.die_units[GEO.dies - 1]
+    bus = arr.channel_bus[GEO.channels - 1]
+    assert die.utilization() > 0 and bus.utilization() > 0
+    assert all(d.utilization() == 0 for d in arr.die_units[:-1])
+    assert all(b.utilization() == 0 for b in arr.channel_bus[:-1])
+    assert sim.now > start
 
 
 def test_reprogram_without_erase_rejected():
@@ -149,10 +184,10 @@ def test_erase_allows_reprogram_from_page_zero():
         yield from arr.program_page(block.page(0), b"first")
         yield from arr.erase_block(block)
         yield from arr.program_page(block.page(0), b"second")
-        result = yield from arr.read_page(block.page(0))
-        return result
+        data, _errors = yield from arr.read_page(GEO.page_index(block.page(0)))
+        return data
 
-    assert run(sim, flow()).data == b"second"
+    assert run(sim, flow()) == b"second"
 
 
 def test_erase_drops_stored_data():
@@ -211,8 +246,8 @@ def test_die_serializes_operations():
         yield from arr.program_page(block.page(0), b"a")
         yield from arr.program_page(block.page(1), b"b")
         t0 = sim.now
-        p1 = sim.process(read_on(arr, block.page(0)))
-        p2 = sim.process(read_on(arr, block.page(1)))
+        p1 = sim.process(read_on(arr, GEO.page_index(block.page(0))))
+        p2 = sim.process(read_on(arr, GEO.page_index(block.page(1))))
         yield sim.all_of([p1, p2])
         return sim.now - t0
 
@@ -222,8 +257,8 @@ def test_die_serializes_operations():
     assert elapsed == pytest.approx(2 * timing.t_read + xfer)
 
 
-def read_on(arr, addr):
-    result = yield from arr.read_page(addr)
+def read_on(arr, ppn):
+    result = yield from arr.read_page(ppn)
     return result
 
 
@@ -263,7 +298,7 @@ def test_energy_accounting_positive_and_sinked():
 
     def flow():
         yield from arr.program_page(block.page(0), b"x")
-        yield from arr.read_page(block.page(0))
+        yield from arr.read_page(GEO.page_index(block.page(0)))
         yield from arr.erase_block(block)
 
     run(sim, flow())
@@ -285,9 +320,8 @@ def test_analytic_mode_stores_no_data():
 
     def flow():
         yield from arr.program_page(addr, b"payload")
-        result = yield from arr.read_page(addr)
-        return result
+        data, _errors = yield from arr.read_page(GEO.page_index(addr))
+        return data
 
-    result = run(sim, flow())
-    assert result.data is None
+    assert run(sim, flow()) is None
     assert arr._data == {}

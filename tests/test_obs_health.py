@@ -78,6 +78,23 @@ def test_latency_percentiles_fall_back_to_histogram():
     assert health.minion_latency_p99 > 0.1
 
 
+def test_latencies_survive_every_device_being_unreachable():
+    """The client's round trips are reported even when no device answers."""
+    registry = MetricsRegistry()
+    hist = registry.histogram("lat", buckets=(0.001, 0.01, 0.1, 1.0))
+    for value in (0.002, 0.005, 0.05):
+        hist.observe(value, device="d0")
+    down = fleet_health([], [(0, "d0")], latencies=hist)
+    up = fleet_health([(0, "d0", snap(), smart())], latencies=hist)
+    assert down.minion_latency_samples == 3
+    assert (down.minion_latency_p50, down.minion_latency_p95, down.minion_latency_p99) == (
+        up.minion_latency_p50, up.minion_latency_p95, up.minion_latency_p99,
+    )
+    assert down.minion_latency_p50 > 0.0
+    row = dict((r[0], r[1]) for r in down.rows())["minion latency p50/p95/p99"]
+    assert row.endswith("(n=3)") and not row.startswith("0.00 / 0.00 / 0.00")
+
+
 def test_smart_folding_sums_and_maxes():
     health = fleet_health([
         (0, "d0", snap("d0"), smart(bad_blocks=2, gc=10, wa=1.5)),

@@ -12,13 +12,17 @@ localise:
 * the lane-and-heap kernel fires the same events, at the same times, with
   the same ``events_processed`` and ``live_events``, as a heap-only
   reference scheduler, for programs whose callbacks schedule more events
-  during dispatch and which are driven by ``run(until=t)``, ``step()`` and
-  ``peek()`` as well as an unbounded ``run()``;
+  during dispatch and which are driven by ``run(until=t)``,
+  ``run(until=event)``, ``step()`` and ``peek()`` as well as an unbounded
+  ``run()``;
 * ``AllOf`` fires at the latest constituent with every value collected;
   ``AnyOf`` fires at the earliest constituent;
 * ``Resource`` grants are FIFO; ``PriorityResource`` grants are ordered by
   ``(priority, arrival)``; ``Store`` preserves FIFO under any producer/
-  consumer interleaving.
+  consumer interleaving;
+* the plain ``Resource`` fast path (no heap key, release inlined in the
+  ``with`` exit) grants exactly as a ``PriorityResource`` whose requests all
+  share one priority, under holds, cancels and interrupts.
 
 Hypothesis runs derandomized (see ``conftest.py``) so failures reproduce.
 """
@@ -31,7 +35,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PriorityResource, Resource, Simulator, Store
+from repro.sim import Interrupt, PriorityResource, Resource, Simulator, Store
 from repro.sim.core import NORMAL, URGENT
 
 # Discrete microsecond-scale delays keep float arithmetic exact enough for
@@ -198,6 +202,13 @@ class _HeapKernel:
         if until is not None:
             self.now = until
 
+    def run_to_marker(self, delay):
+        """``Simulator.run(until=sim.timeout(delay))``."""
+        fired = []
+        self.schedule(lambda: fired.append(True), delay, NORMAL, False)
+        while not fired:
+            self.step()
+
 
 #: Delays: zero; 1e-12, which is a real step at small ``now`` but rounds to
 #: ``now`` once the clock passes ~1e4 s; a few ticks; and a jump to ~1e6 s.
@@ -217,6 +228,7 @@ _program = st.recursive(
 _driver = st.lists(
     st.one_of(
         st.tuples(st.just("until"), st.sampled_from([0.0, _TICK, 2 * _TICK, 2e6])),
+        st.tuples(st.just("stop"), st.sampled_from([0.0, _TICK, 2e6])),
         st.just(("step", 0.0)),
         st.just(("peek", 0.0)),
     ),
@@ -268,6 +280,11 @@ def _execute(roots, driver, kernel_is_sim: bool):
     for op, arg in driver:
         if op == "until":
             k.run(until=k.now + arg)
+        elif op == "stop":
+            if kernel_is_sim:
+                k.run(until=k.timeout(arg))
+            else:
+                k.run_to_marker(arg)
         elif op == "step" and k.peek() < float("inf"):
             k.step()
         log.append((op, k.peek(), *observe()))
@@ -286,3 +303,66 @@ def test_kernel_matches_heap_only_reference(roots, driver):
     kernels fire the same events in the same order.
     """
     assert _execute(roots, driver, True) == _execute(roots, driver, False)
+
+
+# -- the FIFO fast path against the general (heap) path -----------------------
+
+#: One client: arrival tick, hold ticks, and what happens to it —
+#: ``hold`` (request, hold, release), ``cancel`` (renege after ``patience``
+#: ticks if still queued, through ``Request.cancel``) or ``interrupt``
+#: (interrupted ``patience`` ticks after arrival, queued or holding).
+_client = st.tuples(
+    st.integers(0, 6),
+    st.integers(1, 5),
+    st.sampled_from(["hold", "cancel", "interrupt"]),
+    st.integers(0, 6),
+)
+
+
+def _serve_clients(kind, capacity, clients):
+    sim = Simulator()
+    res = kind(sim, capacity=capacity)
+    grants: list[tuple[int, float]] = []
+    outcomes: list[tuple[int, str, float]] = []
+
+    def client(i, arrive, hold, action, patience):
+        yield sim.timeout(arrive * _TICK)
+        try:
+            with res.request(priority=0) as req:
+                if action == "cancel":
+                    yield sim.any_of([req, sim.timeout(patience * _TICK)])
+                    if not req.triggered:
+                        req.cancel()
+                        outcomes.append((i, "reneged", sim.now))
+                        return
+                else:
+                    yield req
+                grants.append((i, sim.now))
+                yield sim.timeout(hold * _TICK)
+            outcomes.append((i, "done", sim.now))
+        except Interrupt:
+            outcomes.append((i, "interrupted", sim.now))
+
+    def interrupter(proc, at):
+        yield sim.timeout(at * _TICK)
+        if not proc.triggered:
+            proc.interrupt("stop")
+
+    for i, (arrive, hold, action, patience) in enumerate(clients):
+        proc = sim.process(client(i, arrive, hold, action, patience))
+        if action == "interrupt":
+            sim.process(interrupter(proc, arrive + patience))
+    sim.run()
+    return grants, outcomes, res.utilization(), sim.events_processed, sim.now
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3), st.lists(_client, min_size=1, max_size=14))
+def test_fifo_resource_matches_equal_priority_resource(capacity, clients):
+    """Same grant sequence, grant times, outcomes, utilisation and event
+    count on a plain Resource as on a PriorityResource at one priority."""
+    fifo = _serve_clients(Resource, capacity, clients)
+    general = _serve_clients(PriorityResource, capacity, clients)
+    assert fifo == general
+    grants = fifo[0]
+    assert len(grants) == len({i for i, _ in grants})
