@@ -93,6 +93,13 @@ class StorageFleet:
         self.sim = sim
         self.nodes = nodes
         self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: ``(node index, device name) -> device``; node device lists never
+        #: change after construction
+        self._devices = {
+            (node_index, ssd.name): ssd
+            for node_index, node in enumerate(nodes)
+            for ssd in node.compstors
+        }
         #: book name -> ordered replica targets (primary first)
         self._replica_map: dict[str, list[tuple[int, str]]] = {}
         #: minions rerouted to a surviving replica, by the replica's device
@@ -137,7 +144,7 @@ class StorageFleet:
         ]
 
     def _ssd(self, node_index: int, device: str):
-        return next(s for s in self.nodes[node_index].compstors if s.name == device)
+        return self._devices[(node_index, device)]
 
     def describe(self) -> dict:
         return {

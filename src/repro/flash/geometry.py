@@ -7,7 +7,7 @@ independently; a channel's bus serialises data transfers for all dies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 __all__ = ["FlashGeometry", "PageAddress", "BlockAddress"]
@@ -55,9 +55,15 @@ class FlashGeometry:
     blocks_per_plane: int = 64
     pages_per_block: int = 128
     page_size: int = 16384  # bytes, typical 16 KiB TLC page
+    # Derived sizes, computed once in __post_init__: the FTL and flash
+    # paths read them per page.
+    dies: int = field(init=False, repr=False, compare=False)
+    planes: int = field(init=False, repr=False, compare=False)
+    blocks: int = field(init=False, repr=False, compare=False)
+    pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for field in (
+        for name in (
             "channels",
             "dies_per_channel",
             "planes_per_die",
@@ -65,27 +71,18 @@ class FlashGeometry:
             "pages_per_block",
             "page_size",
         ):
-            value = getattr(self, field)
+            value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{field} must be a positive int, got {value!r}")
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        dies = self.channels * self.dies_per_channel
+        planes = dies * self.planes_per_die
+        blocks = planes * self.blocks_per_plane
+        object.__setattr__(self, "dies", dies)
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "pages", blocks * self.pages_per_block)
 
     # -- derived sizes -----------------------------------------------------
-    @property
-    def dies(self) -> int:
-        return self.channels * self.dies_per_channel
-
-    @property
-    def planes(self) -> int:
-        return self.dies * self.planes_per_die
-
-    @property
-    def blocks(self) -> int:
-        return self.planes * self.blocks_per_plane
-
-    @property
-    def pages(self) -> int:
-        return self.blocks * self.pages_per_block
-
     @property
     def block_size(self) -> int:
         return self.pages_per_block * self.page_size

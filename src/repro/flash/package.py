@@ -14,12 +14,12 @@ NAND protocol rules are enforced: pages within a block must be programmed
 sequentially, a programmed page cannot be re-programmed before the block is
 erased, and reading an erased page is a model bug (raises).
 
-Reads are addressed by the flat page index (``ppn``, the row-major index of
-:meth:`FlashGeometry.page_index`) that the FTL's page map holds: the die and
-channel of a page follow from it by two integer divisions by constants
-hoisted at construction, and a :class:`PageAddress` is built only for the
-tracer and for the error raised on an erased page.  Program and erase take
-addresses, as the allocators hand them out.
+Reads and programs are addressed by the flat page index (``ppn``, the
+row-major index of :meth:`FlashGeometry.page_index`) that the FTL's page map
+and allocators hold: the block, die and channel of a page follow from it by
+integer divisions by constants hoisted at construction, and a
+:class:`PageAddress` is built only for the tracer and for error messages.
+Erase takes a block address.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ class FlashArray:
         self._page_bits = geo.page_size * 8
         self._e_read_page = self.energy.e_read + self.energy.transfer_energy(geo.page_size)
         self._e_prog_page = self.energy.e_prog + self.energy.transfer_energy(geo.page_size)
-        # Flat-index arithmetic of the read path (see the module docstring).
+        # Flat-index arithmetic of the read and program paths (see the
+        # module docstring).
         self._pages = geo.pages
         self._pages_per_block = geo.pages_per_block
         self._pages_per_die = geo.planes_per_die * geo.blocks_per_plane * geo.pages_per_block
@@ -212,7 +213,7 @@ class FlashArray:
         if retention_s is None:
             # max(0.0, age) without the builtin call: NaN and -0.0 map to
             # 0.0 exactly as max() maps them.
-            retention_s = sim._now - float(self.program_time[block_idx])
+            retention_s = sim.now - float(self.program_time[block_idx])
             if not retention_s > 0.0:
                 retention_s = 0.0
         errors = self.error_model.sample_errors(
@@ -241,52 +242,61 @@ class FlashArray:
         """Spare-area metadata of page ``ppn`` (``None`` if absent)."""
         return self._oob.get(ppn)
 
-    def program_page(
-        self, addr: PageAddress, data: bytes | None = None, oob: Any = None
-    ) -> Generator:
-        """Program one page: bus transfer in, then die program.
+    def program_page(self, ppn: int, data: bytes | None = None, oob: Any = None) -> Generator:
+        """Program page ``ppn`` (its flat index): bus transfer in, then die
+        program.
 
         Enforces in-order programming within the block.
         """
-        geo = self.geometry
-        idx = geo.page_index(addr)
-        block_idx = idx // geo.pages_per_block
-        if self.page_state[idx] == _PROGRAMMED:
-            raise FlashOpError(f"program of already-programmed page {addr}")
+        if not 0 <= ppn < self._pages:
+            raise ValueError(f"page index {ppn} out of range [0, {self._pages})")
+        block_idx = ppn // self._pages_per_block
+        page = ppn - block_idx * self._pages_per_block
+        if self.page_state[ppn] == _PROGRAMMED:
+            raise FlashOpError(
+                f"program of already-programmed page {self.geometry.page_address(ppn)}"
+            )
         expected = int(self.write_pointer[block_idx])
-        if addr.page != expected:
+        if page != expected:
             raise FlashOpError(
-                f"out-of-order program: block {addr.block_addr} expects page "
-                f"{expected}, got {addr.page}"
+                f"out-of-order program: block {self.geometry.block_address(block_idx)} "
+                f"expects page {expected}, got {page}"
             )
-        if data is not None and len(data) > geo.page_size:
+        if data is not None and len(data) > self.geometry.page_size:
             raise FlashOpError(
-                f"payload of {len(data)} bytes exceeds page size {geo.page_size}"
+                f"payload of {len(data)} bytes exceeds page size {self.geometry.page_size}"
             )
-        die = self.die_units[self._die_id(addr)]
-        bus = self.channel_bus[addr.channel]
+        die_id = ppn // self._pages_per_die
+        die = self.die_units[die_id]
+        bus = self.channel_bus[die_id // self._dies_per_channel]
+        sim = self.sim
 
         with bus.request() as breq:
             yield breq
-            yield self.sim.timeout(self._t_page_xfer)
+            yield sim.timeout(self._t_page_xfer)
         with die.request() as dreq:
             yield dreq
-            yield self.sim.timeout(self.timing.t_prog)
+            yield sim.timeout(self.timing.t_prog)
 
-        self.page_state[idx] = _PROGRAMMED
-        self.write_pointer[block_idx] = addr.page + 1
-        self.program_time[block_idx] = self.sim.now
+        self.page_state[ppn] = _PROGRAMMED
+        self.write_pointer[block_idx] = page + 1
+        self.program_time[block_idx] = sim.now
         if self.store_data and data is not None:
-            self._data[idx] = data
+            self._data[ppn] = data
         if oob is not None:
-            self._oob[idx] = oob
+            self._oob[ppn] = oob
         stats = self.stats
         stats.programs += 1
-        stats.bytes_programmed += geo.page_size
-        self._charge(self._e_prog_page)
+        stats.bytes_programmed += self.geometry.page_size
+        # _charge inlined
+        stats.energy_j += self._e_prog_page
+        if self.energy_sink is not None:
+            self.energy_sink(self.name, self._e_prog_page)
         if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, self.name, "flash.program", addr=addr)
-        return addr
+            self.tracer.emit(
+                sim.now, self.name, "flash.program", addr=self.geometry.page_address(ppn)
+            )
+        return ppn
 
     def mark_block_failed(self, block_index: int) -> None:
         """Failure injection: the next erase of this block raises

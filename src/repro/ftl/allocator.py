@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flash.geometry import BlockAddress, FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.package import FlashArray
 
 __all__ = ["BlockAllocator", "Frontier", "OutOfSpaceError"]
@@ -35,7 +35,11 @@ class BlockAllocator:
     """Tracks free blocks per die and hands out pages to streams.
 
     Streams are small integers (``HOST = 0``, ``GC = 1``); each
-    ``(stream, die)`` pair owns an independent frontier.
+    ``(stream, die)`` pair owns an independent frontier.  Pages are handed
+    out as flat page indices (``ppn``), the form the page map and
+    :meth:`FlashArray.program_page` take.  ``free_blocks`` is a running
+    count of the per-die pools, kept equal to their summed sizes by every
+    method that moves a block in or out of them.
     """
 
     HOST = 0
@@ -60,6 +64,7 @@ class BlockAllocator:
         self.free: list[set[int]] = [set() for _ in range(geo.dies)]
         for index in range(geo.blocks):
             self.free[self._die_of_block(index)].add(index)
+        self.free_blocks = geo.blocks
         self.frontiers: dict[tuple[int, int], Frontier] = {
             (stream, die): Frontier() for stream in range(streams) for die in range(geo.dies)
         }
@@ -69,13 +74,6 @@ class BlockAllocator:
     # -- geometry helpers ------------------------------------------------------
     def _die_of_block(self, block_index: int) -> int:
         return block_index // self._blocks_per_die
-
-    def block_address(self, block_index: int) -> BlockAddress:
-        return self.geometry.block_address(block_index)
-
-    @property
-    def free_blocks(self) -> int:
-        return sum(len(pool) for pool in self.free)
 
     def free_blocks_on_die(self, die: int) -> int:
         return len(self.free[die])
@@ -95,10 +93,11 @@ class BlockAllocator:
         pe = self.flash.pe_cycles
         best = min(pool, key=lambda b: (int(pe[b]), b))
         pool.remove(best)
+        self.free_blocks -= 1
         return best
 
-    def allocate_on_die(self, stream: int, die: int) -> PageAddress:
-        """Next physical page for ``stream`` on a specific die.
+    def allocate_on_die(self, stream: int, die: int) -> int:
+        """Next physical page (flat index) for ``stream`` on a specific die.
 
         Synchronous (no simulation time): the caller serialises allocations
         per ``(stream, die)`` and programs pages in allocation order, which
@@ -106,32 +105,33 @@ class BlockAllocator:
         """
         if not 0 <= stream < self.streams:
             raise ValueError(f"unknown stream {stream}")
-        if not 0 <= die < self.geometry.dies:
-            raise ValueError(f"unknown die {die}")
         geo = self.geometry
+        if not 0 <= die < geo.dies:
+            raise ValueError(f"unknown die {die}")
+        per_block = geo.pages_per_block
         frontier = self.frontiers[(stream, die)]
-        if frontier.block_index is None or frontier.next_page >= geo.pages_per_block:
+        if frontier.block_index is None or frontier.next_page >= per_block:
             frontier.block_index = self._open_block(stream, die)
             frontier.next_page = 0
         page = frontier.next_page
-        frontier.next_page += 1
-        return self.block_address(frontier.block_index).page(page)
+        frontier.next_page = page + 1
+        return frontier.block_index * per_block + page
 
-    def allocate_page(self, stream: int) -> PageAddress:
-        """Next physical page for ``stream``, rotating across dies."""
-        geo = self.geometry
-        dies = geo.dies
+    def allocate_page(self, stream: int) -> int:
+        """Next physical page (flat index) for ``stream``, rotating across
+        dies."""
+        dies = self.geometry.dies
         start = self._next_die[stream]
         last_error: OutOfSpaceError | None = None
         for offset in range(dies):
             die = (start + offset) % dies
             try:
-                addr = self.allocate_on_die(stream, die)
+                ppn = self.allocate_on_die(stream, die)
             except OutOfSpaceError as exc:
                 last_error = exc
                 continue
             self._next_die[stream] = (die + 1) % dies
-            return addr
+            return ppn
         raise OutOfSpaceError("no free blocks on any die") from last_error
 
     def release_block(self, block_index: int) -> None:
@@ -150,6 +150,7 @@ class BlockAllocator:
                 frontier.block_index = None
                 frontier.next_page = 0
         self.free[die].add(block_index)
+        self.free_blocks += 1
 
     def mark_in_use(self, block_index: int) -> None:
         """Recovery: pull a block out of the free pool without opening it.
@@ -157,8 +158,10 @@ class BlockAllocator:
         Used when rebuilding state after a power cut — any block with
         programmed pages is in use (fully or partially; partial blocks are
         treated as closed and left to GC)."""
-        die = self._die_of_block(block_index)
-        self.free[die].discard(block_index)
+        pool = self.free[self._die_of_block(block_index)]
+        if block_index in pool:
+            pool.remove(block_index)
+            self.free_blocks -= 1
 
     def retire_block(self, block_index: int) -> None:
         """Permanently remove a grown bad block from service."""

@@ -182,6 +182,7 @@ class TranslationCore:
                      lambda: self.free_units * self._unit_blocks, device=name)
 
         geo = flash.geometry
+        self.page_size = geo.page_size
         self._unit_blocks = unit_blocks
         self._unit_pages = unit_blocks * geo.pages_per_block
         covered = units * self._unit_pages
@@ -240,11 +241,7 @@ class TranslationCore:
     # -- capacity ------------------------------------------------------------
     @property
     def logical_capacity_bytes(self) -> int:
-        return self.logical_pages * self.flash.geometry.page_size
-
-    @property
-    def page_size(self) -> int:
-        return self.flash.geometry.page_size
+        return self.logical_pages * self.page_size
 
     def write_amplification(self) -> float:
         """Total NAND programs / host-initiated programs."""
@@ -296,7 +293,7 @@ class TranslationCore:
         try:
             data, errors = yield from self.flash.read_page(ppn)
             try:
-                yield from self.ecc.decode_page(self.flash.geometry.page_size, errors)
+                yield from self.ecc.decode_page(self.page_size, errors)
             except UncorrectableError as exc:
                 self.uncorrectable_reads += 1
                 raise LogicalIOError(f"uncorrectable read at lpn {lpn}") from exc
@@ -377,7 +374,7 @@ class TranslationCore:
         """
         data, errors = yield from self.flash.read_page(old_ppn)
         try:
-            yield from self.ecc.decode_page(self.flash.geometry.page_size, errors)
+            yield from self.ecc.decode_page(self.page_size, errors)
         except UncorrectableError as exc:
             raise LogicalIOError(f"uncorrectable GC read at lpn {lpn}") from exc
         oob = self.flash.page_oob(old_ppn)
@@ -489,8 +486,7 @@ class FlashTranslationLayer(TranslationCore):
         (host overwrote during relocation) the fresh copy is left unbound —
         it is reclaimed as garbage on the GC block's next collection.
         """
-        geo = self.flash.geometry
-        dies = geo.dies
+        dies = self.flash.geometry.dies
         if oob is None:
             self._write_seq += 1
             oob = {"lpn": lpn, "seq": self._write_seq}
@@ -503,15 +499,14 @@ class FlashTranslationLayer(TranslationCore):
                 with lock.request() as req:
                     yield req
                     try:
-                        addr = self.allocator.allocate_on_die(stream, die)
+                        ppn = self.allocator.allocate_on_die(stream, die)
                     except OutOfSpaceError:
                         continue
-                    block_index = geo.block_index(addr.block_addr)
+                    block_index = ppn // self._unit_pages
                     self._writers[block_index] += 1
                     try:
-                        yield from self.ecc.encode_page(geo.page_size)
-                        yield from self.flash.program_page(addr, data, oob=oob)
-                        ppn = geo.page_index(addr)
+                        yield from self.ecc.encode_page(self.page_size)
+                        yield from self.flash.program_page(ppn, data, oob=oob)
                         if expect_ppn is None or self.page_map.lookup(lpn) == expect_ppn:
                             self.page_map.bind(lpn, ppn)
                     finally:

@@ -109,6 +109,12 @@ class ZonedFtl(TranslationCore):
         self._zone_state = np.full(zone_count, ZoneState.EMPTY, dtype=np.uint8)
         self._zone_wp = np.zeros(zone_count, dtype=np.int32)
         self._free: deque[int] = deque(range(zone_count))
+        # Running counts the append path reads on every page, kept equal to
+        # their recomputed sums: programs in flight (``_writers.sum()``) and
+        # unprogrammed pages the streams can still reach (free zones plus
+        # the rest of every open zone).
+        self._inflight = 0
+        self._unwritten = zone_count * self.zone_pages
         self.zone_resets = 0
         self.zones_retired = 0
 
@@ -151,16 +157,6 @@ class ZonedFtl(TranslationCore):
         )
 
     # -- append path ---------------------------------------------------------
-    def _unwritten_pages(self) -> int:
-        """Unprogrammed pages the streams can still reach: free zones plus
-        the remaining space of every open zone (host and GC)."""
-        pages = len(self._free) * self.zone_pages
-        for zones in self._open.values():
-            for zone in zones:
-                if zone is not None:
-                    pages += self.zone_pages - int(self._zone_wp[zone])
-        return pages
-
     def _append(
         self,
         lpn: int,
@@ -192,8 +188,7 @@ class ZonedFtl(TranslationCore):
         stalls = 0
         while True:
             if stream == self.HOST:
-                inflight = int(self._writers.sum())
-                if self._unwritten_pages() - inflight <= self.zone_pages:
+                if self._unwritten - self._inflight <= self.zone_pages:
                     # collector reserve floor reached: stall an erase cycle
                     # while GC reclaims.  Repeated stalls against an idle
                     # collector mean genuine exhaustion — but re-check after
@@ -241,8 +236,7 @@ class ZonedFtl(TranslationCore):
         the collector's reserve floor, or no free zone and every host open
         zone closed.  Checked at raise time so a stall that GC resolved
         mid-sleep retries instead of failing (no lost wakeup)."""
-        inflight = int(self._writers.sum())
-        if self._unwritten_pages() - inflight <= self.zone_pages:
+        if self._unwritten - self._inflight <= self.zone_pages:
             return True
         if self._free:
             return False
@@ -266,7 +260,6 @@ class ZonedFtl(TranslationCore):
         ``open_fresh`` lets the slot pull a new zone from the free list;
         the GC borrow path passes False to use only already-open space.
         """
-        geo = self.flash.geometry
         lock = self._locks[(stream, slot)]
         with lock.request() as req:
             yield req
@@ -276,12 +269,12 @@ class ZonedFtl(TranslationCore):
             wp = int(self._zone_wp[zone])
             ppn = zone * self.zone_pages + wp
             self._writers[zone] += 1
+            self._inflight += 1
             try:
-                yield from self.ecc.encode_page(geo.page_size)
-                yield from self.flash.program_page(
-                    geo.page_address(ppn), data, oob=oob
-                )
+                yield from self.ecc.encode_page(self.page_size)
+                yield from self.flash.program_page(ppn, data, oob=oob)
                 self._zone_wp[zone] = wp + 1
+                self._unwritten -= 1
                 if wp + 1 == self.zone_pages:
                     self._zone_state[zone] = ZoneState.FULL
                     self._open[stream][slot] = None
@@ -289,6 +282,7 @@ class ZonedFtl(TranslationCore):
                     self.page_map.bind(lpn, ppn)
             finally:
                 self._writers[zone] -= 1
+                self._inflight -= 1
             self._maybe_kick_gc()
             return True
 
@@ -351,6 +345,7 @@ class ZonedFtl(TranslationCore):
         self._zone_wp[zone] = 0
         self._zone_state[zone] = ZoneState.EMPTY
         self._free.append(zone)
+        self._unwritten += self.zone_pages
         self.zone_resets += 1
         return True
 
@@ -359,7 +354,7 @@ class ZonedFtl(TranslationCore):
         # GC may borrow host open-zone space when no free zone remains, so
         # its relocation headroom is every reachable unwritten page — and
         # the host admission floor keeps one zone's worth of it in reserve.
-        headroom = self._unwritten_pages()
+        headroom = self._unwritten
         best = None
         best_valid = None
         for zone in range(self.zone_count):

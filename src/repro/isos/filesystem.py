@@ -62,12 +62,10 @@ class ExtentFileSystem:
         self.meta_pages = meta_pages
         self.files: dict[str, Inode] = {}
         self._free: list[int] = list(range(device.pages - 1, meta_pages - 1, -1))
+        # a device's page size never changes; every page copy reads this
+        self.page_size = device.page_size
 
     # -- capacity -----------------------------------------------------------
-    @property
-    def page_size(self) -> int:
-        return self.device.page_size
-
     @property
     def free_pages(self) -> int:
         return len(self._free)

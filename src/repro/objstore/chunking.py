@@ -32,6 +32,13 @@ is a boundary no longer depends on where the chunk began.  One numpy pass
 per buffer marks every such candidate, and the cut walk only picks the
 first candidate past ``min_size``.  The per-byte loop survives in the tests
 as the reference this search must match.
+
+That pass computes in uint16 when the mask is at most 16 bits wide (every
+preset's is 11 or 12) and in uint64 otherwise.  The low ``k`` bits of a sum
+or a left shift depend only on the low ``k`` bits of its operands, so
+truncating the gear table and wrapping at 2**16 leaves every tested bit as
+it is at 2**64, and the narrow arrays quarter the memory each doubling pass
+touches.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ __all__ = ["ChunkParams", "Chunker", "chunk_digests", "chunk_spans"]
 _GEAR_RNG = random.Random(0x9E3779B97F4A7C15)
 _GEAR: tuple[int, ...] = tuple(_GEAR_RNG.getrandbits(64) for _ in range(256))
 _GEAR_TABLE = np.array(_GEAR, dtype=np.uint64)
+#: The table truncated to its low 16 bits (see the module docstring).
+_GEAR_TABLE16 = _GEAR_TABLE.astype(np.uint16)
 #: Bytes scanned per numpy pass; bounds the uint64 temporaries to a few MiB.
 _BLOCK = 1 << 20
 
@@ -74,18 +83,27 @@ class ChunkParams:
         return (1 << max(1, self.avg_size.bit_length() - 1)) - 1
 
 
+def _gear_table(bits: int) -> np.ndarray:
+    """The gear table in uint16 if it holds ``bits`` bits, else in uint64."""
+    return _GEAR_TABLE16 if bits <= 16 else _GEAR_TABLE
+
+
 def _window_hashes(buf: np.ndarray, bits: int) -> np.ndarray:
     """Per index ``j``, ``sum(gear[buf[j - d]] << d)`` over ``d < bits``
-    (and possibly more, which the low ``bits`` bits never see), mod 2**64.
+    (and possibly more, which the low ``bits`` bits never see), in the dtype
+    of :func:`_gear_table` and wrapping at its width; only the low ``bits``
+    bits are meaningful.
 
     Bytes before the buffer count as absent, so at ``j < bits - 1`` this is
     the hash of ``buf[:j + 1]`` alone.  Built by doubling the window:
-    ``w_2s[j] = w_s[j] + (w_s[j - s] << s)``, uint64 wrap-around included.
+    ``w_2s[j] = w_s[j] + (w_s[j - s] << s)``, wrap-around included.
     """
-    window = _GEAR_TABLE[buf]
+    table = _gear_table(bits)
+    window = table.take(buf)
+    shift = table.dtype.type
     span = 1
     while span < bits:
-        window[span:] += window[:-span] << np.uint64(span)
+        window[span:] += window[:-span] << shift(span)
         span *= 2
     return window
 
@@ -105,7 +123,9 @@ class Chunker:
         self.params = params
         # h is 64 bits wide, so a wider mask tests no more bits than this
         self._bits = min(params.mask.bit_length(), 64)
-        self._mask = (1 << self._bits) - 1
+        # the mask as a scalar of the window's dtype, so `window & low`
+        # stays in that dtype
+        self._low = _gear_table(self._bits).dtype.type((1 << self._bits) - 1)
         self._length = 0  # bytes since the last boundary
         self._recent = b""  # the last min(_length, _bits - 1) of them
 
@@ -117,16 +137,15 @@ class Chunker:
         return cuts
 
     def _scan(self, data: memoryview) -> list[int]:
-        bits, mask = self._bits, self._mask
+        bits, low = self._bits, self._low
         min_size, max_size = self.params.min_size, self.params.max_size
         # carrying the last bits-1 bytes makes every window in `buf` whole
         buf = self._recent + data
         carried = len(self._recent)
         end = len(buf)
         octets = np.frombuffer(buf, dtype=np.uint8)
-        low = np.uint64(mask)
         window = _window_hashes(octets, bits)
-        candidates = np.flatnonzero((window & low) == 0).tolist()
+        candidates = ((window & low) == 0).nonzero()[0].tolist()
         cuts: list[int] = []
         start = carried - self._length  # buf index of the open chunk's first byte
         while True:
@@ -138,7 +157,7 @@ class Chunker:
                 # min_size < bits: positions this close to the chunk start hash
                 # fewer bytes than the window, so hash exactly those bytes
                 head = _window_hashes(octets[start:min(warm, forced + 1, end)], bits)
-                hits = np.flatnonzero((head[first - start:] & low) == 0)
+                hits = ((head[first - start:] & low) == 0).nonzero()[0]
                 if hits.size:
                     cut = first + int(hits[0])
             if cut < 0:

@@ -139,6 +139,9 @@ class DedupObjectStore:
         replicas: int = 2,
     ):
         self.fleet = fleet
+        #: ``(node index, device name) -> device``: the fleet's own O(1)
+        #: lookup, bound once (it runs per chunk and per replica)
+        self._ssd = fleet._ssd
         self.params = params if params is not None else ChunkParams()
         self.ring = fleet.device_ring()
         if not 1 <= replicas <= len(self.ring):
@@ -152,16 +155,14 @@ class DedupObjectStore:
             self._ssd(node_index, device).isps.os.install_executable(ChunkSumApp())
 
     # -- topology helpers ----------------------------------------------------
-    def _ssd(self, node_index: int, device: str):
-        return self.fleet._ssd(node_index, device)
-
     def _crashed(self, node_index: int, device: str) -> bool:
         faults = self._ssd(node_index, device).controller.faults
         return faults is not None and faults.crashed
 
     def _chain(self, token: str) -> tuple[tuple[int, str], ...]:
-        base = _place(token, len(self.ring))
-        return tuple(self.ring[(base + j) % len(self.ring)] for j in range(self.replicas))
+        ring = self.ring
+        base = _place(token, len(ring))
+        return tuple([ring[(base + j) % len(ring)] for j in range(self.replicas)])
 
     def block_chain(self, digest: str) -> tuple[tuple[int, str], ...]:
         """Digest-placed replica chain a chunk lives on (primary first)."""

@@ -112,7 +112,7 @@ class PcieLink:
         else:
             raise KeyError(direction)
         sim = self.sim
-        start = sim._now
+        start = sim.now
         with channel.request() as req:
             yield req
             yield sim.timeout(self._latency + nbytes / self._bandwidth)
@@ -122,7 +122,7 @@ class PcieLink:
             self._bytes_rx += nbytes
         if self.energy_sink is not None and nbytes:
             self.energy_sink(self.name, nbytes * self._energy_per_byte)
-        return sim._now - start
+        return sim.now - start
 
     def utilization(self, direction: Direction) -> float:
         return {_TX: self._tx, _RX: self._rx}[direction].utilization()

@@ -437,7 +437,10 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, read on
+        #: every timeout, grant and page operation; only this module's
+        #: dispatch loops assign it.
+        self.now = 0.0
         #: Events due now, in dispatch order: all URGENT ones, then NORMAL.
         self._urgent: deque[Event] = deque()
         self._normal: deque[Event] = deque()
@@ -454,11 +457,6 @@ class Simulator:
         self.events_processed = 0
 
     # -- time -----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def active_process(self) -> Process | None:
         return self._active
@@ -511,7 +509,7 @@ class Simulator:
         if daemon:
             self._schedule(ev, delay, NORMAL, True)
             return ev
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             self._normal.append(ev)
@@ -539,7 +537,7 @@ class Simulator:
         An event due now joins the tail of its priority's lane, so it keeps
         the FIFO place its (never materialised) seq would give it.
         """
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             (self._urgent if priority == URGENT else self._normal).append(event)
@@ -559,7 +557,7 @@ class Simulator:
         """
         queue = self._queue
         when, _prio, _seq, daemon, event = _heappop(queue)
-        self._now = when
+        self.now = when
         if daemon:
             self._lane_daemons.add(event)
         while queue and queue[0][0] == when:
@@ -572,7 +570,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._urgent or self._normal:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     @property
@@ -588,7 +586,7 @@ class Simulator:
             event = self._normal.popleft()
         elif not self._queue:
             raise SimulationError("step() on an empty schedule")
-        elif self._queue[0][0] < self._now:
+        elif self._queue[0][0] < self.now:
             raise SimulationError("event scheduled in the past")
         else:
             event = self._advance()
@@ -629,8 +627,8 @@ class Simulator:
             stop.callbacks.append(lambda ev: flag.append(True))
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+            if horizon < self.now:
+                raise ValueError(f"until={horizon} is in the past (now={self.now})")
             if horizon != float("inf"):
                 self._run_to(horizon)
                 return None
@@ -645,7 +643,7 @@ class Simulator:
             else:
                 # _advance() inlined
                 when, _prio, _seq, daemon, event = _heappop(queue)
-                self._now = when
+                self.now = when
                 if daemon:
                     daemons.add(event)
                 while queue and queue[0][0] == when:
@@ -696,7 +694,7 @@ class Simulator:
                 cb(event)
             if not event._ok and not event._defused:
                 raise event._value
-        self._now = horizon
+        self.now = horizon
 
     @staticmethod
     def _raise(event: Event) -> Any:

@@ -47,7 +47,7 @@ class Request(Event):
         resource = self.resource
         users = resource.users
         if self in users:
-            now = resource.sim._now
+            now = resource.sim.now
             resource._busy_integral += len(users) * (now - resource._last_change)
             resource._last_change = now
             users.remove(self)
@@ -59,8 +59,10 @@ class Request(Event):
             resource._withdraw(self)
 
     def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (no-op if already granted)."""
-        self.resource.release(self)
+        """Withdraw a not-yet-granted request (no-op if already granted:
+        the holder's ``with`` exit returns the slot)."""
+        if self not in self.resource.users:
+            self.resource._withdraw(self)
 
 
 class Resource:
@@ -87,11 +89,6 @@ class Resource:
         self._last_change = 0.0
 
     # -- accounting -------------------------------------------------------
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_integral += len(self.users) * (now - self._last_change)
-        self._last_change = now
-
     @property
     def count(self) -> int:
         """Number of slots currently in use."""
@@ -123,7 +120,7 @@ class Resource:
         if len(users) < self.capacity and not self._waiting:
             # _grant and Event.succeed inlined for the uncontended case, the
             # common one on every bus and queue slot.
-            now = sim._now
+            now = sim.now
             self._busy_integral += len(users) * (now - self._last_change)
             self._last_change = now
             users.append(req)
@@ -151,10 +148,11 @@ class Resource:
             pass  # releasing twice, or a request that was never granted
 
     def _grant(self, req: Request) -> None:
-        # _account() inlined: grant/release bracket every command, page and
-        # bus transaction, so the method-call overhead is measurable.
+        # The busy-time integral is advanced in place here, in request() and
+        # in Request.__exit__: grant/release bracket every command, page and
+        # bus transaction, so a helper call would cost measurable time.
         users = self.users
-        now = self.sim._now
+        now = self.sim.now
         self._busy_integral += len(users) * (now - self._last_change)
         self._last_change = now
         users.append(req)

@@ -3,11 +3,13 @@
 import hashlib
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.objstore import ChunkParams, Chunker, chunk_digests, chunk_spans
-from repro.objstore.chunking import _BLOCK, _GEAR
+from repro.objstore.chunking import _BLOCK, _GEAR, _gear_table, _window_hashes
 
 PARAMS = ChunkParams(min_size=64, avg_size=256, max_size=1024)
 
@@ -44,6 +46,23 @@ def chunk_params(draw) -> ChunkParams:
     )
     max_size = draw(st.just(avg_size) | st.integers(avg_size, 4 * avg_size))
     return ChunkParams(min_size, avg_size, max_size)
+
+
+#: Mask widths by the dtype the vectorised hash runs in.
+WIDTHS = {"uint16": (1, 16), "uint64": (17, 70)}
+
+
+@st.composite
+def wide_chunk_params(draw, dtype: str) -> ChunkParams:
+    """Bounds whose boundary mask is as wide as ``dtype``'s range in
+    ``WIDTHS`` allows (widths past 64 test the same 64 bits)."""
+    width = draw(st.integers(*WIDTHS[dtype]))
+    avg_size = draw(st.integers(1 << width, (2 << width) - 1))
+    min_size = draw(st.sampled_from([1, 2, 3, 5, 11, 64]) | st.integers(1, 600))
+    max_size = draw(st.just(avg_size) | st.integers(avg_size, 4 * avg_size))
+    params = ChunkParams(min(min_size, avg_size), avg_size, max_size)
+    assert params.mask.bit_length() == width
+    return params
 
 
 payloads = st.binary(min_size=0, max_size=16 * 1024)
@@ -104,6 +123,32 @@ def test_vectorised_chunker_matches_reference_loop(params, data, fragmentation):
     expected = _reference_lengths(data, params)
     assert lengths(data, params) == expected
     assert streamed_lengths(fragments(data, fragmentation), params) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), contents, fragmentations)
+@pytest.mark.parametrize("dtype", sorted(WIDTHS))
+def test_every_hash_width_matches_reference_loop(dtype, data, content, fragmentation):
+    """The narrow-dtype hash cuts where the 64-bit loop does, for masks in
+    each dtype's range."""
+    params = data.draw(wide_chunk_params(dtype))
+    assert _gear_table(min(params.mask.bit_length(), 64)).dtype.name == dtype
+    expected = _reference_lengths(content, params)
+    assert lengths(content, params) == expected
+    assert streamed_lengths(fragments(content, fragmentation), params) == expected
+
+
+@pytest.mark.parametrize("bits", [1, 2, 12, 16, 17, 31, 32, 33, 48, 64])
+def test_window_hashes_keep_the_low_bits_of_the_64_bit_hash(bits):
+    """Every window value's low ``bits`` bits equal those of the per-byte
+    64-bit hash of the buffer up to that index, in every dtype."""
+    data = random.Random(bits).randbytes(3000) + bytes(200) + b"\xff" * 200
+    window = _window_hashes(np.frombuffer(data, dtype=np.uint8), bits)
+    mask = (1 << bits) - 1
+    h = 0
+    for j, byte in enumerate(data):
+        h = ((h << 1) + _GEAR[byte]) & _MASK64
+        assert int(window[j]) & mask == h & mask, j
 
 
 def test_reference_agreement_across_scan_blocks():

@@ -4,8 +4,9 @@ A ``def`` in ``src/repro`` whose name appears nowhere else in ``src/``,
 ``tests/``, ``examples/`` or ``benchmarks/`` is dead: no caller, no test,
 no example, no override reaches it. Dead members still cost a reader, and
 they let copies of one fact drift apart unnoticed, so the lint fails on
-them. The scan is by word, so a name that only a comment or a string
-mentions counts as used.
+them. The scan is by token: a name counts as used where code names it or
+where a string holds it as a word (``benchmarks/e2e/layers.py`` wraps
+methods it names in strings), but not where only a comment mentions it.
 
 Dunder methods are exempt: the interpreter calls them through syntax
 (``registry[name]`` reaches ``__getitem__``). Add to the allowlist only
@@ -15,7 +16,9 @@ with a comment saying who calls the definition.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -36,12 +39,28 @@ def _sources() -> list[Path]:
     ]
 
 
+#: Token types that carry string text (3.12 splits f-strings into parts).
+_TEXT = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def mentions(source: str) -> Counter[str]:
+    """Names in ``source``'s code and words in its strings; comments are
+    skipped."""
+    words: Counter[str] = Counter()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            words[token.string] += 1
+        elif token.type in _TEXT:
+            words.update(re.findall(r"\w+", token.string))
+    return words
+
+
 def dead_definitions() -> list[str]:
     """``path:line name`` for every unreferenced def under ``src/repro``."""
     sources = _sources()
     words: Counter[str] = Counter()
     for path in sources:
-        words.update(re.findall(r"\w+", path.read_text()))
+        words.update(mentions(path.read_text()))
     dead = []
     for path in sources:
         if not path.is_relative_to(REPO / "src" / "repro"):
@@ -61,3 +80,10 @@ def test_every_definition_in_src_is_used():
     dead = dead_definitions()
     assert not dead, "definitions nothing references:\n  " + "\n  ".join(dead)
 
+
+
+def test_a_comment_is_not_a_use():
+    source = "def helper():\n    pass\n# helper() inlined below\nx = 'calls helper'\n"
+    counted = mentions(source)
+    assert counted["helper"] == 2  # the def and the string, not the comment
+    assert counted["inlined"] == 0

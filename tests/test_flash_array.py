@@ -36,7 +36,7 @@ def test_program_then_read_returns_data():
     addr = PageAddress(0, 0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(addr, b"hello world")
+        yield from arr.program_page(GEO.page_index(addr), b"hello world")
         data, errors = yield from arr.read_page(GEO.page_index(addr))
         return data, errors
 
@@ -54,7 +54,7 @@ def test_program_timing_includes_transfer_and_tprog():
     addr = PageAddress(0, 0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(addr, b"x")
+        yield from arr.program_page(GEO.page_index(addr), b"x")
 
     run(sim, flow())
     expected = timing.transfer_time(GEO.page_size) + timing.t_prog
@@ -68,7 +68,7 @@ def test_read_timing_includes_tread_and_transfer():
     addr = PageAddress(0, 0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(addr, b"x")
+        yield from arr.program_page(GEO.page_index(addr), b"x")
         start = sim.now
         yield from arr.read_page(GEO.page_index(addr))
         return sim.now - start
@@ -100,6 +100,22 @@ def test_read_outside_geometry_rejected(ppn):
         run(sim, flow())
 
 
+@pytest.mark.parametrize("ppn", [-GEO.pages, -1, GEO.pages])
+def test_program_outside_geometry_rejected(ppn):
+    """A negative ppn would otherwise index the state arrays from the end:
+    ``-GEO.pages`` names page 0 of block 0 there, an in-order program."""
+    sim = Simulator()
+    arr = make_array(sim)
+
+    def flow():
+        yield from arr.program_page(ppn, b"x")
+
+    with pytest.raises(ValueError, match="out of range"):
+        run(sim, flow())
+    assert arr.stats.programs == 0
+    assert not arr.write_pointer.any()
+
+
 def test_read_page_uses_the_die_and_bus_of_its_flat_index():
     """The flat index of the last page lands on the last die and channel."""
     sim = Simulator()
@@ -109,7 +125,7 @@ def test_read_page_uses_the_die_and_bus_of_its_flat_index():
 
     def flow():
         for page in range(GEO.pages_per_block):
-            yield from arr.program_page(block.page(page), b"p")
+            yield from arr.program_page(GEO.page_index(block.page(page)), b"p")
         start = sim.now
         yield from arr.read_page(GEO.pages - 1)
         return start
@@ -129,8 +145,8 @@ def test_reprogram_without_erase_rejected():
     addr = PageAddress(0, 0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(addr, b"a")
-        yield from arr.program_page(addr, b"b")
+        yield from arr.program_page(GEO.page_index(addr), b"a")
+        yield from arr.program_page(GEO.page_index(addr), b"b")
 
     with pytest.raises(FlashOpError, match="already-programmed"):
         run(sim, flow())
@@ -141,7 +157,7 @@ def test_out_of_order_program_rejected():
     arr = make_array(sim)
 
     def flow():
-        yield from arr.program_page(PageAddress(0, 0, 0, 0, 2), b"skip")
+        yield from arr.program_page(GEO.page_index(PageAddress(0, 0, 0, 0, 2)), b"skip")
 
     with pytest.raises(FlashOpError, match="out-of-order"):
         run(sim, flow())
@@ -152,7 +168,8 @@ def test_oversize_payload_rejected():
     arr = make_array(sim)
 
     def flow():
-        yield from arr.program_page(PageAddress(0, 0, 0, 0, 0), b"z" * (GEO.page_size + 1))
+        oversize = b"z" * (GEO.page_size + 1)
+        yield from arr.program_page(GEO.page_index(PageAddress(0, 0, 0, 0, 0)), oversize)
 
     with pytest.raises(FlashOpError, match="exceeds page size"):
         run(sim, flow())
@@ -165,7 +182,7 @@ def test_erase_resets_block_and_increments_pe():
 
     def flow():
         for page in range(GEO.pages_per_block):
-            yield from arr.program_page(block.page(page), b"d")
+            yield from arr.program_page(GEO.page_index(block.page(page)), b"d")
         assert arr.erased_pages_in(block) == 0
         yield from arr.erase_block(block)
 
@@ -181,9 +198,9 @@ def test_erase_allows_reprogram_from_page_zero():
     block = BlockAddress(0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(block.page(0), b"first")
+        yield from arr.program_page(GEO.page_index(block.page(0)), b"first")
         yield from arr.erase_block(block)
-        yield from arr.program_page(block.page(0), b"second")
+        yield from arr.program_page(GEO.page_index(block.page(0)), b"second")
         data, _errors = yield from arr.read_page(GEO.page_index(block.page(0)))
         return data
 
@@ -196,7 +213,7 @@ def test_erase_drops_stored_data():
     block = BlockAddress(0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(block.page(0), b"gone")
+        yield from arr.program_page(GEO.page_index(block.page(0)), b"gone")
         yield from arr.erase_block(block)
 
     run(sim, flow())
@@ -211,7 +228,7 @@ def test_channel_bus_serializes_same_channel_dies():
     arr = make_array(sim, timing=timing)
 
     def program(addr):
-        yield from arr.program_page(addr, b"x")
+        yield from arr.program_page(GEO.page_index(addr), b"x")
 
     # same channel, two dies
     sim.process(program(PageAddress(0, 0, 0, 0, 0)))
@@ -232,7 +249,7 @@ def test_channel_bus_serializes_same_channel_dies():
 
 
 def program_on(arr, addr):
-    yield from arr.program_page(addr, b"x")
+    yield from arr.program_page(GEO.page_index(addr), b"x")
 
 
 def test_die_serializes_operations():
@@ -243,8 +260,8 @@ def test_die_serializes_operations():
     block = BlockAddress(0, 0, 0, 0)
 
     def setup_and_read():
-        yield from arr.program_page(block.page(0), b"a")
-        yield from arr.program_page(block.page(1), b"b")
+        yield from arr.program_page(GEO.page_index(block.page(0)), b"a")
+        yield from arr.program_page(GEO.page_index(block.page(1)), b"b")
         t0 = sim.now
         p1 = sim.process(read_on(arr, GEO.page_index(block.page(0))))
         p2 = sim.process(read_on(arr, GEO.page_index(block.page(1))))
@@ -297,7 +314,7 @@ def test_energy_accounting_positive_and_sinked():
     block = BlockAddress(0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(block.page(0), b"x")
+        yield from arr.program_page(GEO.page_index(block.page(0)), b"x")
         yield from arr.read_page(GEO.page_index(block.page(0)))
         yield from arr.erase_block(block)
 
@@ -319,7 +336,7 @@ def test_analytic_mode_stores_no_data():
     addr = PageAddress(0, 0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(addr, b"payload")
+        yield from arr.program_page(GEO.page_index(addr), b"payload")
         data, _errors = yield from arr.read_page(GEO.page_index(addr))
         return data
 

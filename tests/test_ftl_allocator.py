@@ -26,31 +26,34 @@ def test_initial_free_pool_covers_everything():
 
 def test_allocate_on_die_is_sequential_within_block():
     _, _, alloc = make_allocator()
-    addrs = [alloc.allocate_on_die(BlockAllocator.HOST, 0) for _ in range(GEO.pages_per_block)]
+    addrs = [
+        GEO.page_address(alloc.allocate_on_die(BlockAllocator.HOST, 0))
+        for _ in range(GEO.pages_per_block)
+    ]
     assert [a.page for a in addrs] == list(range(GEO.pages_per_block))
     assert len({a.block_addr for a in addrs}) == 1
 
 
 def test_allocate_opens_new_block_when_full():
     _, _, alloc = make_allocator()
-    first = [alloc.allocate_on_die(0, 0) for _ in range(GEO.pages_per_block)]
-    nxt = alloc.allocate_on_die(0, 0)
+    first = [GEO.page_address(alloc.allocate_on_die(0, 0)) for _ in range(GEO.pages_per_block)]
+    nxt = GEO.page_address(alloc.allocate_on_die(0, 0))
     assert nxt.page == 0
     assert nxt.block_addr != first[0].block_addr
 
 
 def test_allocate_page_rotates_dies():
     _, _, alloc = make_allocator()
-    a = alloc.allocate_page(0)
-    b = alloc.allocate_page(0)
+    a = GEO.page_address(alloc.allocate_page(0))
+    b = GEO.page_address(alloc.allocate_page(0))
     die_of = lambda addr: addr.channel * GEO.dies_per_channel + addr.die
     assert die_of(a) != die_of(b)
 
 
 def test_streams_get_distinct_blocks():
     _, _, alloc = make_allocator()
-    host = alloc.allocate_on_die(BlockAllocator.HOST, 0)
-    gc = alloc.allocate_on_die(BlockAllocator.GC, 0)
+    host = GEO.page_address(alloc.allocate_on_die(BlockAllocator.HOST, 0))
+    gc = GEO.page_address(alloc.allocate_on_die(BlockAllocator.GC, 0))
     assert host.block_addr != gc.block_addr
 
 
@@ -100,14 +103,14 @@ def test_wear_aware_block_selection():
     sim, flash, alloc = make_allocator()
     # age block 0 on die 0 artificially
     flash.pe_cycles[0] = 50
-    addr = alloc.allocate_on_die(0, 0)
+    addr = GEO.page_address(alloc.allocate_on_die(0, 0))
     block_index = GEO.block_index(addr.block_addr)
     assert block_index != 0  # lowest-PE block preferred
 
 
 def test_release_block_returns_to_pool():
     _, _, alloc = make_allocator()
-    addr = alloc.allocate_on_die(0, 0)
+    addr = GEO.page_address(alloc.allocate_on_die(0, 0))
     block_index = GEO.block_index(addr.block_addr)
     before = alloc.free_blocks
     # fill & retire the frontier so the block is closed
@@ -120,7 +123,7 @@ def test_release_block_returns_to_pool():
 
 def test_release_open_or_free_block_rejected():
     _, _, alloc = make_allocator()
-    addr = alloc.allocate_on_die(0, 0)
+    addr = GEO.page_address(alloc.allocate_on_die(0, 0))
     block_index = GEO.block_index(addr.block_addr)
     with pytest.raises(ValueError, match="open frontier"):
         alloc.release_block(block_index)

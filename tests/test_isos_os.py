@@ -1,6 +1,10 @@
 """Unit tests for the embedded OS: spawn/wait, pipelines, scripts, loading."""
 
+import shlex
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu import ARM_A53_QUAD, CpuCluster
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
@@ -129,6 +133,81 @@ def test_split_pipeline_respects_quotes():
 def test_split_pipeline_unterminated_quote():
     with pytest.raises(ShellError, match="unterminated"):
         split_pipeline("echo 'oops")
+
+
+def _reference_argv(line: str) -> list[str]:
+    """``parse_command_line`` as plain shlex: the oracle of its fast path."""
+    try:
+        argv = shlex.split(line, posix=True)
+    except ValueError as exc:
+        raise ShellError(f"cannot parse {line!r}: {exc}") from exc
+    if not argv:
+        raise ShellError("empty command")
+    return argv
+
+
+def _reference_pipeline(line: str) -> list[list[str]]:
+    """``split_pipeline`` as a per-character ``|`` split outside quotes,
+    then shlex per stage."""
+    stages: list[str] = []
+    current: list[str] = []
+    quote = None
+    for ch in line:
+        if quote:
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+        elif ch == "|":
+            stages.append("".join(current))
+            current = []
+            continue
+        current.append(ch)
+    if quote:
+        raise ShellError(f"unterminated quote in {line!r}")
+    stages.append("".join(current))
+    parsed = [_reference_argv(stage) for stage in stages if stage.strip()]
+    if not parsed:
+        raise ShellError("empty pipeline")
+    return parsed
+
+
+def _outcome(parse, line: str):
+    try:
+        return parse(line)
+    except ShellError as exc:
+        return ("ShellError", str(exc))
+
+
+#: Printable ASCII lines, weighted towards what shlex treats specially, plus
+#: whitespace that ``str.split`` splits on and shlex does not.
+command_lines = st.lists(
+    st.sampled_from([chr(c) for c in range(32, 127)])
+    | st.sampled_from(["\t", " ", " | ", "'", '"', "\\", "#", "grep", "f.txt"])
+    | st.sampled_from(["'a b'", '"c | d"', "x\\ y", "a#b", "''", "\\'"])
+    | st.sampled_from(["\x0b", "\x0c", "\xa0", "\r\n"]),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines)
+def test_command_parsing_equals_posix_shlex(line):
+    assert _outcome(parse_command_line, line) == _outcome(_reference_argv, line)
+    assert _outcome(split_pipeline, line) == _outcome(_reference_pipeline, line)
+
+
+@pytest.mark.parametrize("line", [
+    "chunksum 1024 4096 16384 .tmp/obj-7",
+    "gunzip\tf.gz |grep  -c x|",
+    "grep 'open",
+    "grep a\\",
+    "echo '#' | wc",
+    "  ",
+])
+def test_command_parsing_equals_posix_shlex_on_known_lines(line):
+    assert _outcome(parse_command_line, line) == _outcome(_reference_argv, line)
+    assert _outcome(split_pipeline, line) == _outcome(_reference_pipeline, line)
 
 
 def test_split_script_lines_and_semicolons():

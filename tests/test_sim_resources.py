@@ -80,6 +80,34 @@ def test_resource_release_without_grant_is_safe():
     assert len(res.queue) == 0
 
 
+@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+def test_cancel_of_a_granted_request_keeps_the_slot(kind):
+    sim = Simulator()
+    res = kind(sim, capacity=1)
+    seen = []
+
+    def holder():
+        with res.request() as req:
+            yield req
+            req.cancel()  # documented no-op once granted
+            seen.append(("holding", res.count, list(res.users) == [req]))
+            yield sim.timeout(2.0)
+        seen.append(("released", res.count))
+
+    def waiter():
+        yield sim.timeout(1.0)
+        with res.request() as req:
+            yield req
+            seen.append(("granted", sim.now))
+
+    sim.process(holder())
+    sim.process(waiter())
+    sim.run()
+    # the waiter gets the slot only when the holder leaves its `with` block
+    assert seen == [("holding", 1, True), ("released", 1), ("granted", 2.0)]
+    assert res.count == 0
+
+
 def test_resource_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
