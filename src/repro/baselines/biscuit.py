@@ -97,9 +97,3 @@ class BiscuitSSD(ConventionalSSD):
     @property
     def fs(self):
         return self.isps.fs
-
-    def describe(self) -> dict:
-        info = super().describe()
-        info["isc"] = True
-        info["shared_cores"] = True
-        return info

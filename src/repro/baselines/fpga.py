@@ -6,11 +6,10 @@ the paper's Table I critique) "dealing with pure FPGA accelerators ...
 lacks in flexibility", and "the extra time it takes to generate RTL design
 makes it time-consuming to reconfigure the FPGA frequently".
 
-The model: a :class:`ConventionalSSD` plus a kernel table.  Running a
-synthesised kernel streams flash at the accelerator's line rate and low
-power; running anything else requires an (expensive, offline) synthesis
-step modelled as ``synthesis_seconds`` — the flexibility tax, made
-measurable.
+The model: a :class:`ConventionalSSD` plus a table of synthesised
+kernels.  A kernel the table lacks needs an (expensive, offline) synthesis
+step, modelled as ``synthesis_seconds`` — the flexibility tax, made
+measurable against CompStor's dynamic task loading (Table I).
 """
 
 from __future__ import annotations
@@ -21,18 +20,12 @@ from typing import Generator
 from repro.ecc import EccConfig
 from repro.flash import FlashGeometry
 from repro.ftl import FtlConfig
-from repro.isos.blockdev import FlashAccessDevice
-from repro.isos.filesystem import ExtentFileSystem
 from repro.pcie.switch import PciePort
 from repro.power import PowerMeter
 from repro.sim import Simulator, Tracer
 from repro.ssd.conventional import ConventionalSSD, small_geometry
 
-__all__ = ["FpgaAcceleratedSSD", "FpgaKernel", "KernelNotSynthesizedError"]
-
-
-class KernelNotSynthesizedError(Exception):
-    """The requested kernel has no bitstream; synthesis is required first."""
+__all__ = ["FpgaAcceleratedSSD", "FpgaKernel"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +63,6 @@ class FpgaAcceleratedSSD(ConventionalSSD):
         ecc_config: EccConfig | None = None,
         tracer: Tracer | None = None,
         kernels: tuple[FpgaKernel, ...] = DEFAULT_KERNELS,
-        reconfigure_seconds: float = 0.15,  # bitstream load (partial reconfig)
         synthesis_seconds: float = 3600.0,  # RTL + place&route for a new kernel
     ):
         super().__init__(
@@ -85,14 +77,8 @@ class FpgaAcceleratedSSD(ConventionalSSD):
             tracer=tracer,
         )
         self.kernels = {k.name: k for k in kernels}
-        self.reconfigure_seconds = reconfigure_seconds
         self.synthesis_seconds = synthesis_seconds
-        self.loaded_kernel: str | None = None
-        self.reconfigurations = 0
         self.syntheses = 0
-        self.device = FlashAccessDevice(sim, self.ftl)
-        self.fs = ExtentFileSystem(sim, self.device)
-        self._sink = meter.sink if meter is not None else None
 
     # -- kernel management ---------------------------------------------------
     def synthesize_kernel(self, kernel: FpgaKernel) -> Generator:
@@ -102,45 +88,3 @@ class FpgaAcceleratedSSD(ConventionalSSD):
         self.kernels[kernel.name] = kernel
         self.syntheses += 1
         return kernel.name
-
-    def _load(self, kernel_name: str) -> Generator:
-        if kernel_name not in self.kernels:
-            raise KernelNotSynthesizedError(
-                f"{kernel_name!r} has no bitstream; synthesised: {sorted(self.kernels)}"
-            )
-        if self.loaded_kernel != kernel_name:
-            yield self.sim.timeout(self.reconfigure_seconds)
-            self.loaded_kernel = kernel_name
-            self.reconfigurations += 1
-        return None
-
-    # -- execution ------------------------------------------------------------
-    def run_kernel(self, kernel_name: str, file_name: str) -> Generator:
-        """Stream ``file_name`` through an accelerator kernel.
-
-        Returns ``(bytes_processed, seconds, result)``; for ``grep`` the
-        result is the match count (functional mode).
-        """
-        yield from self._load(kernel_name)
-        kernel = self.kernels[kernel_name]
-        inode = self.fs.stat(file_name)
-        start = self.sim.now
-        matches = 0
-        pattern = b"xylophone"  # the corpus needle; fixed function, fixed pattern
-        for index in range(self.fs.page_count(file_name)):
-            chunk, take = yield from self.fs.read_page_of(file_name, index)
-            # accelerator keeps up with flash unless its line rate is lower
-            yield self.sim.timeout(take / kernel.bytes_per_second)
-            if chunk is not None and kernel_name == "grep":
-                matches += chunk.count(pattern)
-        seconds = self.sim.now - start
-        if self._sink is not None:
-            self._sink(f"{self.name}.fabric", kernel.active_power_w * seconds)
-        result = matches if kernel_name == "grep" else None
-        return inode.size, seconds, result
-
-    def describe(self) -> dict:
-        info = super().describe()
-        info["isc"] = True
-        info["fixed_function"] = sorted(self.kernels)
-        return info

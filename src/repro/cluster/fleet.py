@@ -146,15 +146,6 @@ class StorageFleet:
     def _ssd(self, node_index: int, device: str):
         return self._devices[(node_index, device)]
 
-    def describe(self) -> dict:
-        return {
-            "nodes": len(self.nodes),
-            "devices": self.total_devices,
-            "capacity_bytes": sum(
-                ssd.capacity_bytes for node in self.nodes for ssd in node.compstors
-            ),
-        }
-
     # -- dataset ------------------------------------------------------------
     def stage_corpus(
         self,
@@ -218,10 +209,6 @@ class StorageFleet:
             for device, dev_books in node.device_books(part).items():
                 out[(node_index, device)] = dev_books
         return out
-
-    def replica_targets(self, book_name: str) -> list[tuple[int, str]]:
-        """Replica chain recorded at staging time (primary first)."""
-        return list(self._replica_map.get(book_name, []))
 
     # -- jobs ----------------------------------------------------------------
     def run_job(

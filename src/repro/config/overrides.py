@@ -72,7 +72,8 @@ def _apply_one(node: Any, segments: list[str], raw: str, full_path: str) -> Any:
     child_cls = _section_type(hint)
     if child_cls is None:
         raise ConfigError(
-            f"{full_path!r}: {head!r} is a {_name(hint)} leaf, not a section"
+            f"{full_path!r}: {head!r} is a "
+            f"{getattr(hint, '__name__', hint)} leaf, not a section"
         )
     child = getattr(node, head)
     if child is None:
@@ -93,10 +94,6 @@ def _section_type(hint: Any) -> type | None:
         if len(concrete) == 1 and dataclasses.is_dataclass(concrete[0]):
             return concrete[0]
     return None
-
-
-def _name(hint: Any) -> str:
-    return getattr(hint, "__name__", str(hint))
 
 
 def _coerce(hint: Any, raw: str, path: str) -> Any:

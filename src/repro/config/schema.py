@@ -27,7 +27,7 @@ Construction of live systems from a scenario lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.ecc import EccConfig
 from repro.faults.retry import BreakerConfig, RetryPolicy
@@ -645,6 +645,3 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.device is not None and self.device.backend == "zoned":
             self.ftl.check_zoned()
-
-    def with_name(self, name: str) -> "ScenarioConfig":
-        return replace(self, name=name)

@@ -44,16 +44,6 @@ class CpuSpec:
         if self.p_active_core < 0 or self.p_idle < 0:
             raise ValueError("power terms must be non-negative")
 
-    def seconds_for_cycles(self, cycles: float) -> float:
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        return cycles / self.freq_hz
-
-    def cycles_for_instructions(self, instructions: float) -> float:
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        return instructions / self.ipc
-
 
 class CpuCluster:
     """A pool of ``spec.cores`` cores with priority scheduling.

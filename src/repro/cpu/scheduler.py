@@ -40,8 +40,3 @@ class RunQueue:
             yield from self.cluster.execute(slice_cycles, priority=priority)
             remaining -= slice_cycles
         return self.sim.now - start
-
-    def run_instructions(self, instructions: float, priority: int = 0) -> Generator:
-        cycles = self.cluster.spec.cycles_for_instructions(instructions)
-        result = yield from self.run_cycles(cycles, priority=priority)
-        return result

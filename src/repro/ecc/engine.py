@@ -19,7 +19,6 @@ that makes end-of-life flash reads risky.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -208,33 +207,3 @@ class EccEngine:
             latency=latency,
             energy_j=energy,
         )
-
-    def uncorrectable_probability(self, page_size: int, rber: float) -> float:
-        """Analytic per-page UECC probability at a given raw BER.
-
-        Per codeword the error count is Binomial(n_bits, rber); the page
-        fails if any codeword exceeds ``t``.  Uses a normal-tail-safe exact
-        sum for the modest capabilities modelled here.
-        """
-        cfg = self.config
-        n_bits = cfg.layout.codeword_bytes * 8
-        codewords = cfg.layout.codewords_per_page(page_size)
-        p_ok = binomial_cdf(cfg.capability, n_bits, rber)
-        return 1.0 - p_ok**codewords
-
-
-def binomial_cdf(t: int, n: int, p: float) -> float:
-    """P(X <= t) for X ~ Binomial(n, p): the exact sum of the ``t + 1``
-    pmf terms, each taken in log space so large ``n`` cannot overflow."""
-    if t >= n or p <= 0.0:
-        return 1.0
-    if t < 0 or p >= 1.0:
-        return 0.0
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_n = math.lgamma(n + 1)
-    logs = [
-        log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q
-        for k in range(t + 1)
-    ]
-    top = max(logs)
-    return min(1.0, math.exp(top) * math.fsum(math.exp(x - top) for x in logs))

@@ -204,27 +204,3 @@ class FaultInjector:
             if os_.process_table[pid].alive and os_.kill(pid, reason):
                 self.minions_killed += 1
 
-    # -- reporting -------------------------------------------------------------
-    def recovery_counts(self) -> dict[str, int]:
-        """Fleet-wide fault/recovery tallies from the installed states."""
-        out = {
-            "device_crashes": 0,
-            "device_recoveries": 0,
-            "agent_crashes": 0,
-            "agent_restarts": 0,
-            "commands_refused": 0,
-            "transients_injected": 0,
-            "minions_killed": self.minions_killed,
-        }
-        for ssd in self.targets.values():
-            dev = ssd.controller.faults
-            if dev is not None:
-                out["device_crashes"] += dev.crashes
-                out["device_recoveries"] += dev.recoveries
-                out["commands_refused"] += dev.commands_refused
-                out["transients_injected"] += dev.transients_injected
-            agent = ssd.agent.faults
-            if agent is not None:
-                out["agent_crashes"] += agent.crashes
-                out["agent_restarts"] += agent.restarts
-        return out

@@ -79,10 +79,6 @@ class DeviceFaultState:
                 return "TRANSIENT"
         return None
 
-    @property
-    def degraded(self) -> bool:
-        return self.crashed or self.limp_factor > 1.0 or self.transient_fraction > 0.0
-
 
 class AgentFaultState:
     """Injected ISPS-agent trouble for one device.

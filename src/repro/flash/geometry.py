@@ -8,7 +8,7 @@ independently; a channel's bus serialises data transfers for all dies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 __all__ = ["FlashGeometry", "PageAddress", "BlockAddress"]
 
@@ -22,10 +22,6 @@ class PageAddress(NamedTuple):
     block: int
     page: int
 
-    @property
-    def block_addr(self) -> "BlockAddress":
-        return BlockAddress(self.channel, self.die, self.plane, self.block)
-
 
 class BlockAddress(NamedTuple):
     """Physical block address (erase unit)."""
@@ -34,9 +30,6 @@ class BlockAddress(NamedTuple):
     die: int
     plane: int
     block: int
-
-    def page(self, page: int) -> PageAddress:
-        return PageAddress(self.channel, self.die, self.plane, self.block, page)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +76,6 @@ class FlashGeometry:
         object.__setattr__(self, "pages", blocks * self.pages_per_block)
 
     # -- derived sizes -----------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        return self.pages_per_block * self.page_size
-
     @property
     def capacity_bytes(self) -> int:
         return self.pages * self.page_size
@@ -139,11 +128,6 @@ class FlashGeometry:
             raise ValueError(f"address {addr} outside geometry {self}")
         if isinstance(addr, PageAddress) and not 0 <= addr.page < self.pages_per_block:
             raise ValueError(f"page {addr.page} outside block of {self.pages_per_block} pages")
-
-    def iter_blocks(self) -> Iterator[BlockAddress]:
-        """All block addresses in linear order."""
-        for index in range(self.blocks):
-            yield self.block_address(index)
 
     def scaled(self, capacity_bytes: int) -> "FlashGeometry":
         """A geometry with the same parallelism but ~``capacity_bytes`` total,

@@ -80,16 +80,6 @@ class FlashStats:
     bytes_programmed: int = 0
     energy_j: float = 0.0
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "reads": self.reads,
-            "programs": self.programs,
-            "erases": self.erases,
-            "bytes_read": self.bytes_read,
-            "bytes_programmed": self.bytes_programmed,
-            "energy_j": self.energy_j,
-        }
-
 
 class FlashArray:
     """A multi-channel NAND array under one controller.
@@ -172,12 +162,6 @@ class FlashArray:
         self.stats.energy_j += joules
         if self.energy_sink is not None:
             self.energy_sink(self.name, joules)
-
-    def page_state_of(self, addr: PageAddress) -> PageState:
-        return PageState(int(self.page_state[self.geometry.page_index(addr)]))
-
-    def pe_count(self, block: BlockAddress) -> int:
-        return int(self.pe_cycles[self.geometry.block_index(block)])
 
     @property
     def aggregate_bandwidth(self) -> float:
@@ -339,23 +323,3 @@ class FlashArray:
         self.tracer.emit(self.sim.now, self.name, "flash.erase", block=block)
         return block
 
-    # -- introspection -------------------------------------------------------
-    def erased_pages_in(self, block: BlockAddress) -> int:
-        geo = self.geometry
-        start = geo.block_index(block) * geo.pages_per_block
-        return int(
-            np.count_nonzero(
-                self.page_state[start : start + geo.pages_per_block] == PageState.ERASED
-            )
-        )
-
-    def describe(self) -> dict[str, Any]:
-        geo = self.geometry
-        return {
-            "channels": geo.channels,
-            "dies": geo.dies,
-            "capacity_bytes": geo.capacity_bytes,
-            "page_size": geo.page_size,
-            "aggregate_bandwidth_bps": self.aggregate_bandwidth,
-            "stats": self.stats.snapshot(),
-        }

@@ -48,13 +48,3 @@ class FlashTiming:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         return self.t_cmd + nbytes / self.channel_rate
-
-    @classmethod
-    def slc_mode(cls) -> "FlashTiming":
-        """Fast SLC-mode timings (used for the FTL's write-buffer blocks)."""
-        return cls(t_read=25e-6, t_prog=200e-6, t_erase=2.0e-3)
-
-    @classmethod
-    def qlc(cls) -> "FlashTiming":
-        """Slow high-density QLC timings (capacity-optimised arrays)."""
-        return cls(t_read=120e-6, t_prog=2.2e-3, t_erase=8.0e-3)

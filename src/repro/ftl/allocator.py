@@ -68,15 +68,11 @@ class BlockAllocator:
         self.frontiers: dict[tuple[int, int], Frontier] = {
             (stream, die): Frontier() for stream in range(streams) for die in range(geo.dies)
         }
-        self._next_die = [0] * streams  # round-robin pointer per stream
         self.retired: set[int] = set()  # grown bad blocks, never reused
 
     # -- geometry helpers ------------------------------------------------------
     def _die_of_block(self, block_index: int) -> int:
         return block_index // self._blocks_per_die
-
-    def free_blocks_on_die(self, die: int) -> int:
-        return len(self.free[die])
 
     # -- allocation ---------------------------------------------------------
     def _open_block(self, stream: int, die: int) -> int:
@@ -116,23 +112,6 @@ class BlockAllocator:
         page = frontier.next_page
         frontier.next_page = page + 1
         return frontier.block_index * per_block + page
-
-    def allocate_page(self, stream: int) -> int:
-        """Next physical page (flat index) for ``stream``, rotating across
-        dies."""
-        dies = self.geometry.dies
-        start = self._next_die[stream]
-        last_error: OutOfSpaceError | None = None
-        for offset in range(dies):
-            die = (start + offset) % dies
-            try:
-                ppn = self.allocate_on_die(stream, die)
-            except OutOfSpaceError as exc:
-                last_error = exc
-                continue
-            self._next_die[stream] = (die + 1) % dies
-            return ppn
-        raise OutOfSpaceError("no free blocks on any die") from last_error
 
     def release_block(self, block_index: int) -> None:
         """Return an erased block to the free pool.

@@ -52,14 +52,6 @@ class PageMap:
         self._check_lpn(lpn)
         return int(self.l2p[lpn])
 
-    def reverse(self, ppn: int) -> int:
-        """Logical page stored at ``ppn`` or :data:`UNMAPPED`."""
-        self._check_ppn(ppn)
-        return int(self.p2l[ppn])
-
-    def is_mapped(self, lpn: int) -> bool:
-        return self.lookup(lpn) != UNMAPPED
-
     def valid_pages_in_block(self, block_index: int) -> int:
         return int(self.valid_count[block_index])
 

@@ -82,11 +82,6 @@ class PatrolScrubber:
         ]
         return closed, open_
 
-    def at_risk_blocks(self) -> list[int]:
-        """Blocks (closed or open) currently beyond the refresh margin."""
-        closed, open_ = self._patrol_targets()
-        return [b for b in closed + open_ if self._block_at_risk(b)]
-
     # -- patrol loop -----------------------------------------------------------
     def _run(self) -> Generator:
         ftl = self.ftl

@@ -115,9 +115,6 @@ class WriteBuffer:
             yield gate
         return None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     # -- internals ----------------------------------------------------------
     def _wake(self, waiters: list[Event]) -> None:
         if waiters:

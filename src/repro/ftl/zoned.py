@@ -18,9 +18,8 @@ with a zone as its unit.  This module owns:
   in-order-within-block rule holds by construction), behind a page-based
   admission floor;
 - **write-pointer tracking** — one monotone pointer per zone, advancing
-  from 0 to ``zone_pages`` and returning to 0 only through a reset;
-- **explicit zone reset** — :meth:`reset_zone` drops a zone's mappings and
-  erases all its blocks (the destructive host-side operation);
+  from 0 to ``zone_pages`` and returning to 0 only through a reset, which
+  only the collector issues (there is no host-side reset command);
 - **whole-zone GC victims** — when free zones run low the collector takes
   the full zone with the fewest valid pages, appends every live page into
   its own GC zone (carrying the original OOB stamp), then resets the
@@ -144,12 +143,6 @@ class ZonedFtl(TranslationCore):
         return self.zones_retired
 
     # -- zone accessors ------------------------------------------------------
-    def zone_state(self, zone: int) -> ZoneState:
-        return ZoneState(int(self._zone_state[zone]))
-
-    def write_pointer(self, zone: int) -> int:
-        return int(self._zone_wp[zone])
-
     def _zone_valid_pages(self, zone: int) -> int:
         return sum(
             self.page_map.valid_pages_in_block(block)
@@ -298,32 +291,6 @@ class ZonedFtl(TranslationCore):
         if zone is not None:
             self._zone_state[zone] = ZoneState.OPEN
         return zone
-
-    # -- zone reset ----------------------------------------------------------
-    def reset_zone(self, zone: int) -> Generator:
-        """Explicit host-side zone reset: drop the zone's data and erase it.
-
-        Destructive by design (ZNS reset semantics): any logical page still
-        mapped into the zone reads as unwritten afterwards.  Open-slot and
-        reclaiming zones are refused — close or let GC finish first.
-        """
-        if not 0 <= zone < self.zone_count:
-            raise ValueError(f"zone {zone} out of range [0, {self.zone_count})")
-        for stream, zones in self._open.items():
-            if zone in zones:
-                raise ValueError(f"zone {zone} is open for appends; cannot reset")
-        if zone in self._reclaiming or self._zone_state[zone] == ZoneState.OFFLINE:
-            raise ValueError(f"zone {zone} is being reclaimed or offline")
-        self._reclaiming.add(zone)
-        try:
-            while self._readers[zone] > 0 or self._writers[zone] > 0:
-                yield self.sim.timeout(self.reader_quiesce_delay)
-            for lpn in self._unit_lpns(zone):
-                self.page_map.unbind(lpn)
-            yield from self._erase_unit(zone)
-        finally:
-            self._reclaiming.discard(zone)
-        return None
 
     def _erase_unit(self, zone: int) -> Generator:
         """Erase every block of a (mapping-free) zone; returns success."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Generator, Iterable
+from typing import Generator
 
 from repro.isos.blockdev import BlockDevice
 from repro.sim import Simulator
@@ -294,11 +294,4 @@ class ExtentFileSystem:
             for lpn in range(self.device.pages - 1, self.meta_pages - 1, -1)
             if lpn not in used
         ]
-        return None
-
-    # -- bulk helpers -----------------------------------------------------------
-    def import_files(self, items: Iterable[tuple[str, bytes | None, int]]) -> Generator:
-        """Stage many ``(name, data, size)`` files (dataset loading)."""
-        for name, data, size in items:
-            yield from self.write_file(name, data, size)
         return None

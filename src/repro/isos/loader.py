@@ -180,12 +180,3 @@ class ExecutableRegistry:
 
     def installed(self) -> list[str]:
         return sorted(self._table)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
-
-    def clone(self) -> "ExecutableRegistry":
-        """Independent copy (each device gets its own registry)."""
-        fresh = ExecutableRegistry(dict(self._table))
-        fresh.loads = 0
-        return fresh

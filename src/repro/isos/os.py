@@ -140,9 +140,6 @@ class EmbeddedOS:
         return results
 
     # -- introspection / telemetry ----------------------------------------------
-    def ps(self) -> list[dict]:
-        return [entry.summary() for entry in self.process_table.values()]
-
     def running_processes(self) -> int:
         return sum(1 for entry in self.process_table.values() if entry.alive)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
 
 from repro.isos.loader import ExitStatus
 from repro.sim.core import Process
@@ -43,18 +42,3 @@ class OsProcess:
     @property
     def alive(self) -> bool:
         return self.state == ProcessState.RUNNING
-
-    @property
-    def runtime(self) -> float | None:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "pid": self.pid,
-            "command": self.command,
-            "state": self.state.value,
-            "runtime": self.runtime,
-            "exit_code": self.exit_status.code if self.exit_status else None,
-        }

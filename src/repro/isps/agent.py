@@ -182,7 +182,9 @@ class IspsAgent:
                 process = None
                 if span is not None:
                     exec_span = span.child("exec.script")
-                results = yield from self._run_script_tracked(command)
+                results = yield from os_.run_script(
+                    command.script, priority=command.priority
+                )
                 status = results[-1][1] if results else None
                 exit_code = status.code if status else -1
                 stdout = status.stdout if status else b""
@@ -243,10 +245,6 @@ class IspsAgent:
         return Response(
             status=status_kind, exit_code=exit_code, stdout=stdout, detail=detail
         )
-
-    def _run_script_tracked(self, command) -> Generator:
-        results = yield from self.isps.os.run_script(command.script, priority=command.priority)
-        return results
 
     def _watchdog(self, process, timeout_seconds: float) -> Generator:
         """Kill a runaway task: SIGKILL as an interrupt into its process."""

@@ -58,7 +58,3 @@ class QueuePair:
         yield from self.submit(command)
         completion = yield from self.wait(command.cid)
         return completion
-
-    @property
-    def outstanding(self) -> int:
-        return self.submitted - self.completed

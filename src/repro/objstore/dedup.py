@@ -164,10 +164,6 @@ class DedupObjectStore:
         base = _place(token, len(ring))
         return tuple([ring[(base + j) % len(ring)] for j in range(self.replicas)])
 
-    def block_chain(self, digest: str) -> tuple[tuple[int, str], ...]:
-        """Digest-placed replica chain a chunk lives on (primary first)."""
-        return self._chain(digest)
-
     # -- write path ----------------------------------------------------------
     def put(self, key: str, payload: bytes) -> Generator:
         """Store ``payload`` under ``key``; returns the chunk recipe.

@@ -129,11 +129,6 @@ class FleetHealth:
     breakers_open: tuple[str, ...] = ()
     alerts: tuple[str, ...] = ()
 
-    @property
-    def degraded(self) -> bool:
-        """Is any device currently unreachable or fenced off by a breaker?"""
-        return bool(self.unreachable_devices or self.breakers_open)
-
     def rows(self) -> list[list[Any]]:
         """``[attribute, value]`` rows for table rendering."""
         return [

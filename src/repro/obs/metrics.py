@@ -16,8 +16,7 @@ Design constraints, in order:
    observation, are pushed behind one ``metrics.enabled`` test.  The
    overhead guard bench (``benchmarks/test_obs_overhead.py``) enforces this.
 2. **Simulation-time aware.**  Samples are stamped with the registry's
-   clock (wire ``clock=lambda: sim.now``), and ``keep_series=True`` records
-   a bounded ``(time, value)`` history per pushed instrument/label-set.
+   clock (wire ``clock=lambda: sim.now``).
 3. **No new dependencies** — exporters (:mod:`repro.obs.export`) turn the
    same samples into Prometheus text or JSON lines.
 """
@@ -88,20 +87,8 @@ class Instrument:
             for key in sorted(self._values)
         ]
 
-    def value(self, **labels: Any) -> Any:
-        """Current value for one label set (KeyError if never updated)."""
-        return self._values[_label_key(labels)]
-
-    def get(self, default: Any = None, **labels: Any) -> Any:
-        return self._values.get(_label_key(labels), default)
-
-    def _stamp(self, key: LabelKey, value: Any) -> None:
-        now = self.registry.now()
-        self._updated[key] = now
-        self.registry._record_series(self.name, key, now, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name} ({len(self._values)} series)>"
+    def _stamp(self, key: LabelKey) -> None:
+        self._updated[key] = self.registry.now()
 
 
 class Counter(Instrument):
@@ -117,7 +104,7 @@ class Counter(Instrument):
         key = _label_key(labels)
         value = self._values.get(key, 0.0) + amount
         self._values[key] = value
-        self._stamp(key, value)
+        self._stamp(key)
 
     def total(self) -> float:
         """Sum across all label sets."""
@@ -134,15 +121,8 @@ class Gauge(Instrument):
             return
         key = _label_key(labels)
         self._values[key] = float(value)
-        self._stamp(key, value)
+        self._stamp(key)
 
-    def add(self, delta: float, **labels: Any) -> None:
-        if not self.registry.enabled:
-            return
-        key = _label_key(labels)
-        value = self._values.get(key, 0.0) + delta
-        self._values[key] = value
-        self._stamp(key, value)
 
 
 class View(Instrument):
@@ -153,8 +133,7 @@ class View(Instrument):
     key values (a tuple for several keys) to samples, each key adding its
     labels. Sources that land on one label set add up. A counter view
     exports a label set only while it is non-zero, a gauge view every one.
-    Samples are floats stamped with the registry clock when read; views
-    keep no series history.
+    Samples are floats stamped with the registry clock when read.
     """
 
     def __init__(self, registry: "MetricsRegistry", name: str, help: str, kind: str):
@@ -255,22 +234,12 @@ class Histogram(Instrument):
             state.samples.append(value)
             if len(state.samples) > self.exact_limit:
                 state.samples = None  # degrade permanently; memory stays bounded
-        self._stamp(key, value)
+        self._stamp(key)
 
 
     # -- statistics ---------------------------------------------------------
     def _state(self, **labels: Any) -> _HistogramState | None:
         return self._values.get(_label_key(labels))
-
-    def count(self, **labels: Any) -> int:
-        state = self._state(**labels)
-        return state.count if state else 0
-
-    def mean(self, **labels: Any) -> float:
-        state = self._state(**labels)
-        if not state or not state.count:
-            return 0.0
-        return state.sum / state.count
 
     def percentile(self, q: float, **labels: Any) -> float:
         """Estimate the ``q``-quantile (``q`` in [0, 1]) by linear
@@ -356,30 +325,16 @@ class MetricsRegistry:
         ``() -> float`` returning the current simulation time; wire
         ``clock=lambda: sim.now``.  Defaults to a constant 0.0 so a registry
         can exist before its simulator.
-    keep_series:
-        Record per-instrument/label-set ``(time, value)`` histories.
-    series_limit:
-        Ring-buffer cap per series (oldest points dropped first).
     """
 
     def __init__(
         self,
         enabled: bool = True,
         clock: Callable[[], float] | None = None,
-        keep_series: bool = False,
-        series_limit: int = 4096,
     ):
         self.enabled = enabled
         self._clock = clock
-        self.keep_series = keep_series
-        self.series_limit = series_limit
         self._instruments: dict[str, Instrument] = {}
-        self._series: dict[tuple[str, LabelKey], list[tuple[float, float]]] = {}
-
-    @classmethod
-    def for_sim(cls, sim, **kw: Any) -> "MetricsRegistry":
-        """A registry stamping samples with ``sim.now``."""
-        return cls(clock=lambda: sim.now, **kw)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -455,18 +410,6 @@ class MetricsRegistry:
     def names(self, prefix: str = "") -> list[str]:
         """Registered instrument names under a hierarchical prefix."""
         return [n for n in sorted(self._instruments) if n.startswith(prefix)]
-
-    def series(self, name: str, **labels: Any) -> list[tuple[float, float]]:
-        """The recorded ``(time, value)`` history (``keep_series=True``)."""
-        return list(self._series.get((name, _label_key(labels)), ()))
-
-    def _record_series(self, name: str, key: LabelKey, now: float, value: Any) -> None:
-        if not self.keep_series:
-            return
-        points = self._series.setdefault((name, key), [])
-        points.append((now, float(value)))
-        if len(points) > self.series_limit:
-            del points[: len(points) - self.series_limit]
 
 
 #: Shared disabled registry for components constructed without metrics.

@@ -104,12 +104,6 @@ class Span:
             name=self.name, duration=self.ended_at - self.started_at, **detail,
         )
 
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.end()
-
 
 def start_trace(tracer: Tracer, sim, name: str, component: str) -> Span:
     """Open a root span (a new trace)."""
@@ -158,20 +152,6 @@ class SpanNode:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def event_sequence(self) -> list[tuple[float, str]]:
-        """Every event in the tree, sorted by (time, emission order)."""
-        decorated = [
-            (t, seq, name) for node in self.walk() for t, name, _, seq in node.events
-        ]
-        decorated.sort()
-        return [(t, name) for t, _, name in decorated]
-
-    def find(self, name: str) -> "SpanNode | None":
-        for node in self.walk():
-            if node.name == name:
-                return node
-        return None
 
 
 def build_span_trees(source: Tracer | Iterable[TraceRecord]) -> dict[int, SpanNode]:

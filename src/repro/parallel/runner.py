@@ -60,9 +60,6 @@ class RunReport:
     def values(self) -> list:
         return [r.value for r in self.results]
 
-    def digests(self) -> dict[str, str]:
-        return {r.name: r.digest for r in self.results}
-
     def summary(self) -> str:
         """One-line, greppable run summary (the CLI prints it to stderr)."""
         return (

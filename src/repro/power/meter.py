@@ -37,18 +37,6 @@ class EnergyReport:
     def total_j(self) -> float:
         return sum(self.active_j.values()) + sum(self.static_j.values())
 
-    @property
-    def average_power_w(self) -> float:
-        if self.seconds <= 0:
-            return 0.0
-        return self.total_j / self.seconds
-
-    def joules_per_gb(self, nbytes: float) -> float:
-        """The paper's Fig. 8 metric (input-normalised energy)."""
-        if nbytes <= 0:
-            raise ValueError("nbytes must be positive")
-        return self.total_j / (nbytes / 1e9)
-
     def subset(self, components: Iterable[str]) -> float:
         """Total energy of the named components (prefix match)."""
         keys = tuple(components)
@@ -87,15 +75,7 @@ class PowerMeter:
             raise ValueError(f"static component {component!r} already registered")
         self._static[component] = watts
 
-    def static_components(self) -> dict[str, float]:
-        return dict(self._static)
-
     # -- measurement -----------------------------------------------------------
-    def active_energy(self, component: str | None = None) -> float:
-        if component is None:
-            return sum(self._active.values())
-        return self._active.get(component, 0.0)
-
     def snapshot(self) -> tuple[float, dict[str, float]]:
         """Opaque mark for :meth:`window`."""
         return self.sim.now, dict(self._active)

@@ -122,16 +122,6 @@ class Minion:
     span: Any = None
 
     @property
-    def done(self) -> bool:
-        return self.response is not None
-
-    @property
-    def round_trip_seconds(self) -> float | None:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.created_at
-
-    @property
     def nbytes(self) -> int:
         """Return-trip wire size (minion + populated response)."""
         size = self.command.wire_bytes

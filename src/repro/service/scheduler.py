@@ -15,7 +15,7 @@ the push order — never of hash order or float noise.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = ["WeightedFairQueue"]
 
@@ -40,10 +40,6 @@ class WeightedFairQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    @property
-    def classes(self) -> Iterable[str]:
-        return self._weights.keys()
 
     def push(self, class_name: str, item: Any, cost: float = 1.0) -> float:
         """Enqueue ``item`` under ``class_name``; returns its finish tag."""

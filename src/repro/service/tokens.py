@@ -79,9 +79,6 @@ class TenantBuckets:
         self.peak_buckets = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._buckets)
-
     def allow(
         self, tenant: int, rate: float, capacity: float, now: float, cost: float = 1.0
     ) -> bool:

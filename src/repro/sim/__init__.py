@@ -25,7 +25,6 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.resources import (
-    Container,
     PreemptionError,
     PriorityResource,
     Resource,
@@ -36,7 +35,6 @@ from repro.sim.trace import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "Interrupt",
     "PreemptionError",

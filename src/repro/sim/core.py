@@ -110,22 +110,6 @@ class Event:
     def triggered(self) -> bool:
         return self._triggered
 
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        if not self._triggered:
-            raise SimulationError(f"value of {self!r} not yet available")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        if not self._triggered:
-            raise SimulationError(f"value of {self!r} not yet available")
-        return self._value
-
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
@@ -159,15 +143,6 @@ class Event:
         sim._live += 1
         return self
 
-    def _run_callbacks(self) -> None:
-        # The swap-to-None is what marks "processed" for late waiters (see
-        # Process._resume).  The run() loops inline this body.
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:
-            cb(self)
-        if not self._ok and not self._defused:
-            raise self._value
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<{type(self).__name__}{label} at {id(self):#x}>"
@@ -181,31 +156,10 @@ class Timeout(Event):
     simulation alive — an unbounded :meth:`Simulator.run` returns once only
     daemon events remain.
 
-    Models create timeouts with :meth:`Simulator.timeout`, which inlines this
-    constructor.
+    Built by :meth:`Simulator.timeout` without an ``__init__`` call.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(
-        self, sim: "Simulator", delay: float, value: Any = None, daemon: bool = False
-    ):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        # Flattened Event.__init__ with a static name: the delay is
-        # readable from the ``delay`` slot and shown by __repr__.
-        self.sim = sim
-        self.name = "timeout"
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        self._defused = False
-        self.delay = delay
-        sim._schedule(self, delay, NORMAL, daemon)
-
-    def __repr__(self) -> str:
-        return f"<Timeout({self.delay:g}) at {id(self):#x}>"
 
 
 class Initialize(Event):
@@ -494,7 +448,7 @@ class Simulator:
         return ev
 
     def timeout(self, delay: float, value: Any = None, daemon: bool = False) -> Timeout:
-        # Timeout.__init__ inlined: every latency model yields one of these.
+        # Built without __init__: every latency model yields one of these.
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
         ev = _new(Timeout)
@@ -596,7 +550,13 @@ class Simulator:
         else:
             self._live -= 1
         self.events_processed += 1
-        event._run_callbacks()
+        # The swap-to-None is what marks "processed" for late waiters (see
+        # Process._resume).  The run() loops inline this body.
+        callbacks, event.callbacks = event.callbacks, None
+        for cb in callbacks:
+            cb(event)
+        if not event._ok and not event._defused:
+            raise event._value
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until live work drains, ``until`` seconds pass, or an event

@@ -1,5 +1,5 @@
-"""Shared-resource primitives: :class:`Resource`, :class:`PriorityResource`,
-:class:`Store` and :class:`Container`.
+"""Shared-resource primitives: :class:`Resource`, :class:`PriorityResource`
+and :class:`Store`.
 
 These follow SimPy semantics: ``request()`` / ``get()`` / ``put()`` return
 events that a process yields; releases are immediate.  ``request()`` objects
@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from repro.sim.core import Event, Simulator, _new
 
-__all__ = ["Container", "PreemptionError", "PriorityResource", "Resource", "Store"]
+__all__ = ["PreemptionError", "PriorityResource", "Resource", "Store"]
 
 
 class PreemptionError(Exception):
@@ -58,12 +58,6 @@ class Request(Event):
         else:
             resource._withdraw(self)
 
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (no-op if already granted:
-        the holder's ``with`` exit returns the slot)."""
-        if self not in self.resource.users:
-            self.resource._withdraw(self)
-
 
 class Resource:
     """A server pool with ``capacity`` slots and a FIFO wait queue.
@@ -80,7 +74,7 @@ class Resource:
         self._req_name = f"request({name})"
         self.capacity = capacity
         self.users: list[Request] = []
-        self.queue: deque[Request] | _HeapQueueView = deque()
+        self.queue: deque[Request] | list = deque()
         #: The container the waiting requests live in; its truthiness is
         #: "somebody waits" without a Python-level ``__bool__`` call.
         self._waiting: deque[Request] | list = self.queue
@@ -89,11 +83,6 @@ class Resource:
         self._last_change = 0.0
 
     # -- accounting -------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
     def utilization(self) -> float:
         """Mean fraction of capacity busy since t=0."""
         now = self.sim.now
@@ -158,35 +147,6 @@ class Resource:
         users.append(req)
         req.succeed(self)
 
-    def release(self, req: Request) -> None:
-        """Return a slot (or withdraw a queued request); the body is
-        :meth:`Request.__exit__`, where the ``with`` block runs it without
-        this extra call."""
-        req.__exit__(None, None, None)
-
-
-class _HeapQueueView:
-    """Live, read-only sequence view over a :class:`PriorityResource` heap.
-
-    Keeps ``resource.queue`` introspection (``len``, truthiness, iteration
-    in priority order) without rebuilding a list on every enqueue/dequeue —
-    that rebuild was O(n) per operation and showed up in fleet profiles.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, heap: list):
-        self._heap = heap
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __iter__(self):
-        return (r for _, r in sorted(self._heap, key=lambda kr: kr[0]))
-
 
 class PriorityResource(Resource):
     """A resource whose wait queue is ordered by ``priority`` (lower first),
@@ -201,10 +161,8 @@ class PriorityResource(Resource):
         super().__init__(sim, capacity, name)
         self._ticket = itertools.count()
         self._heap: list[tuple[tuple[int, int], Request]] = []
-        # queue is a live view; _withdraw mutates _heap in place so the
-        # view never dangles.
-        self.queue = _HeapQueueView(self._heap)
-        self._waiting = self._heap
+        # _withdraw mutates _heap in place, so neither alias dangles
+        self.queue = self._waiting = self._heap
 
     def _enqueue(self, req: Request) -> None:
         req._key = (req.priority, next(self._ticket))
@@ -240,9 +198,6 @@ class Store:
         self.items: deque[Any] = deque()
         self._getters: deque[tuple[Event, Callable[[Any], bool] | None]] = deque()
         self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def put(self, item: Any) -> Event:
         ev = Event(self.sim, self._put_name)
@@ -294,70 +249,3 @@ class Store:
                         ev.succeed(item)
                         progress = True
                 self._getters = remaining
-
-
-class Container:
-    """A homogeneous quantity (bytes of buffer space, joules of budget).
-
-    ``get(n)`` blocks until at least ``n`` units are present; ``put(n)``
-    blocks until there is room below ``capacity``.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "container",
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.sim = sim
-        self.name = name
-        self._put_name = f"put({name})"
-        self._get_name = f"get({name})"
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        ev = Event(self.sim, self._put_name)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        ev = Event(self.sim, self._get_name)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    ev.succeed()
-                    progress = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    ev.succeed(amount)
-                    progress = True

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 __all__ = ["TraceRecord", "Tracer"]
 
@@ -45,36 +45,20 @@ class Tracer:
 
     With ``capacity`` set the log is a **ring buffer**: once full, each new
     record evicts the oldest one (long-running monitoring keeps the most
-    recent window, the useful half for operators) and :attr:`dropped` counts
-    the evictions.
+    recent window, the useful half for operators).
     """
 
     def __init__(self, enabled: bool = True, capacity: int | None = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.enabled = enabled
-        self.capacity = capacity
         self.records: deque[TraceRecord] = deque(maxlen=capacity)
-        self._dropped = 0
 
     def emit(self, time: float, component: str, kind: str, **detail: Any) -> None:
         if not self.enabled:
             return
-        records = self.records
-        if self.capacity is not None and len(records) >= self.capacity:
-            self._dropped += 1  # deque's maxlen evicts the oldest on append
-        records.append(TraceRecord(time, component, kind, detail))
-
-    @property
-    def dropped(self) -> int:
-        """Oldest records evicted because ``capacity`` was reached."""
-        return self._dropped
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        # a full ring buffer's deque evicts the oldest record on append
+        self.records.append(TraceRecord(time, component, kind, detail))
 
     def filter(
         self,
@@ -94,16 +78,8 @@ class Tracer:
             out.append(rec)
         return out
 
-    def kinds(self) -> list[str]:
-        """Distinct record kinds in first-seen order."""
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.kind, None)
-        return list(seen)
-
     def clear(self) -> None:
         self.records.clear()
-        self._dropped = 0
 
 
 #: A shared disabled tracer for components created without one.

@@ -103,9 +103,6 @@ class ConventionalSSD:
     def capacity_bytes(self) -> int:
         return self.ftl.logical_capacity_bytes
 
-    def queue(self, index: int = 0):
-        return self.controller.queue(index)
-
     def describe(self) -> dict:
         return {
             "name": self.name,

@@ -94,7 +94,7 @@ def canonical_value(value) -> str:
 def schedule_digest(tracer, extras: dict) -> str:
     """SHA-256 over every trace record in emission order, plus terminal state."""
     h = hashlib.sha256()
-    for rec in tracer:
+    for rec in tracer.records:
         h.update(
             f"{rec.time!r}|{rec.component}|{rec.kind}|"
             f"{canonical_value(rec.detail)}\n".encode()
@@ -271,6 +271,6 @@ def golden_scenario_job(name: str) -> dict:
     tracer, extras = GOLDEN_SCENARIOS[name]()
     return {
         "scenario": name,
-        "records": len(tracer),
+        "records": len(tracer.records),
         "digest": schedule_digest(tracer, extras),
     }

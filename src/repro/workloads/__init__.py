@@ -1,8 +1,8 @@
 """Workload generation: the synthetic book corpus, staging helpers, and
-logical-IO access-pattern generators."""
+the hot/cold logical-IO access pattern."""
 
 from repro.workloads.corpus import BookCorpus, BookFile, CorpusSpec, partition_round_robin
-from repro.workloads.io_patterns import hot_cold, sequential, uniform, zipfian
+from repro.workloads.io_patterns import hot_cold
 from repro.workloads.tables import CsvTable, TableSpec
 
 __all__ = [
@@ -12,8 +12,5 @@ __all__ = [
     "CsvTable",
     "hot_cold",
     "partition_round_robin",
-    "sequential",
     "TableSpec",
-    "uniform",
-    "zipfian",
 ]

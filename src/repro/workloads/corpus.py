@@ -23,9 +23,9 @@ Words come from an inverse-CDF table built once per corpus
 ``rng.choice(p=weights)`` would, from the same draws, without rebuilding
 and bisecting the CDF for every book.
 
-``CorpusSpec.paper_scale()`` reproduces the full 348-file/11.3 GB dataset
-(analytic mode recommended at that size); the default is a scaled-down
-corpus that keeps functional simulations fast.
+``CorpusSpec(files=348, mean_file_bytes=93 MiB)`` reproduces the full
+348-file/11.3 GB dataset (analytic mode recommended at that size); the
+default is a scaled-down corpus that keeps functional simulations fast.
 """
 
 from __future__ import annotations
@@ -71,15 +71,6 @@ class CorpusSpec:
         if bad:
             raise ValueError(f"unknown compressions: {bad}")
 
-    @classmethod
-    def paper_scale(cls) -> "CorpusSpec":
-        """The full dataset: 348 books, ~11.3 GB compressed.
-
-        At gzip/bzip2 text ratios (~0.35) that is ~32 GB of plain text, i.e.
-        ~93 MB per book.  Use analytic staging at this scale.
-        """
-        return cls(files=348, mean_file_bytes=93 * 1024 * 1024)
-
 
 @dataclass(slots=True)
 class BookFile:
@@ -115,10 +106,6 @@ class BookFile:
     def compressed_name(self) -> str:
         ext = {"gzip": ".gz", "bzip2": ".bz2", "none": ""}[self.compression]
         return self.name + ext
-
-    @property
-    def ratio(self) -> float:
-        return self.compressed_size / self.plain_size if self.plain_size else 0.0
 
 
 class _InverseCdf:

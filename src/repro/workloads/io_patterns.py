@@ -1,27 +1,15 @@
 """Logical-IO access-pattern generators.
 
-The FTL ablations (write amplification, GC interference, wear) all need
-address streams with controlled locality.  These generators produce lpn
-sequences deterministically from a NumPy RNG:
-
-- :func:`uniform` — uniformly random over the logical space;
-- :func:`hot_cold` — the classic 80/20 (or any f/r) skew;
-- :func:`zipfian` — rank-skewed popularity (web/object traffic);
-- :func:`sequential` — streaming writes with wrap-around.
+The FTL ablations (write amplification, GC interference, wear) need address
+streams with controlled locality.  :func:`hot_cold` produces the classic
+80/20 (or any f/r) skew deterministically from a NumPy RNG.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hot_cold", "sequential", "uniform", "zipfian"]
-
-
-def uniform(rng: np.random.Generator, logical_pages: int, count: int) -> np.ndarray:
-    """Uniformly random lpns."""
-    if logical_pages < 1 or count < 0:
-        raise ValueError("logical_pages must be >=1 and count >=0")
-    return rng.integers(0, logical_pages, size=count)
+__all__ = ["hot_cold"]
 
 
 def hot_cold(
@@ -40,25 +28,3 @@ def hot_cold(
     hot_addrs = rng.integers(0, hot_pages, size=count)
     cold_addrs = rng.integers(hot_pages, max(hot_pages + 1, logical_pages), size=count)
     return np.where(is_hot, hot_addrs, cold_addrs)
-
-
-def zipfian(
-    rng: np.random.Generator,
-    logical_pages: int,
-    count: int,
-    s: float = 1.1,
-) -> np.ndarray:
-    """Zipf-distributed lpns (rank-1 page is the hottest)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    ranks = np.arange(1, logical_pages + 1, dtype=float)
-    weights = ranks**-s
-    weights /= weights.sum()
-    return rng.choice(logical_pages, size=count, p=weights)
-
-
-def sequential(logical_pages: int, count: int, start: int = 0) -> np.ndarray:
-    """Streaming addresses with wrap-around."""
-    if not 0 <= start < logical_pages:
-        raise ValueError("start out of range")
-    return (start + np.arange(count)) % logical_pages

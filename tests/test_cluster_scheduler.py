@@ -8,6 +8,7 @@ from repro.cluster import (
 from repro.config import FlashConfig, FleetConfig, ScenarioConfig
 from repro.config import build_node as build_node_from
 from repro.proto import Command
+from tests.test_obs_metrics import sample
 
 
 def build_node(devices=3):
@@ -110,7 +111,7 @@ def test_dispatcher_placement_counter():
 
     node = build_node(devices=2)
     stage_everywhere(node, "f.txt", b"fox\n")
-    metrics = MetricsRegistry.for_sim(node.sim)
+    metrics = MetricsRegistry(clock=lambda: node.sim.now)
     dispatcher = MinionDispatcher(node.client, RoundRobinBalancer(), metrics=metrics)
 
     def flow():
@@ -120,8 +121,8 @@ def test_dispatcher_placement_counter():
 
     node.sim.run(node.sim.process(flow()))
     counter = metrics["cluster.placements"]
-    assert counter.value(device="compstor0", policy="round-robin") == 2
-    assert counter.value(device="compstor1", policy="round-robin") == 2
+    assert sample(counter, device="compstor0", policy="round-robin") == 2
+    assert sample(counter, device="compstor1", policy="round-robin") == 2
 
 
 def test_dispatcher_records_placements():

@@ -56,7 +56,7 @@ def test_minion_lifecycle_trace_matches_table3():
         return (yield from node.client.run("compstor0", "grep needle in.txt"))
 
     drive(node, flow())
-    kinds = tracer.kinds()
+    kinds = list(dict.fromkeys(r.kind for r in tracer.records))
     # step 1: client configures and sends the minion via the in-situ library
     # step 2: agent receives it and spawns the off-loadable executable
     # steps 3-4: the executable reaches flash through the device driver
@@ -173,7 +173,7 @@ def test_dynamic_task_loading_via_client():
     response = drive(node, flow())
     assert response.ok
     assert response.stdout == b"3"
-    assert all("wordfreq" in ssd.isps.os.registry for ssd in node.compstors)
+    assert all("wordfreq" in ssd.isps.os.registry.installed() for ssd in node.compstors)
 
 
 def test_concurrent_minions_to_multiple_devices():

@@ -79,7 +79,7 @@ def test_digests_stable_across_processes():
 def test_digest_changes_with_any_field():
     base = preset("smoke")
     assert config_digest(replace(base, seed=base.seed + 1)) != config_digest(base)
-    assert config_digest(base.with_name("other")) != config_digest(base)
+    assert config_digest(replace(base, name="other")) != config_digest(base)
 
 
 # -- canonical JSON round-trip (Hypothesis) ----------------------------------

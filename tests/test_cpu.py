@@ -73,17 +73,11 @@ def test_utilization_and_temperature():
     assert cpu.temperature_c() > idle_temp
 
 
-def test_cycles_for_instructions_uses_ipc():
-    assert XEON_E5_2620_V4.cycles_for_instructions(2.4e9) == pytest.approx(1e9)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         CpuSpec(name="bad", cores=0, freq_hz=1e9, ipc=1, p_active_core=1, p_idle=1)
     with pytest.raises(ValueError):
         CpuSpec(name="bad", cores=1, freq_hz=-1, ipc=1, p_active_core=1, p_idle=1)
-    with pytest.raises(ValueError):
-        ARM_A53_QUAD.seconds_for_cycles(-1)
 
 
 def test_runqueue_slices_interleave_fairly():

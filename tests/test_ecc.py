@@ -70,31 +70,6 @@ def test_spread_conserves_error_count(errors, codewords):
     assert len(spread) == codewords
 
 
-def test_uncorrectable_probability_monotone_in_rber():
-    sim = Simulator()
-    engine = make_engine(sim)
-    low = engine.uncorrectable_probability(PAGE, 1e-6)
-    high = engine.uncorrectable_probability(PAGE, 1e-2)
-    assert 0.0 <= low < high <= 1.0
-
-
-def test_uncorrectable_probability_near_zero_when_fresh():
-    sim = Simulator()
-    engine = make_engine(sim)
-    assert engine.uncorrectable_probability(PAGE, 1e-7) < 1e-12
-
-
-def test_binomial_cdf_matches_scipy():
-    binom = pytest.importorskip("scipy.stats").binom
-    from repro.ecc.engine import binomial_cdf
-
-    n = EccConfig().layout.codeword_bytes * 8
-    for rber in (1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2):
-        for capability in (0, 1, 8, 40, 72, 120):
-            expected = float(binom.cdf(capability, n, rber))
-            assert binomial_cdf(capability, n, rber) == pytest.approx(expected, rel=1e-9)
-
-
 def test_energy_sink_called():
     sim = Simulator()
     charged = []

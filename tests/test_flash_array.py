@@ -121,11 +121,11 @@ def test_read_page_uses_the_die_and_bus_of_its_flat_index():
     sim = Simulator()
     arr = make_array(sim)
     last = GEO.page_address(GEO.pages - 1)
-    block = last.block_addr
+    block = BlockAddress(*last[:4])
 
     def flow():
         for page in range(GEO.pages_per_block):
-            yield from arr.program_page(GEO.page_index(block.page(page)), b"p")
+            yield from arr.program_page(GEO.page_index(PageAddress(*block, page)), b"p")
         start = sim.now
         yield from arr.read_page(GEO.pages - 1)
         return start
@@ -179,17 +179,19 @@ def test_erase_resets_block_and_increments_pe():
     sim = Simulator()
     arr = make_array(sim)
     block = BlockAddress(0, 0, 0, 0)
+    index = GEO.block_index(block)
+    pages = slice(index * GEO.pages_per_block, (index + 1) * GEO.pages_per_block)
 
     def flow():
         for page in range(GEO.pages_per_block):
-            yield from arr.program_page(GEO.page_index(block.page(page)), b"d")
-        assert arr.erased_pages_in(block) == 0
+            yield from arr.program_page(GEO.page_index(PageAddress(*block, page)), b"d")
+        assert not (arr.page_state[pages] == PageState.ERASED).any()
         yield from arr.erase_block(block)
 
     run(sim, flow())
-    assert arr.erased_pages_in(block) == GEO.pages_per_block
-    assert arr.pe_count(block) == 1
-    assert arr.page_state_of(block.page(0)) == PageState.ERASED
+    assert (arr.page_state[pages] == PageState.ERASED).all()
+    assert arr.pe_cycles[index] == 1
+    assert arr.write_pointer[index] == 0
 
 
 def test_erase_allows_reprogram_from_page_zero():
@@ -198,10 +200,10 @@ def test_erase_allows_reprogram_from_page_zero():
     block = BlockAddress(0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(GEO.page_index(block.page(0)), b"first")
+        yield from arr.program_page(GEO.page_index(PageAddress(*block, 0)), b"first")
         yield from arr.erase_block(block)
-        yield from arr.program_page(GEO.page_index(block.page(0)), b"second")
-        data, _errors = yield from arr.read_page(GEO.page_index(block.page(0)))
+        yield from arr.program_page(GEO.page_index(PageAddress(*block, 0)), b"second")
+        data, _errors = yield from arr.read_page(GEO.page_index(PageAddress(*block, 0)))
         return data
 
     assert run(sim, flow()) == b"second"
@@ -213,7 +215,7 @@ def test_erase_drops_stored_data():
     block = BlockAddress(0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(GEO.page_index(block.page(0)), b"gone")
+        yield from arr.program_page(GEO.page_index(PageAddress(*block, 0)), b"gone")
         yield from arr.erase_block(block)
 
     run(sim, flow())
@@ -260,11 +262,11 @@ def test_die_serializes_operations():
     block = BlockAddress(0, 0, 0, 0)
 
     def setup_and_read():
-        yield from arr.program_page(GEO.page_index(block.page(0)), b"a")
-        yield from arr.program_page(GEO.page_index(block.page(1)), b"b")
+        yield from arr.program_page(GEO.page_index(PageAddress(*block, 0)), b"a")
+        yield from arr.program_page(GEO.page_index(PageAddress(*block, 1)), b"b")
         t0 = sim.now
-        p1 = sim.process(read_on(arr, GEO.page_index(block.page(0))))
-        p2 = sim.process(read_on(arr, GEO.page_index(block.page(1))))
+        p1 = sim.process(read_on(arr, GEO.page_index(PageAddress(*block, 0))))
+        p2 = sim.process(read_on(arr, GEO.page_index(PageAddress(*block, 1))))
         yield sim.all_of([p1, p2])
         return sim.now - t0
 
@@ -314,8 +316,8 @@ def test_energy_accounting_positive_and_sinked():
     block = BlockAddress(0, 0, 0, 0)
 
     def flow():
-        yield from arr.program_page(GEO.page_index(block.page(0)), b"x")
-        yield from arr.read_page(GEO.page_index(block.page(0)))
+        yield from arr.program_page(GEO.page_index(PageAddress(*block, 0)), b"x")
+        yield from arr.read_page(GEO.page_index(PageAddress(*block, 0)))
         yield from arr.erase_block(block)
 
     run(sim, flow())

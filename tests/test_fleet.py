@@ -23,10 +23,9 @@ def corpus(files, mean=32 * 1024):
 
 def test_fleet_topology():
     fleet = build_fleet(nodes=3, devices=2)
-    info = fleet.describe()
-    assert info["nodes"] == 3
-    assert info["devices"] == 6
-    assert info["capacity_bytes"] > 0
+    assert len(fleet.nodes) == 3
+    assert fleet.total_devices == 6
+    assert all(ssd.capacity_bytes > 0 for node in fleet.nodes for ssd in node.compstors)
 
 
 def test_fleet_requires_nodes():

@@ -14,6 +14,7 @@ import pytest
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
 from repro.ftl import FtlConfig, LogicalIOError, create_backend
+from repro.ftl.mapping import UNMAPPED
 from repro.sim import Simulator
 
 GEO = FlashGeometry(
@@ -146,7 +147,7 @@ def test_trim_races_inflight_destage_without_resurrection(backend):
         return (yield from ftl.read(4))
 
     assert drive(sim, flow()) is None
-    assert not ftl.page_map.is_mapped(4)
+    assert ftl.page_map.lookup(4) == UNMAPPED
 
 
 def test_out_of_range_lpn_rejected(backend):

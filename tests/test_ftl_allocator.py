@@ -3,6 +3,7 @@
 import pytest
 
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
+from repro.flash.geometry import BlockAddress
 from repro.ftl import BlockAllocator, OutOfSpaceError
 from repro.sim import Simulator
 
@@ -21,7 +22,7 @@ def make_allocator():
 def test_initial_free_pool_covers_everything():
     _, _, alloc = make_allocator()
     assert alloc.free_blocks == GEO.blocks
-    assert alloc.free_blocks_on_die(0) == GEO.blocks_per_plane
+    assert len(alloc.free[0]) == GEO.blocks_per_plane
 
 
 def test_allocate_on_die_is_sequential_within_block():
@@ -31,7 +32,7 @@ def test_allocate_on_die_is_sequential_within_block():
         for _ in range(GEO.pages_per_block)
     ]
     assert [a.page for a in addrs] == list(range(GEO.pages_per_block))
-    assert len({a.block_addr for a in addrs}) == 1
+    assert len({a[:4] for a in addrs}) == 1
 
 
 def test_allocate_opens_new_block_when_full():
@@ -39,22 +40,14 @@ def test_allocate_opens_new_block_when_full():
     first = [GEO.page_address(alloc.allocate_on_die(0, 0)) for _ in range(GEO.pages_per_block)]
     nxt = GEO.page_address(alloc.allocate_on_die(0, 0))
     assert nxt.page == 0
-    assert nxt.block_addr != first[0].block_addr
-
-
-def test_allocate_page_rotates_dies():
-    _, _, alloc = make_allocator()
-    a = GEO.page_address(alloc.allocate_page(0))
-    b = GEO.page_address(alloc.allocate_page(0))
-    die_of = lambda addr: addr.channel * GEO.dies_per_channel + addr.die
-    assert die_of(a) != die_of(b)
+    assert nxt[:4] != first[0][:4]
 
 
 def test_streams_get_distinct_blocks():
     _, _, alloc = make_allocator()
     host = GEO.page_address(alloc.allocate_on_die(BlockAllocator.HOST, 0))
     gc = GEO.page_address(alloc.allocate_on_die(BlockAllocator.GC, 0))
-    assert host.block_addr != gc.block_addr
+    assert host[:4] != gc[:4]
 
 
 def test_out_of_space_raised_per_die_and_globally():
@@ -71,8 +64,9 @@ def test_out_of_space_raised_per_die_and_globally():
     # exhaust die 1 too (minus the one just allocated)
     for _ in range(GEO.blocks_per_plane * GEO.pages_per_block - 1):
         alloc.allocate_on_die(0, 1)
-    with pytest.raises(OutOfSpaceError):
-        alloc.allocate_page(0)
+    for die in range(GEO.dies):
+        with pytest.raises(OutOfSpaceError):
+            alloc.allocate_on_die(0, die)
 
 
 def test_gc_reserve_blocks_host_but_not_gc():
@@ -104,14 +98,14 @@ def test_wear_aware_block_selection():
     # age block 0 on die 0 artificially
     flash.pe_cycles[0] = 50
     addr = GEO.page_address(alloc.allocate_on_die(0, 0))
-    block_index = GEO.block_index(addr.block_addr)
+    block_index = GEO.block_index(BlockAddress(*addr[:4]))
     assert block_index != 0  # lowest-PE block preferred
 
 
 def test_release_block_returns_to_pool():
     _, _, alloc = make_allocator()
     addr = GEO.page_address(alloc.allocate_on_die(0, 0))
-    block_index = GEO.block_index(addr.block_addr)
+    block_index = GEO.block_index(BlockAddress(*addr[:4]))
     before = alloc.free_blocks
     # fill & retire the frontier so the block is closed
     for _ in range(GEO.pages_per_block - 1):
@@ -124,7 +118,7 @@ def test_release_block_returns_to_pool():
 def test_release_open_or_free_block_rejected():
     _, _, alloc = make_allocator()
     addr = GEO.page_address(alloc.allocate_on_die(0, 0))
-    block_index = GEO.block_index(addr.block_addr)
+    block_index = GEO.block_index(BlockAddress(*addr[:4]))
     with pytest.raises(ValueError, match="open frontier"):
         alloc.release_block(block_index)
     free_block = next(iter(alloc.free[0]))

@@ -19,7 +19,7 @@ def make_map(logical=24):
 
 def test_initially_unmapped():
     pm = make_map()
-    assert not pm.is_mapped(0)
+    assert pm.lookup(0) == UNMAPPED
     assert pm.lookup(5) == UNMAPPED
     assert pm.mapped_logical_pages() == 0
 
@@ -28,7 +28,7 @@ def test_bind_and_lookup():
     pm = make_map()
     assert pm.bind(3, 10) == UNMAPPED
     assert pm.lookup(3) == 10
-    assert pm.reverse(10) == 3
+    assert pm.p2l[10] == 3
     assert pm.valid_pages_in_block(10 // GEO.pages_per_block) == 1
 
 
@@ -37,7 +37,7 @@ def test_rebind_invalidates_old_copy():
     pm.bind(3, 10)
     old = pm.bind(3, 20)
     assert old == 10
-    assert pm.reverse(10) == UNMAPPED
+    assert pm.p2l[10] == UNMAPPED
     assert pm.lookup(3) == 20
     assert pm.valid_pages_in_block(10 // GEO.pages_per_block) == 0
     assert pm.valid_pages_in_block(20 // GEO.pages_per_block) == 1
@@ -55,7 +55,7 @@ def test_unbind_trim():
     pm.bind(7, 12)
     assert pm.unbind(7) == 12
     assert pm.lookup(7) == UNMAPPED
-    assert pm.reverse(12) == UNMAPPED
+    assert pm.p2l[12] == UNMAPPED
     assert pm.unbind(7) == UNMAPPED  # idempotent
 
 
@@ -104,7 +104,7 @@ def test_invariants_hold_under_random_ops(ops):
     pm = make_map()
     for op, lpn, ppn in ops:
         if op == "bind":
-            if pm.reverse(ppn) != UNMAPPED:
+            if pm.p2l[ppn] != UNMAPPED:
                 continue  # physical page occupied; FTL would never do this
             pm.bind(lpn, ppn)
         else:

@@ -49,11 +49,10 @@ def make_ftl(backend="page"):
     return sim, ftl
 
 
-def oracle_mismatches(sim, ftl, ops, other_op=None):
+def oracle_mismatches(sim, ftl, ops):
     """Run ``(op, arg, payload)`` tuples against ``ftl`` and a dict oracle,
     then read back the whole logical space; returns ``(mismatches,
-    oracle)``.  ``other_op(op, arg, oracle)`` is a generator that handles
-    any op besides write/read/trim/flush."""
+    oracle)``."""
     oracle: dict[int, bytes] = {}
     mismatches: list[tuple] = []
 
@@ -72,8 +71,6 @@ def oracle_mismatches(sim, ftl, ops, other_op=None):
                 oracle.pop(arg, None)
             elif op == "flush":
                 yield from ftl.flush()
-            else:
-                yield from other_op(op, arg, oracle)
         yield from ftl.flush()
         # final readback of the whole logical space
         for lpn in range(ftl.logical_pages):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.ecc import CodewordLayout, EccConfig, EccEngine
 from repro.flash import BitErrorModel, FlashArray, FlashGeometry
 from repro.ftl import FlashTranslationLayer, FtlConfig
+from repro.ftl.mapping import UNMAPPED
 from repro.sim import Simulator
 
 GEO = FlashGeometry(
@@ -98,7 +99,7 @@ def test_unflushed_buffer_contents_are_lost():
 
     drive(sim, workload())
     # ensure lpn 1 truly never destaged in this interleaving
-    if ftl.page_map.is_mapped(1):
+    if ftl.page_map.lookup(1) != UNMAPPED:
         pytest.skip("destage won the race in this schedule")
     reborn, _ = power_cycle(sim, flash, ecc)
 

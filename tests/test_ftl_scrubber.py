@@ -57,8 +57,10 @@ def test_refresh_resets_retention_clock():
     sim, ftl = make_ftl()
     fill(sim, ftl, pages=8)
     sim.run(until=sim.now + 30.0)
-    # after refreshing, no block holding data should be at risk
-    assert ftl.scrubber.at_risk_blocks() == []
+    # after refreshing, no block holding data (closed or open) is at risk
+    scrubber = ftl.scrubber
+    closed, open_ = scrubber._patrol_targets()
+    assert not any(scrubber._block_at_risk(block) for block in closed + open_)
 
 
 def test_scrubbed_data_still_readable():

@@ -64,19 +64,19 @@ GOLDEN = {
 
 def test_single_gzip_schedule_unchanged():
     tracer, extras = scenario_single_gzip()
-    assert len(tracer) > 0, "scenario must actually trace"
+    assert len(tracer.records) > 0, "scenario must actually trace"
     assert schedule_digest(tracer, extras) == GOLDEN["single_gzip"]
 
 
 def test_fleet_grep_schedule_unchanged():
     tracer, extras = scenario_fleet_grep()
-    assert len(tracer) > 0
+    assert len(tracer.records) > 0
     assert schedule_digest(tracer, extras) == GOLDEN["fleet_grep"]
 
 
 def test_chaos_drill_schedule_unchanged():
     tracer, extras = scenario_chaos_drill()
-    assert len(tracer) > 0
+    assert len(tracer.records) > 0
     assert schedule_digest(tracer, extras) == GOLDEN["chaos_drill"]
 
 

@@ -171,14 +171,6 @@ def test_persist_and_load_roundtrip():
     assert reborn.free_pages == fs.free_pages
 
 
-def test_import_files_bulk():
-    sim, fs = make_fs()
-    items = [(f"book{i}.txt", f"contents {i}".encode(), 0) for i in range(5)]
-    items = [(n, d, len(d)) for n, d, _ in items]
-    drive(sim, fs.import_files(items))
-    assert len(fs.listdir()) == 5
-
-
 def test_meta_pages_validation():
     sim, fs = make_fs()
     with pytest.raises(ValueError):

@@ -223,7 +223,7 @@ def test_run_echo():
     assert status.code == 0
     assert status.stdout == b"hello world"
     assert process.state == ProcessState.EXITED
-    assert process.runtime > 0
+    assert process.finished_at > process.started_at
 
 
 def test_pipeline_feeds_stdin():
@@ -271,9 +271,9 @@ def test_ps_and_process_table():
     sim, os_ = make_os()
     drive(sim, os_.run("echo a"))
     drive(sim, os_.run("echo b"))
-    table = os_.ps()
+    table = list(os_.process_table.values())
     assert len(table) == 2
-    assert all(row["state"] == "exited" for row in table)
+    assert all(entry.state == ProcessState.EXITED for entry in table)
     assert os_.running_processes() == 0
 
 
@@ -299,9 +299,9 @@ def test_dynamic_task_loading():
             yield from ctx.compute(1e3)
             return ExitStatus(code=0, stdout=b"loaded at runtime")
 
-    assert "brandnew" not in os_.registry
+    assert "brandnew" not in os_.registry.installed()
     os_.install_executable(NewApp())
-    assert "brandnew" in os_.registry
+    assert "brandnew" in os_.registry.installed()
     assert os_.registry.loads == 1
     status, _ = drive(sim, os_.run("brandnew"))
     assert status.stdout == b"loaded at runtime"

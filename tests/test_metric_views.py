@@ -31,6 +31,7 @@ from repro.faults import FaultInjector
 from repro.obs import NULL_METRICS, View, to_prometheus
 from repro.proto import Command
 from tests.test_ftl import drive
+from tests.test_obs_metrics import sample
 
 METRICS_VERB_DIGEST = "a26fda73de299a99d991579862c000da04ec467d0a652ea619676e83a9f1f28f"
 CHAOS_DRILL_DIGEST = "f921f007bccd1b402ad27421ed33672ac40926f062ffb4f675af44c59e9f36ef"
@@ -165,15 +166,15 @@ def test_chaos_drill_views_equal_the_attributes_they_read():
     for name in {s.name for s in ssds}:
         same = [s for s in ssds if s.name == name]  # one per node
         device = {"device": f"{name}.ftl"}
-        assert metrics["ftl.host_reads"].get(0, **device) == sum(s.ftl.host_reads for s in same)
-        assert metrics["ftl.free_blocks"].value(**device) == sum(
+        assert sample(metrics["ftl.host_reads"], 0, **device) == sum(s.ftl.host_reads for s in same)
+        assert sample(metrics["ftl.free_blocks"], **device) == sum(
             s.ftl.stats()["free_blocks"] for s in same
         )
-        assert metrics["isps.minions.active"].value(device=name) == sum(
+        assert sample(metrics["isps.minions.active"], device=name) == sum(
             s.agent.active_minions for s in same
         )
     for component in {c for node in nodes for c in node.meter._active}:
         expected = 0.0
         for node in nodes:
-            expected += node.meter.active_energy(component)
-        assert metrics["power.energy_joules"].get(0.0, component=component) == expected
+            expected += node.meter._active.get(component, 0.0)
+        assert sample(metrics["power.energy_joules"], 0.0, component=component) == expected

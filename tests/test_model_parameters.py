@@ -2,20 +2,11 @@
 
 import pytest
 
-from repro.cpu import ARM_A53_QUAD, CpuCluster, RunQueue, XEON_E5_2620_V4
+from repro.cpu import ARM_A53_QUAD, CpuCluster
 from repro.flash import FlashEnergy, FlashTiming
 from repro.pcie import PcieGen
 from repro.pcie.link import LinkParams
 from repro.sim import Simulator
-
-
-def test_flash_timing_presets_ordered():
-    slc = FlashTiming.slc_mode()
-    tlc = FlashTiming()
-    qlc = FlashTiming.qlc()
-    assert slc.t_read < tlc.t_read < qlc.t_read
-    assert slc.t_prog < tlc.t_prog < qlc.t_prog
-    assert slc.t_erase < tlc.t_erase < qlc.t_erase
 
 
 def test_flash_timing_transfer_time():
@@ -57,18 +48,6 @@ def test_pcie_x16_gen3_matches_paper_16gbs():
     assert raw == pytest.approx(15.76e9, rel=0.01)
     effective = LinkParams(gen=PcieGen.GEN3, lanes=16).bandwidth
     assert 13e9 < effective < 14.5e9
-
-
-def test_run_instructions_uses_ipc():
-    sim = Simulator()
-    cluster = CpuCluster(sim, XEON_E5_2620_V4)
-    runq = RunQueue(sim, cluster)
-    instructions = XEON_E5_2620_V4.ipc * XEON_E5_2620_V4.freq_hz  # 1 s of work
-
-    def flow():
-        return (yield from runq.run_instructions(instructions))
-
-    assert sim.run(sim.process(flow())) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_temperature_rises_with_load():

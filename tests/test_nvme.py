@@ -78,7 +78,7 @@ def test_flush_is_write_barrier():
     call(sim, ctrl, NvmeCommand(opcode=Opcode.WRITE, slba=1, data=b"durable"))
     f = call(sim, ctrl, NvmeCommand(opcode=Opcode.FLUSH))
     assert f.ok
-    assert len(ctrl.ftl.write_buffer) == 0
+    assert len(ctrl.ftl.write_buffer.entries) == 0
 
 
 def test_identify_reports_capacity_and_isc():

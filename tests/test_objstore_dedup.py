@@ -101,7 +101,7 @@ def test_put_chunks_host_side_when_the_key_chain_is_down():
         key, payload = f"k{seed}", blob(100 + seed, size=1024)
         down = set(store._chain(key))
         if all(
-            set(store.block_chain(digest)) - down
+            set(store._chain(digest)) - down
             for digest, _ in chunk_digests(payload, PARAMS)
         ):
             break

@@ -8,6 +8,13 @@ from repro.obs import MetricsRegistry, NULL_METRICS, to_json_lines, to_prometheu
 from repro.obs.metrics import DEFAULT_BUCKETS
 
 
+def sample(instrument, default=None, **labels):
+    """What ``instrument`` exports under exactly ``labels`` (a histogram's
+    per-label-set state), or ``default``."""
+    want = {key: str(value) for key, value in labels.items()}
+    return next((value for got, value, _ in instrument.samples() if got == want), default)
+
+
 # -- counters -----------------------------------------------------------------
 
 def test_counter_accumulates_per_label_set():
@@ -16,8 +23,8 @@ def test_counter_accumulates_per_label_set():
     counter.inc(device="d0")
     counter.inc(3, device="d0")
     counter.inc(device="d1")
-    assert counter.value(device="d0") == 4
-    assert counter.value(device="d1") == 1
+    assert sample(counter, device="d0") == 4
+    assert sample(counter, device="d1") == 1
     assert counter.total() == 5
 
 
@@ -33,22 +40,21 @@ def test_bound_counter_shares_state_with_family():
     counter.inc(device="d0", opcode="READ")
     counter.inc(2, opcode="READ", device="d0")
     # label order must not matter: both calls feed one series of the family
-    assert counter.value(device="d0", opcode="READ") == 3
-    assert counter.value(opcode="READ", device="d0") == 3
+    assert sample(counter, device="d0", opcode="READ") == 3
+    assert sample(counter, opcode="READ", device="d0") == 3
     assert registry.counter("nvme.commands") is counter
     assert counter.total() == 3
 
 
 # -- gauges -------------------------------------------------------------------
 
-def test_gauge_set_and_add():
+def test_gauge_set():
     gauge = MetricsRegistry().gauge("queue.depth")
     gauge.set(4, queue=0)
-    gauge.add(-1, queue=0)
-    assert gauge.value(queue=0) == 3
-    gauge.set(7, queue=1)
-    gauge.add(1, queue=1)
-    assert gauge.value(queue=1) == 8
+    gauge.set(3, queue=0)
+    assert sample(gauge, queue=0) == 3
+    gauge.set(8, queue=1)
+    assert sample(gauge, queue=1) == 8
 
 
 # -- views --------------------------------------------------------------------
@@ -62,23 +68,22 @@ class _Component:
 
 def test_counter_view_reads_the_component_at_sampling_time():
     t = [0.0]
-    registry = MetricsRegistry(clock=lambda: t[0], keep_series=True)
+    registry = MetricsRegistry(clock=lambda: t[0])
     part = _Component()
     registry.counter_view("c.reads", "reads", lambda: part.reads, device="d0")
     view = registry["c.reads"]
     assert view.kind == "counter"
     assert view.samples() == []  # a counter view exports non-zero values only
-    assert view.get(device="d0") is None
+    assert sample(view, device="d0") is None
     part.reads = 4
     t[0] = 2.5
     assert view.samples() == [({"device": "d0"}, 4.0, 2.5)]
-    assert view.value(device="d0") == 4.0 and view.total() == 4.0
+    assert sample(view, device="d0") == 4.0 and view.total() == 4.0
     [record] = [json.loads(line) for line in to_json_lines(registry).splitlines()]
     assert record["value"] == 4.0 and isinstance(record["value"], float)
     assert record["time"] == 2.5  # the registry clock at export
     assert '"value": 4.0' in to_json_lines(registry)
     assert 'repro_c_reads_total{device="d0"} 4\n' in to_prometheus(registry)
-    assert registry.series("c.reads", device="d0") == []  # no series history
 
 
 def test_views_under_one_label_set_add_up_and_sort():
@@ -90,7 +95,7 @@ def test_views_under_one_label_set_add_up_and_sort():
         registry.counter_view("cmds", "", lambda part=part: part.by_status,
                               keys=("opcode", "status"), device="d0")
     view = registry["cmds"]
-    assert view.value(device="d0", opcode="READ", status="OK") == 5.0
+    assert sample(view, device="d0", opcode="READ", status="OK") == 5.0
     assert [labels for labels, _, _ in view.samples()] == [
         {"device": "d0", "opcode": "READ", "status": "OK"},
         {"device": "d0", "opcode": "WRITE", "status": "OK"},
@@ -121,8 +126,9 @@ def test_histogram_count_sum_percentiles():
     hist = MetricsRegistry().histogram("lat", buckets=(0.001, 0.01, 0.1, 1.0))
     for v in (0.0005, 0.002, 0.005, 0.05, 0.5):
         hist.observe(v, device="d0")
-    assert hist.count(device="d0") == 5
-    assert hist.mean(device="d0") == pytest.approx(0.5575 / 5)
+    state = sample(hist, device="d0")
+    assert state.count == 5
+    assert state.sum == pytest.approx(0.5575)
     p50 = hist.percentile(0.50, device="d0")
     assert 0.001 < p50 <= 0.01
     # p100 clamps to the observed maximum, even inside the overflow logic
@@ -226,19 +232,6 @@ def test_registry_clock_stamps_samples():
     [(labels, value, updated)] = counter.samples()
     assert updated == 2.5
     assert value == 2
-
-
-def test_keep_series_records_bounded_history():
-    t = [0.0]
-    registry = MetricsRegistry(clock=lambda: t[0], keep_series=True, series_limit=3)
-    counter = registry.counter("c")
-    for i in range(5):
-        t[0] = float(i)
-        counter.inc()
-    points = registry.series("c")
-    assert len(points) == 3  # ring-capped
-    assert points[-1] == (4.0, 5.0)
-    assert points[0] == (2.0, 3.0)  # oldest points evicted
 
 
 # -- exporters -----------------------------------------------------------------

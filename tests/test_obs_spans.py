@@ -144,7 +144,10 @@ def minion_lifetime_tree():
 
 def test_minion_lifetime_spans_all_six_table3_steps_in_causal_order():
     root = minion_lifetime_tree()
-    names = [name for _, name in root.event_sequence()]
+    # every event in the tree, sorted by (time, emission order)
+    names = [name for _, _, name in sorted(
+        (t, seq, name) for node in root.walk() for t, name, _, seq in node.events
+    )]
     # every step is present...
     for step in TABLE3_STEPS:
         assert step in names, f"missing Table III step {step}"
@@ -156,11 +159,11 @@ def test_minion_lifetime_spans_all_six_table3_steps_in_causal_order():
 def test_minion_lifetime_tree_shape():
     root = minion_lifetime_tree()
     # client -> nvme transport -> agent execution -> process execution
-    assert root.find("nvme.isc") is not None
-    agent = root.find("agent.execute")
-    assert agent is not None and agent.component == "compstor0.agent"
-    execp = root.find("exec.process")
-    assert execp is not None
+    nodes = {node.name: node for node in reversed(list(root.walk()))}
+    assert "nvme.isc" in nodes
+    agent = nodes["agent.execute"]
+    assert agent.component == "compstor0.agent"
+    execp = nodes["exec.process"]
     # flash traffic was adopted into the execution window
     assert any(event[1] == "flash.read" for event in execp.events)
     # spans nest in time

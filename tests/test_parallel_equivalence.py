@@ -36,7 +36,9 @@ def golden_specs() -> list[JobSpec]:
 def test_golden_scenarios_identical_across_worker_counts():
     serial = run_jobs(golden_specs(), workers=1)
     parallel = run_jobs(golden_specs(), workers=4)
-    assert serial.digests() == parallel.digests()
+    assert [(r.name, r.digest) for r in serial.results] == [
+        (r.name, r.digest) for r in parallel.results
+    ]
     for result in (*serial.results, *parallel.results):
         scenario = result.value["scenario"]
         assert result.value["digest"] == GOLDEN[scenario], (

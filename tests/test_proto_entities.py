@@ -21,16 +21,6 @@ def test_command_wire_bytes_scales_with_content():
     assert small.wire_bytes >= 128  # header floor
 
 
-def test_minion_lifecycle_fields():
-    minion = Minion(command=Command(command_line="ls"), created_at=1.0)
-    assert not minion.done
-    assert minion.round_trip_seconds is None
-    minion.response = Response(status=ResponseStatus.OK, stdout=b"ok")
-    minion.completed_at = 3.5
-    assert minion.done
-    assert minion.round_trip_seconds == pytest.approx(2.5)
-
-
 def test_minion_ids_unique():
     a = Minion(command=Command(command_line="ls"))
     b = Minion(command=Command(command_line="ls"))

@@ -69,6 +69,9 @@ THREAD_ALLOWLIST = {
     # arguments and touch no simulator state; only the simulator's thread
     # reads the memo and waits on the futures, at points the schedule fixes
     "src/repro/apps/compress.py",
+    # the reach audit sets a profile hook for threads in the interpreters it
+    # starts (threading.setprofile); it starts no thread and runs no model
+    "benchmarks/reach.py",
     "tests/test_rng_wallclock_lint.py",  # this file quotes the pattern
 }
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -325,15 +325,6 @@ def test_run_until_event_never_firing_raises():
     sim.process(proc())
     with pytest.raises(SimulationError, match="drained"):
         sim.run(orphan)
-
-
-def test_event_value_before_trigger_raises():
-    sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(SimulationError):
-        _ = ev.value
-    with pytest.raises(SimulationError):
-        _ = ev.ok
 
 
 def test_daemon_timeout_does_not_keep_run_alive():

@@ -309,7 +309,7 @@ def test_kernel_matches_heap_only_reference(roots, driver):
 
 #: One client: arrival tick, hold ticks, and what happens to it —
 #: ``hold`` (request, hold, release), ``cancel`` (renege after ``patience``
-#: ticks if still queued, through ``Request.cancel``) or ``interrupt``
+#: ticks if still queued, leaving its ``with`` block) or ``interrupt``
 #: (interrupted ``patience`` ticks after arrival, queued or holding).
 _client = st.tuples(
     st.integers(0, 6),
@@ -331,8 +331,7 @@ def _serve_clients(kind, capacity, clients):
             with res.request(priority=0) as req:
                 if action == "cancel":
                     yield sim.any_of([req, sim.timeout(patience * _TICK)])
-                    if not req.triggered:
-                        req.cancel()
+                    if not req.triggered:  # leaving the block withdraws it
                         outcomes.append((i, "reneged", sim.now))
                         return
                 else:

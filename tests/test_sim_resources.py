@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator, Store
+from repro.sim import PriorityResource, Resource, Simulator, Store
 
 
 def test_resource_serializes_access():
@@ -69,43 +69,15 @@ def test_resource_release_without_grant_is_safe():
 
     def impatient():
         yield sim.timeout(1.0)
-        req = res.request()
-        req.cancel()  # withdraw before grant
+        with res.request():
+            pass  # withdraw before grant
         yield sim.timeout(0.0)
 
     sim.process(holder())
     sim.process(impatient())
     sim.run()
-    assert res.count == 0
+    assert len(res.users) == 0
     assert len(res.queue) == 0
-
-
-@pytest.mark.parametrize("kind", [Resource, PriorityResource])
-def test_cancel_of_a_granted_request_keeps_the_slot(kind):
-    sim = Simulator()
-    res = kind(sim, capacity=1)
-    seen = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            req.cancel()  # documented no-op once granted
-            seen.append(("holding", res.count, list(res.users) == [req]))
-            yield sim.timeout(2.0)
-        seen.append(("released", res.count))
-
-    def waiter():
-        yield sim.timeout(1.0)
-        with res.request() as req:
-            yield req
-            seen.append(("granted", sim.now))
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run()
-    # the waiter gets the slot only when the holder leaves its `with` block
-    assert seen == [("holding", 1, True), ("released", 1), ("granted", 2.0)]
-    assert res.count == 0
 
 
 def test_resource_invalid_capacity():
@@ -278,60 +250,6 @@ def test_store_filtered_get_waits_for_match():
     assert list(store.items) == ["noise"]
 
 
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    got = []
-
-    def consumer():
-        amount = yield tank.get(6.0)
-        got.append((sim.now, amount))
-
-    def producer():
-        yield sim.timeout(1.0)
-        yield tank.put(4.0)
-        yield sim.timeout(1.0)
-        yield tank.put(4.0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [(2.0, 6.0)]
-    assert tank.level == pytest.approx(2.0)
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=5.0, init=5.0)
-    times = []
-
-    def producer():
-        yield tank.put(2.0)
-        times.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(4.0)
-        yield tank.get(3.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [4.0]
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=1.0, init=2.0)
-    tank = Container(sim, capacity=1.0)
-    with pytest.raises(ValueError):
-        tank.get(0)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-
-
 def test_interrupt_while_queued_releases_request():
     """A process interrupted while waiting for a resource (inside the
     `with request()` context) must not leak its queue slot."""
@@ -364,7 +282,7 @@ def test_interrupt_while_queued_releases_request():
     sim.run()
     assert outcome == ["interrupted"]
     assert len(res.queue) == 0  # no orphaned request
-    assert res.count == 0  # holder released; nothing leaked
+    assert len(res.users) == 0  # holder released; nothing leaked
 
 
 def test_interrupt_while_holding_releases_slot():
@@ -388,7 +306,7 @@ def test_interrupt_while_holding_releases_slot():
     v = sim.process(victim())
     sim.process(attacker(v))
     sim.run()
-    assert res.count == 0  # slot returned on unwind
+    assert len(res.users) == 0  # slot returned on unwind
 
 
 def test_priority_resource_interrupted_waiter_skipped():

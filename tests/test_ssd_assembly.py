@@ -41,7 +41,7 @@ def test_meter_registration_covers_device_components():
     sim = Simulator()
     meter = PowerMeter(sim)
     CompStorSSD(sim, name="dev", geometry=small_geometry(CAPACITY), meter=meter)
-    static = meter.static_components()
+    static = meter._static
     assert "dev.controller.static" in static
     assert "dev.flash.static" in static
     assert "dev.isps.static" in static
@@ -55,7 +55,7 @@ def test_two_devices_one_meter_no_name_collision():
     meter = PowerMeter(sim)
     CompStorSSD(sim, name="d0", geometry=small_geometry(CAPACITY), meter=meter)
     CompStorSSD(sim, name="d1", geometry=small_geometry(CAPACITY), meter=meter)
-    assert len(meter.static_components()) == 8
+    assert len(meter._static) == 8
 
 
 def test_compstor_isps_and_host_share_the_ftl():
@@ -71,7 +71,7 @@ def test_compstor_isps_and_host_share_the_ftl():
         yield from ssd.ftl.flush()
         lpn = ssd.fs.stat("x.txt").pages[0]
         # read the same logical page via NVMe
-        completion = yield from ssd.queue(0).call(
+        completion = yield from ssd.controller.queue(0).call(
             NvmeCommand(opcode=Opcode.READ, slba=lpn)
         )
         return completion.result[0]
@@ -95,7 +95,7 @@ def test_isps_direct_path_faster_than_nvme_path():
         yield from ssd.isps.device.read(0)
         direct = sim.now - t0
         t0 = sim.now
-        yield from ssd.queue(0).call(NvmeCommand(opcode=Opcode.READ, slba=0))
+        yield from ssd.controller.queue(0).call(NvmeCommand(opcode=Opcode.READ, slba=0))
         external = sim.now - t0
         return direct, external
 

@@ -15,32 +15,24 @@ def test_tracer_records_and_filters():
     tracer.emit(2.0, "dev0.agent", "minion.received", minion=7)
     tracer.emit(3.0, "dev1.flash", "flash.read", addr=2)
 
-    assert len(tracer) == 3
+    assert len(tracer.records) == 3
     assert len(tracer.filter(kind="flash.read")) == 2
     assert len(tracer.filter(component="dev0")) == 2
     assert len(tracer.filter(kind="flash.read", component="dev1")) == 1
     assert tracer.filter(predicate=lambda r: r.detail.get("minion") == 7)[0].time == 2.0
 
 
-def test_tracer_kinds_first_seen_order():
-    tracer = Tracer()
-    for kind in ("b", "a", "b", "c", "a"):
-        tracer.emit(0.0, "x", kind)
-    assert tracer.kinds() == ["b", "a", "c"]
-
-
 def test_disabled_tracer_is_noop():
     tracer = Tracer(enabled=False)
     tracer.emit(1.0, "x", "y")
-    assert len(tracer) == 0
+    assert len(tracer.records) == 0
 
 
 def test_tracer_capacity_drops_and_counts():
     tracer = Tracer(capacity=2)
     for i in range(5):
         tracer.emit(float(i), "x", "k")
-    assert len(tracer) == 2
-    assert tracer.dropped == 3
+    assert len(tracer.records) == 2
 
 
 def test_tracer_ring_buffer_keeps_newest_records():
@@ -51,7 +43,6 @@ def test_tracer_ring_buffer_keeps_newest_records():
     for i in range(7):
         tracer.emit(float(i), "x", "k", i=i)
     assert [r.detail["i"] for r in tracer.records] == [4, 5, 6]
-    assert tracer.dropped == 4
 
 
 def test_tracer_rejects_nonpositive_capacity():
@@ -64,8 +55,7 @@ def test_tracer_clear():
     tracer.emit(0.0, "x", "k")
     tracer.emit(0.0, "x", "k")
     tracer.clear()
-    assert len(tracer) == 0
-    assert tracer.dropped == 0
+    assert len(tracer.records) == 0
 
 
 def test_empty_tracer_is_still_truthy_enough_to_wire():

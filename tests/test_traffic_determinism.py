@@ -121,4 +121,4 @@ def test_full_bucket_eviction_is_lossless(arrivals, evict_every):
         assert a == b
         if index % evict_every == 0:
             evicting.evict_restorable(now)
-    assert len(evicting) <= len(reference)
+    assert len(evicting._buckets) <= len(reference._buckets)

@@ -121,5 +121,5 @@ def test_per_lpn_write_order_is_preserved(ops, workers):
             else:
                 pytest.fail(f"lpn {lpn}: destage order {seen} not a subsequence of {writes}")
     # nothing is left anywhere
-    assert len(buf) == 0
+    assert len(buf.entries) == 0
     assert buf._inflight == 0

@@ -16,6 +16,7 @@ import pytest
 
 from repro.ftl import FlashTranslationLayer, FtlConfig, ZonedFtl
 from tests.test_ftl import make_ftl
+from tests.test_zoned_ftl import retire_by_churn
 
 
 def recomputed(ftl) -> dict[str, int]:
@@ -45,6 +46,8 @@ def step_checking(sim, ftl, flow) -> int:
         events += 1
         for name, (kept, summed) in recomputed(ftl).items():
             assert kept == summed, f"{name}: kept {kept}, recomputed {summed} at t={sim.now}"
+    if not proc._ok:  # the loop stops before the failed process is processed
+        raise proc._value
     return events
 
 
@@ -69,12 +72,7 @@ def test_zoned_counts_match_through_resets_and_a_retired_zone():
 
     def flow():
         yield from churn(ftl, rounds=4)
-        full = [z for z in range(ftl.zone_count) if ftl.write_pointer(z) == ftl.zone_pages]
-        open_zones = {z for zones in ftl._open.values() for z in zones}
-        victims = [z for z in full if z not in open_zones and z not in ftl._reclaiming]
-        ftl.flash.mark_block_failed(victims[0] * ftl.zone_blocks)
-        for zone in victims[:2]:
-            yield from ftl.reset_zone(zone)
+        yield from retire_by_churn(ftl, b"retire")
         yield from churn(ftl, rounds=4)
 
     step_checking(sim, ftl, flow())

@@ -8,9 +8,10 @@ them here a second time on the zoned FTL.
 The zone-specific properties tested here:
 
 - **write-pointer monotonicity per zone** — a zone's pointer only ever
-  advances between resets; any decrease coincides with a reset (host or GC);
+  advances between resets; any decrease coincides with a GC reset;
 - **read-after-write across resets** — the device agrees with a dict oracle
-  through arbitrary write/read/trim/flush/reset interleavings;
+  through arbitrary write/read/trim/flush interleavings and the collector's
+  zone resets between them;
 - **copy-forward preserves live data** — GC churn never changes what a
   mapped logical page reads back;
 - **append never overwrites** — the NAND array raises ``FlashOpError`` on
@@ -30,6 +31,7 @@ from repro.flash import BitErrorModel, FlashArray, FlashGeometry
 from repro.ftl import FtlConfig, LogicalIOError, ZonedFtl, ZoneState, create_backend
 from repro.sim import Simulator
 from tests.test_ftl import GEO, drive, make_ftl
+from tests.test_obs_metrics import sample
 
 # The backend-contract tests, collected again here against the zoned
 # ``backend`` fixture below.
@@ -174,10 +176,10 @@ def test_zoned_node_exports_ftl_metrics():
     drive(sim, flow())
     metrics = ftl.metrics
     for name in ("ftl.host_reads", "ftl.host_writes", "ftl.write_buffer.destages"):
-        assert metrics[name].value(device=ftl.name) > 0, name
+        assert sample(metrics[name], device=ftl.name) > 0, name
     collections = ftl.stats()["gc_collections"]
     assert collections > 0
-    assert metrics["ftl.gc.collections"].value(device=ftl.name) == collections
+    assert sample(metrics["ftl.gc.collections"], device=ftl.name) == collections
 
 
 # -- zone semantics ---------------------------------------------------------
@@ -190,52 +192,35 @@ def _fill_until_a_zone_is_full(ftl, payload):
         for lpn in range(batch * ftl.zone_pages, (batch + 1) * ftl.zone_pages):
             yield from ftl.write(lpn, payload + b"%d" % lpn)
         yield from ftl.flush()
-        full = [z for z in range(ftl.zone_count) if ftl.zone_state(z) == ZoneState.FULL]
+        full = [z for z in range(ftl.zone_count) if ftl._zone_state[z] == ZoneState.FULL]
         if full:
             return full
     raise AssertionError("no zone filled")
 
 
-def test_explicit_reset_drops_zone_data():
-    sim, ftl = make_zoned()
-
-    def flow():
-        victim = (yield from _fill_until_a_zone_is_full(ftl, b"z"))[0]
-        lost = list(ftl._unit_lpns(victim))
-        assert lost, "full zone holds no live pages"
-        yield from ftl.reset_zone(victim)
-        assert ftl.zone_state(victim) == ZoneState.EMPTY
-        assert ftl.write_pointer(victim) == 0
-        for lpn in lost:
-            assert (yield from ftl.read(lpn)) is None
-
-    drive(sim, flow())
-    assert ftl.zone_resets >= 1
-
-
-def test_reset_refuses_open_zone():
-    sim, ftl = make_zoned()
-
-    def flow():
-        yield from ftl.write(0, b"x")
+def retire_by_churn(ftl, payload):
+    """Fail a block of a FULL zone and overwrite the zone's live pages, then
+    churn overwrites until the collector picks the zone, erases it and
+    takes it offline; returns the zone."""
+    victim = (yield from _fill_until_a_zone_is_full(ftl, payload))[0]
+    ftl.flash.mark_block_failed(victim * ftl.zone_blocks)
+    for lpn in list(ftl._unit_lpns(victim)):
+        yield from ftl.write(lpn, payload)
+    for rnd in range(2 * ftl.zone_count):  # a round writes one zone's worth
+        if ftl._zone_state[victim] == ZoneState.OFFLINE:
+            return victim
+        for lpn in range(ftl.zone_pages):
+            yield from ftl.write(lpn, payload + b"%d" % rnd)
         yield from ftl.flush()
-        open_zones = [z for z in range(ftl.zone_count)
-                      if ftl.zone_state(z) == ZoneState.OPEN]
-        assert open_zones
-        with pytest.raises(ValueError):
-            yield from ftl.reset_zone(open_zones[0])
-
-    drive(sim, flow())
+    raise AssertionError(f"the collector never took zone {victim}")
 
 
 def test_grown_bad_block_takes_zone_offline():
     sim, ftl = make_zoned()
 
     def flow():
-        victim = (yield from _fill_until_a_zone_is_full(ftl, b"fill"))[0]
-        ftl.flash.mark_block_failed(victim * ftl.zone_blocks)
-        yield from ftl.reset_zone(victim)
-        assert ftl.zone_state(victim) == ZoneState.OFFLINE
+        victim = yield from retire_by_churn(ftl, b"fill")
+        assert ftl._zone_state[victim] == ZoneState.OFFLINE
 
     drive(sim, flow())
     assert ftl.zones_retired == 1
@@ -293,15 +278,6 @@ def make_property_ftl(seed=1):
     return sim, ftl
 
 
-def resettable_zones(ftl):
-    return [
-        z for z in range(ftl.zone_count)
-        if ftl.zone_state(z) == ZoneState.FULL
-        and z not in ftl._reclaiming
-        and all(z not in zones for zones in ftl._open.values())
-    ]
-
-
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.integers(0, PLOGICAL - 1),
@@ -309,7 +285,6 @@ ops_strategy = st.lists(
         st.tuples(st.just("read"), st.integers(0, PLOGICAL - 1), st.just(b"")),
         st.tuples(st.just("trim"), st.integers(0, PLOGICAL - 1), st.just(b"")),
         st.tuples(st.just("flush"), st.just(0), st.just(b"")),
-        st.tuples(st.just("reset"), st.integers(0, 100), st.just(b"")),
     ),
     min_size=1,
     max_size=60,
@@ -321,37 +296,25 @@ ops_strategy = st.lists(
 def test_zoned_agrees_with_dict_oracle_across_resets(ops):
     """read-after-write across resets + copy-forward preserves live data.
 
-    Explicit resets drop exactly the victim zone's live pages from the
-    oracle; everything else — including pages GC relocated in between —
-    must read back byte-identical.
+    Every zone reset here is the collector's, after it copied the victim's
+    live pages forward, so every page — including pages GC relocated in
+    between — must read back byte-identical.
     """
     sim, ftl = make_property_ftl()
-
-    def reset(op, index, oracle):
-        candidates = resettable_zones(ftl)
-        if not candidates:
-            return
-        zone = candidates[index % len(candidates)]
-        dropped = list(ftl._unit_lpns(zone))
-        yield from ftl.reset_zone(zone)
-        for lpn in dropped:
-            oracle.pop(lpn, None)
-
-    mismatches, _ = oracle_mismatches(sim, ftl, ops, other_op=reset)
+    mismatches, _ = oracle_mismatches(sim, ftl, ops)
     assert mismatches == []
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ops=ops_strategy)
 def test_write_pointer_monotone_between_resets(ops):
-    """A zone's write pointer never decreases except through a reset
-    (host-initiated or GC's post-collection erase)."""
+    """A zone's write pointer never decreases except through a reset (GC's
+    post-collection erase)."""
     sim, ftl = make_property_ftl()
     violations: list[tuple] = []
 
     def snapshot():
-        return ([ftl.write_pointer(z) for z in range(ftl.zone_count)],
-                ftl.zone_resets + ftl.zones_retired)
+        return ftl._zone_wp.tolist(), ftl.zone_resets + ftl.zones_retired
 
     def driver():
         prev_wp, prev_resets = snapshot()
@@ -365,12 +328,8 @@ def test_write_pointer_monotone_between_resets(ops):
                     pass
             elif op == "trim":
                 yield from ftl.trim([arg])
-            elif op == "flush":
-                yield from ftl.flush()
             else:
-                candidates = resettable_zones(ftl)
-                if candidates:
-                    yield from ftl.reset_zone(candidates[arg % len(candidates)])
+                yield from ftl.flush()
             wp, resets = snapshot()
             for zone in range(ftl.zone_count):
                 if wp[zone] < prev_wp[zone] and resets == prev_resets:
