@@ -92,13 +92,13 @@ def backend_cell(
         "uncorrectable_reads": sum(ftl.uncorrectable_reads for ftl in ftls),
     }
     if backend == "zoned":
-        reports = [ftl.zone_report() for ftl in ftls]
-        cell["zones"] = {
-            "per_device": reports[0]["zones"],
-            "resets": sum(r["resets"] for r in reports),
-            "retired": sum(r["retired"] for r in reports),
-            "full": sum(r["full"] for r in reports),
-            "open": sum(r["open"] for r in reports),
+        stats = [ftl.stats() for ftl in ftls]
+        cell["zones"] = {  # per_device: the zone count, summed over states
+            "per_device": sum(n for k, n in stats[0].items() if k.startswith("zones_")),
+            "resets": sum(s["zone_resets"] for s in stats),
+            "retired": sum(s["zones_offline"] for s in stats),
+            "full": sum(s["zones_full"] for s in stats),
+            "open": sum(s["zones_open"] for s in stats),
         }
     return cell
 

@@ -165,7 +165,8 @@ def build_fleet(
     """``fleet.nodes`` storage nodes sharing one simulator and coordinator.
 
     When ``metrics``/``tracer`` are not supplied they come from the
-    scenario's ``obs`` section (:func:`build_observability`).
+    scenario's ``obs`` section (:func:`build_observability`); each node's
+    metric views carry a ``node`` label, as device names repeat per node.
     """
     from repro.cluster.fleet import StorageFleet
     from repro.sim import Simulator
@@ -174,8 +175,9 @@ def build_fleet(
     sim = Simulator(seed=config.seed)
     bind_metrics_clock(metrics, sim)
     built = [
-        build_node(config, sim=sim, tracer=tracer, metrics=metrics)
-        for _ in range(config.fleet.nodes)
+        build_node(config, sim=sim, tracer=tracer,
+                   metrics=metrics and metrics.scoped(node=f"node{i}"))
+        for i in range(config.fleet.nodes)
     ]
     return StorageFleet(sim, built, metrics=metrics)
 

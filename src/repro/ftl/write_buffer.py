@@ -51,8 +51,7 @@ class WriteBuffer:
         self.capacity = capacity_pages
         self.destage = destage
         self.entries: "OrderedDict[int, bytes | None]" = OrderedDict()
-        self._inflight = 0
-        self._inflight_lpns: set[int] = set()
+        self._inflight_lpns: set[int] = set()  # destages in flight
         # Data being destaged stays readable (it is still only in DRAM until
         # the flash program completes and the mapping is bound).
         self._inflight_data: dict[int, bytes | None] = {}
@@ -109,7 +108,7 @@ class WriteBuffer:
 
     def flush(self) -> Generator:
         """Wait until every buffered page reaches flash."""
-        while self.entries or self._inflight:
+        while self.entries or self._inflight_lpns:
             gate = self.sim.event(self._drained_gate_name)
             self._drain_waiters.append(gate)
             yield gate
@@ -125,7 +124,7 @@ class WriteBuffer:
             waiters.clear()
 
     def _maybe_drained(self) -> None:
-        if not self.entries and not self._inflight:
+        if not self.entries and not self._inflight_lpns:
             self._wake(self._drain_waiters)
 
     def _pop_ready(self) -> tuple[int, bytes | None] | None:
@@ -145,7 +144,6 @@ class WriteBuffer:
                 yield gate
                 item = self._pop_ready()
             lpn, data = item
-            self._inflight += 1
             self._inflight_lpns.add(lpn)
             self._inflight_data[lpn] = data
             self._wake(self._space_waiters)
@@ -163,7 +161,6 @@ class WriteBuffer:
                         raise
                     self.failures.append((lpn, exc))
             finally:
-                self._inflight -= 1
                 self._inflight_lpns.discard(lpn)
                 self._inflight_data.pop(lpn, None)
                 self.destaged += 1

@@ -24,8 +24,14 @@ with a zone as its unit.  This module owns:
   the full zone with the fewest valid pages, appends every live page into
   its own GC zone (carrying the original OOB stamp), then resets the
   victim; an erase failure takes the whole zone offline;
-- **zone-state telemetry** — empty/open/full/offline counts, per-zone
-  write pointers, reset and retirement counters (:meth:`zone_report`).
+- **the zone lifecycle** — :meth:`ZonedFtl._transition` is the one writer
+  of zone state and refuses every edge but these (so a reset of an EMPTY
+  zone, a double free, raises)::
+
+      EMPTY -> OPEN     a slot takes it off the free list
+      OPEN  -> FULL     its last page is programmed; it leaves the slot
+      FULL  -> EMPTY    the collector's erase succeeds; back on the free list
+      FULL  -> OFFLINE  an erase fails (a grown bad block); out of service
 
 The page FTL's GC policy, wear levelling and block watermarks do not apply
 here; a config that sets them is rejected rather than silently ignored.
@@ -54,6 +60,11 @@ class ZoneState(IntEnum):
     OPEN = 1
     FULL = 2
     OFFLINE = 3  # grown bad block inside the zone: out of service
+
+
+#: The legal zone-lifecycle edges (the module docstring's table).
+_EDGES = {(ZoneState.EMPTY, ZoneState.OPEN), (ZoneState.OPEN, ZoneState.FULL),
+          (ZoneState.FULL, ZoneState.EMPTY), (ZoneState.FULL, ZoneState.OFFLINE)}
 
 
 class ZonedFtl(TranslationCore):
@@ -104,7 +115,8 @@ class ZonedFtl(TranslationCore):
         self.zone_pages = self._unit_pages
         self.zone_count = zone_count
 
-        # zone state
+        # zone state: _transition is its one writer, but for the per-page
+        # pointer advance and _unwritten -= 1 in _append_in_slot
         self._zone_state = np.full(zone_count, ZoneState.EMPTY, dtype=np.uint8)
         self._zone_wp = np.zeros(zone_count, dtype=np.int32)
         self._free: deque[int] = deque(range(zone_count))
@@ -142,13 +154,6 @@ class ZonedFtl(TranslationCore):
     def retired_units(self) -> int:
         return self.zones_retired
 
-    # -- zone accessors ------------------------------------------------------
-    def _zone_valid_pages(self, zone: int) -> int:
-        return sum(
-            self.page_map.valid_pages_in_block(block)
-            for block in self._unit_block_range(zone)
-        )
-
     # -- append path ---------------------------------------------------------
     def _append(
         self,
@@ -180,42 +185,34 @@ class ZonedFtl(TranslationCore):
         slots = self._slots[stream]
         stalls = 0
         while True:
-            if stream == self.HOST:
-                if self._unwritten - self._inflight <= self.zone_pages:
-                    # collector reserve floor reached: stall an erase cycle
-                    # while GC reclaims.  Repeated stalls against an idle
-                    # collector mean genuine exhaustion — but re-check after
-                    # the sleep: GC may have freed zones during the stall.
-                    self.gc.kick()
-                    yield self.sim.timeout(self.flash.timing.t_erase)
-                    stalls += 1
-                    if stalls >= 8 and self.gc.idle and self._host_stuck():
-                        raise LogicalIOError("device full: no reclaimable zones")
-                    continue
-            for _ in range(slots):
-                slot = self._rr[stream]
-                self._rr[stream] = (slot + 1) % slots
-                done = yield from self._append_in_slot(
-                    stream, slot, lpn, data, expect_ppn, oob, open_fresh=True
-                )
-                if done:
-                    return None
-            if stream == self.GC:
-                # No free zone for the collector: borrow remaining space in
-                # a host open zone (under that slot's lock, preserving the
-                # one-writer-per-zone program order).  The admission floor
-                # above guarantees this space exists for any chosen victim.
-                for hslot in range(self._slots[self.HOST]):
+            if stream == self.GC or self._unwritten - self._inflight > self.zone_pages:
+                for _ in range(slots):
+                    slot = self._rr[stream]
+                    self._rr[stream] = (slot + 1) % slots
                     done = yield from self._append_in_slot(
-                        self.HOST, hslot, lpn, data, expect_ppn, oob,
-                        open_fresh=False,
+                        stream, slot, lpn, data, expect_ppn, oob, open_fresh=True
                     )
                     if done:
                         return None
-                yield self.sim.timeout(self.flash.timing.t_erase)
-                continue
-            # Host passed admission but found no open slot (space sits in
-            # the GC zone): wait for the collector to free a zone.
+                if stream == self.GC:
+                    # No free zone for the collector: borrow remaining space
+                    # in a host open zone (under that slot's lock, preserving
+                    # the one-writer-per-zone program order).  The admission
+                    # floor guarantees this space exists for any victim.
+                    for hslot in range(self._slots[self.HOST]):
+                        done = yield from self._append_in_slot(
+                            self.HOST, hslot, lpn, data, expect_ppn, oob,
+                            open_fresh=False,
+                        )
+                        if done:
+                            return None
+                    yield self.sim.timeout(self.flash.timing.t_erase)
+                    continue
+            # The host is at the collector's reserve floor, or passed it but
+            # found no open slot (space sits in the GC zone): stall an erase
+            # cycle while GC reclaims.  Repeated stalls against an idle
+            # collector mean genuine exhaustion — but re-check after the
+            # sleep: GC may have freed zones during the stall.
             self.gc.kick()
             yield self.sim.timeout(self.flash.timing.t_erase)
             stalls += 1
@@ -233,10 +230,7 @@ class ZonedFtl(TranslationCore):
             return True
         if self._free:
             return False
-        return all(
-            zone is None or int(self._zone_wp[zone]) >= self.zone_pages
-            for zone in self._open[self.HOST]
-        )
+        return all(zone is None for zone in self._open[self.HOST])
 
     def _append_in_slot(
         self,
@@ -256,9 +250,19 @@ class ZonedFtl(TranslationCore):
         lock = self._locks[(stream, slot)]
         with lock.request() as req:
             yield req
-            zone = self._slot_zone(stream, slot, open_fresh=open_fresh)
-            if zone is None:
+            if (open_fresh and stream == self.HOST
+                    and self._unwritten - self._inflight <= self.zone_pages):
+                # a host append passed admission before this lock wait, and
+                # appends granted meanwhile may have reached the floor since
                 return False
+            # a slot holds a zone only while it is OPEN, so a held zone has
+            # room; an empty slot opens the next free zone if allowed
+            zone = self._open[stream][slot]
+            if zone is None:
+                if not open_fresh or not self._free:
+                    return False
+                zone = self._free[0]
+                self._transition(zone, ZoneState.OPEN, (stream, slot))
             wp = int(self._zone_wp[zone])
             ppn = zone * self.zone_pages + wp
             self._writers[zone] += 1
@@ -269,8 +273,7 @@ class ZonedFtl(TranslationCore):
                 self._zone_wp[zone] = wp + 1
                 self._unwritten -= 1
                 if wp + 1 == self.zone_pages:
-                    self._zone_state[zone] = ZoneState.FULL
-                    self._open[stream][slot] = None
+                    self._transition(zone, ZoneState.FULL, (stream, slot))
                 if expect_ppn is None or self.page_map.lookup(lpn) == expect_ppn:
                     self.page_map.bind(lpn, ppn)
             finally:
@@ -278,19 +281,6 @@ class ZonedFtl(TranslationCore):
                 self._inflight -= 1
             self._maybe_kick_gc()
             return True
-
-    def _slot_zone(self, stream: int, slot: int, open_fresh: bool = True) -> int | None:
-        """The slot's open zone, opening a fresh one when needed/allowed."""
-        zone = self._open[stream][slot]
-        if zone is not None and int(self._zone_wp[zone]) < self.zone_pages:
-            return zone
-        if not open_fresh:
-            return None
-        zone = self._free.popleft() if self._free else None
-        self._open[stream][slot] = zone
-        if zone is not None:
-            self._zone_state[zone] = ZoneState.OPEN
-        return zone
 
     def _erase_unit(self, zone: int) -> Generator:
         """Erase every block of a (mapping-free) zone; returns success."""
@@ -303,18 +293,39 @@ class ZonedFtl(TranslationCore):
                 yield from self.flash.erase_block(geo.block_address(block))
             except EraseFailure:
                 # grown bad block: the whole zone leaves service
-                self._zone_state[zone] = ZoneState.OFFLINE
-                self.zones_retired += 1
+                self._transition(zone, ZoneState.OFFLINE)
                 self.tracer.emit(
                     self.sim.now, self.name, "zone.retired", zone=zone, block=block
                 )
                 return False
-        self._zone_wp[zone] = 0
-        self._zone_state[zone] = ZoneState.EMPTY
-        self._free.append(zone)
-        self._unwritten += self.zone_pages
-        self.zone_resets += 1
+        self._transition(zone, ZoneState.EMPTY)
         return True
+
+    def _transition(
+        self, zone: int, to: ZoneState, slot: tuple[int, int] | None = None
+    ) -> None:
+        """Move ``zone`` along one lifecycle edge, keeping every structure
+        that mirrors its state in step; an edge not in the table raises.
+        ``slot`` is the ``(stream, slot)`` a move to OPEN enters and a move
+        to FULL leaves."""
+        frm = int(self._zone_state[zone])
+        if (frm, to) not in _EDGES:
+            raise RuntimeError(
+                f"zone {zone}: illegal transition {ZoneState(frm).name} -> {to.name}"
+            )
+        self._zone_state[zone] = to
+        if to == ZoneState.OPEN:
+            self._free.remove(zone)
+            self._open[slot[0]][slot[1]] = zone
+        elif to == ZoneState.FULL:
+            self._open[slot[0]][slot[1]] = None
+        elif to == ZoneState.EMPTY:
+            self._zone_wp[zone] = 0
+            self._free.append(zone)
+            self._unwritten += self.zone_pages
+            self.zone_resets += 1
+        else:
+            self.zones_retired += 1
 
     # -- garbage collection ----------------------------------------------------
     def _choose_victim(self) -> int | None:
@@ -324,12 +335,11 @@ class ZonedFtl(TranslationCore):
         headroom = self._unwritten
         best = None
         best_valid = None
-        for zone in range(self.zone_count):
-            if self._zone_state[zone] != ZoneState.FULL:
-                continue
+        for zone in np.flatnonzero(self._zone_state == ZoneState.FULL).tolist():
             if zone in self._reclaiming or self._writers[zone] != 0:
                 continue
-            valid = self._zone_valid_pages(zone)
+            blocks = self._unit_block_range(zone)
+            valid = int(self.page_map.valid_count[blocks.start:blocks.stop].sum())
             if valid >= self.zone_pages or valid > headroom:
                 continue  # nothing reclaimable, or uncompletable right now
             if best_valid is None or (valid, zone) < (best_valid, best):
@@ -337,30 +347,10 @@ class ZonedFtl(TranslationCore):
         return best
 
     # -- reporting -------------------------------------------------------------
-    def zone_report(self) -> dict:
-        """Zone-state telemetry: counts per state plus lifetime counters."""
-        states = [int(s) for s in self._zone_state]
-        return {
-            "zones": self.zone_count,
-            "zone_blocks": self.zone_blocks,
-            "zone_pages": self.zone_pages,
-            "empty": states.count(ZoneState.EMPTY),
-            "open": states.count(ZoneState.OPEN),
-            "full": states.count(ZoneState.FULL),
-            "offline": states.count(ZoneState.OFFLINE),
-            "free": len(self._free),
-            "resets": self.zone_resets,
-            "retired": self.zones_retired,
-            "max_write_pointer": int(self._zone_wp.max()),
-        }
-
     def stats(self) -> dict[str, float]:
-        report = self.zone_report()
+        counts = np.bincount(self._zone_state, minlength=len(ZoneState)).tolist()
         return {
             **super().stats(),
-            "zones_empty": report["empty"],
-            "zones_open": report["open"],
-            "zones_full": report["full"],
-            "zones_offline": report["offline"],
+            **{f"zones_{state.name.lower()}": counts[state] for state in ZoneState},
             "zone_resets": self.zone_resets,
         }

@@ -24,6 +24,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import bisect
+import copy
 from functools import partialmethod
 from typing import Any, Callable, Iterable, Iterator
 
@@ -335,6 +336,14 @@ class MetricsRegistry:
         self.enabled = enabled
         self._clock = clock
         self._instruments: dict[str, Instrument] = {}
+        self._scope: dict[str, Any] = {}
+
+    def scoped(self, **labels: Any) -> "MetricsRegistry":
+        """This registry, adding ``labels`` to every view registered through
+        the result (a fleet's ``node`` label: device names repeat per node)."""
+        child = copy.copy(self)
+        child._scope = {**self._scope, **labels}
+        return child
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -379,7 +388,7 @@ class MetricsRegistry:
             view = self._instruments[name] = View(self, name, help, kind)
         elif not isinstance(view, View) or view.kind != kind:
             raise ValueError(f"instrument {name!r} already registered as {view.kind}")
-        view._sources.append((labels, tuple(keys), read))
+        view._sources.append(({**self._scope, **labels}, tuple(keys), read))
 
     counter_view = partialmethod(_view, "counter")
     gauge_view = partialmethod(_view, "gauge")

@@ -159,7 +159,7 @@ class Timeout(Event):
     Built by :meth:`Simulator.timeout` without an ``__init__`` call.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
 
 class Initialize(Event):
@@ -459,7 +459,6 @@ class Simulator:
         ev._ok = True
         ev._triggered = True
         ev._defused = False
-        ev.delay = delay
         if daemon:
             self._schedule(ev, delay, NORMAL, True)
             return ev

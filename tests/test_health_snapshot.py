@@ -44,7 +44,7 @@ def test_smart_gauge_and_fleet_health_read_the_ftl_snapshot(backend):
     assert smart["gc_collections"] == stats["gc_collections"]
     assert smart["scrub_refreshes"] == stats.get("scrub_refreshes", 0)
 
-    gauge = sample(fleet.metrics["ftl.free_blocks"], device=f"{ssd.name}.ftl")
+    gauge = sample(fleet.metrics["ftl.free_blocks"], node="node0", device=f"{ssd.name}.ftl")
     assert gauge == stats["free_blocks"]
 
     smarts = [s.controller.smart_log() for node in fleet.nodes for s in node.compstors]

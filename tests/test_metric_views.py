@@ -13,14 +13,17 @@ the counter and histogram families of the Prometheus text of three runs:
 
 (a) and (c) were recorded when every counter was still pushed by hand,
 so they show the views export the same families, label sets and values.
-So was (b), except for the last digits of the ``power.energy_joules``
-samples whose component names repeat across the two nodes: pushes added
-each charge into one float in time order, while the view adds each
-node's meter total, and float addition depends on order.  (a) and (b)
-were re-pinned when the HELP line of ``client.minions`` changed from
-"minions dispatched by the in-situ client" to what it counts, "minions
-answered without a retryable failure"; with the old line put back, both
-exports hash to their previous digests.
+(a) and (b) were re-pinned when the HELP line of ``client.minions``
+changed from "minions dispatched by the in-situ client" to what it
+counts, "minions answered without a retryable failure"; with the old
+line put back, both exports hash to their previous digests.
+
+(b) is the only fleet, and was re-pinned once more when each node's views
+gained a ``node`` label: device names repeat across nodes, so the views of
+``node0/compstor0`` and ``node1/compstor0`` had landed on one label set
+and added up, ratios too (``ftl.write_amplification`` read 2 with both
+drives at 1).  Every node-labelled sample sums over nodes to the sample
+the unlabelled export held; (a) and (c) build one node and do not move.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ from tests.test_ftl import drive
 from tests.test_obs_metrics import sample
 
 METRICS_VERB_DIGEST = "a26fda73de299a99d991579862c000da04ec467d0a652ea619676e83a9f1f28f"
-CHAOS_DRILL_DIGEST = "f921f007bccd1b402ad27421ed33672ac40926f062ffb4f675af44c59e9f36ef"
+CHAOS_DRILL_DIGEST = "a0b8f4073794d409b6656ececd730d1d7e8aaded842af22f8dbe5702d82986b8"
 GC_CHURN_DIGEST = "3ae8bf2b8453a1c9adcc95d98fee0edfa117f98da52b956cc3bdb036997c430f"
 
 
@@ -163,18 +166,18 @@ def test_chaos_drill_views_equal_the_attributes_they_read():
                  "cluster.failovers", "faults.injected", "faults.recovered"):
         assert counters[name] > 0, name
 
-    for name in {s.name for s in ssds}:
-        same = [s for s in ssds if s.name == name]  # one per node
-        device = {"device": f"{name}.ftl"}
-        assert sample(metrics["ftl.host_reads"], 0, **device) == sum(s.ftl.host_reads for s in same)
-        assert sample(metrics["ftl.free_blocks"], **device) == sum(
-            s.ftl.stats()["free_blocks"] for s in same
-        )
-        assert sample(metrics["isps.minions.active"], device=name) == sum(
-            s.agent.active_minions for s in same
-        )
-    for component in {c for node in nodes for c in node.meter._active}:
-        expected = 0.0
-        for node in nodes:
-            expected += node.meter._active.get(component, 0.0)
-        assert sample(metrics["power.energy_joules"], 0.0, component=component) == expected
+    # node-scoped views carry their node: one sample per (node, device)
+    for index, node in enumerate(nodes):
+        where = {"node": f"node{index}"}
+        for s in node.compstors:
+            device = {**where, "device": f"{s.name}.ftl"}
+            assert sample(metrics["ftl.host_reads"], 0, **device) == s.ftl.host_reads
+            assert sample(metrics["ftl.free_blocks"], **device) == s.ftl.stats()["free_blocks"]
+            assert sample(metrics["ftl.write_amplification"], **device) == (
+                s.ftl.write_amplification()
+            )
+            assert sample(metrics["isps.minions.active"], **where, device=s.name) == (
+                s.agent.active_minions
+            )
+        for component, joules in node.meter._active.items():
+            assert sample(metrics["power.energy_joules"], **where, component=component) == joules

@@ -122,4 +122,4 @@ def test_per_lpn_write_order_is_preserved(ops, workers):
                 pytest.fail(f"lpn {lpn}: destage order {seen} not a subsequence of {writes}")
     # nothing is left anywhere
     assert len(buf.entries) == 0
-    assert buf._inflight == 0
+    assert not buf._inflight_lpns

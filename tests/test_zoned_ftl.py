@@ -151,9 +151,9 @@ def test_stats_and_health_keys():
     assert "scrub_refreshes" not in stats
     assert stats["free_blocks"] == ftl.free_units * ftl.zone_blocks
     assert stats["bad_blocks"] == 0
-    report = ftl.zone_report()
-    assert report["zones"] == 12
-    assert report["empty"] + report["open"] + report["full"] + report["offline"] == 12
+    states = [stats[f"zones_{s}"] for s in ("empty", "open", "full", "offline")]
+    assert sum(states) == ftl.zone_count == 12
+    assert stats["zones_open"] > 0 and stats["zone_resets"] == 0
 
 
 def test_zoned_node_exports_ftl_metrics():
@@ -196,6 +196,26 @@ def _fill_until_a_zone_is_full(ftl, payload):
         if full:
             return full
     raise AssertionError("no zone filled")
+
+
+def test_illegal_zone_transition_raises():
+    """Only the lifecycle table's edges are legal: a reset of an EMPTY
+    zone (which would put it on the free list twice) raises and changes
+    nothing, as do the other edges outside the table."""
+    sim, ftl = make_zoned()
+    zone = ftl._free[-1]
+    for to in (ZoneState.EMPTY, ZoneState.FULL, ZoneState.OFFLINE):
+        with pytest.raises(RuntimeError, match=f"EMPTY -> {to.name}"):
+            ftl._transition(zone, to)
+    assert list(ftl._free).count(zone) == 1
+    assert ftl.free_units == ftl.zone_count and ftl.zone_resets == 0
+
+    ftl._transition(zone, ZoneState.OPEN, (ftl.HOST, 0))
+    with pytest.raises(RuntimeError, match="OPEN -> EMPTY"):
+        ftl._transition(zone, ZoneState.EMPTY)
+    with pytest.raises(RuntimeError, match="OPEN -> OPEN"):
+        ftl._transition(zone, ZoneState.OPEN, (ftl.HOST, 1))
+    assert ftl._open[ftl.HOST] == [zone, None] and zone not in ftl._free
 
 
 def retire_by_churn(ftl, payload):
