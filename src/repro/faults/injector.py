@@ -201,6 +201,6 @@ class FaultInjector:
         """
         os_ = ssd.isps.os
         for pid in sorted(os_.process_table):
-            if os_.process_table[pid].alive and os_.kill(pid, reason):
+            if os_.kill(pid, reason):
                 self.minions_killed += 1
 

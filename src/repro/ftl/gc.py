@@ -78,7 +78,10 @@ class GarbageCollector:
     page a late program binds) so no read ever observes an erased page,
     then lets the backend erase the unit.  The backend chooses victims and
     erases them; ``kind`` prefixes the collector's trace records and kick
-    event, ``unit`` names the victim in them.
+    event, ``unit`` names the victim in them.  ``exclusive`` marks a backend
+    whose victim choice budgets relocation space for one collection at a
+    time (the zoned FTL): there a second collection started while another
+    runs raises instead of stranding both.
     """
 
     def __init__(
@@ -88,6 +91,7 @@ class GarbageCollector:
         high_watermark: int,
         kind: str = "gc",
         unit: str = "block",
+        exclusive: bool = False,
     ):
         if high_watermark < low_watermark:
             raise ValueError("high_watermark must be >= low_watermark")
@@ -96,6 +100,7 @@ class GarbageCollector:
         self.high_watermark = high_watermark
         self.kind = kind
         self.unit = unit
+        self.exclusive = exclusive
         self.collections = 0
         self.pages_relocated = 0
         self.wl_migrations = 0
@@ -143,6 +148,13 @@ class GarbageCollector:
     def _collect(self, unit: int) -> Generator:
         """Relocate valid pages out of ``unit`` and erase it."""
         ftl = self.ftl
+        if self.exclusive and ftl._reclaiming:
+            busy = ", ".join(str(u) for u in sorted(ftl._reclaiming))
+            raise RuntimeError(
+                f"{self.unit} {unit}: collection started while {self.unit} {busy} "
+                f"is being collected; this backend relocates for one collection "
+                f"at a time"
+            )
         if unit in ftl._reclaiming:
             return  # the scrubber got there first
         ftl._reclaiming.add(unit)

@@ -144,7 +144,9 @@ class ZonedFtl(TranslationCore):
 
         self.write_buffer = self._start_write_buffer(workers=max(4, max_open_zones))
         # whole-zone collector, driven by free-zone watermarks
-        self.gc = GarbageCollector(self, 1, 2, kind="zone-gc", unit="zone")
+        self.gc = GarbageCollector(
+            self, 1, 2, kind="zone-gc", unit="zone", exclusive=True
+        )
 
     @property
     def free_units(self) -> int:

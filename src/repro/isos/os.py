@@ -4,6 +4,15 @@
 embedded Linux (over a :class:`~repro.isos.blockdev.FlashAccessDevice`) and
 as the host's Ubuntu (over an NVMe block device).  Identical semantics on
 both sides is the point — an executable does not know where it runs.
+
+``process_table`` lists live processes only: a process removes its own
+entry when it exits or fails, after recording its outcome on its
+:class:`~repro.isos.process.OsProcess`.  Whoever holds that record (the
+ISPS agent's handler, tracker and watchdog; callers of :meth:`run` and
+:meth:`run_script`) still reads the outcome from it, and once the last
+holder lets go the record, its simulation process and its exit status are
+freed, so a long-running service holds memory for its live processes, not
+for every request it has served.
 """
 
 from __future__ import annotations
@@ -93,12 +102,14 @@ class EmbeddedOS:
             except BaseException as exc:
                 entry.state = ProcessState.FAILED
                 entry.error = exc
-                entry.finished_at = self.sim.now
                 raise
-            entry.state = ProcessState.EXITED
-            entry.exit_status = status
-            entry.finished_at = self.sim.now
-            return status
+            else:
+                entry.state = ProcessState.EXITED
+                entry.exit_status = status
+                return status
+            finally:
+                entry.finished_at = self.sim.now
+                del self.process_table[entry.pid]
 
         sim_proc = self.sim.process(body(), name=f"{self.name}.{stages[0][0]}")
         entry = OsProcess(command=command_line, sim_process=sim_proc, started_at=self.sim.now)
@@ -114,10 +125,11 @@ class EmbeddedOS:
 
     def kill(self, pid: int, reason: str = "killed") -> bool:
         """SIGKILL: interrupt a running process.  Returns False if the pid
-        is unknown or already dead.  The victim's waiters see the
-        :class:`~repro.sim.core.Interrupt` raised out of :meth:`wait`."""
+        is unknown or already dead (a dead process has left the table).
+        The victim's waiters see the :class:`~repro.sim.core.Interrupt`
+        raised out of :meth:`wait`."""
         entry = self.process_table.get(pid)
-        if entry is None or not entry.alive:
+        if entry is None:
             return False
         entry.sim_process.interrupt(reason)
         self.tracer.emit(self.sim.now, self.name, "os.kill", pid=pid, reason=reason)
@@ -141,7 +153,7 @@ class EmbeddedOS:
 
     # -- introspection / telemetry ----------------------------------------------
     def running_processes(self) -> int:
-        return sum(1 for entry in self.process_table.values() if entry.alive)
+        return len(self.process_table)
 
     def uptime(self) -> float:
         return self.sim.now - self.booted_at

@@ -38,7 +38,3 @@ class OsProcess:
     state: ProcessState = ProcessState.RUNNING
     exit_status: ExitStatus | None = None
     error: BaseException | None = None
-
-    @property
-    def alive(self) -> bool:
-        return self.state == ProcessState.RUNNING

@@ -247,8 +247,12 @@ class IspsAgent:
         )
 
     def _watchdog(self, process, timeout_seconds: float) -> Generator:
-        """Kill a runaway task: SIGKILL as an interrupt into its process."""
-        yield self.sim.timeout(timeout_seconds)
+        """Kill a runaway task: SIGKILL as an interrupt into its process.
+
+        The deadline is a daemon timer, so it does not hold the simulation
+        open past a minion that finished early; while the minion runs, the
+        tracker's polls keep the run live until the deadline fires."""
+        yield self.sim.timeout(timeout_seconds, daemon=True)
         if process.state == ProcessState.RUNNING:
             process.sim_process.interrupt("agent watchdog timeout")
             self.watchdog_kills += 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import FlashConfig, FleetConfig, ScenarioConfig
 from repro.config import build_node as build_node_from
+from repro.isos.loader import ExitStatus
 from repro.proto import Command, QueryKind, ResponseStatus
 from repro.sim import Tracer
 
@@ -324,6 +325,39 @@ def test_minion_completes_before_watchdog():
     response = drive(node, flow())
     assert response.ok
     assert response.stdout == b"1"
+    # the deadline does not hold the run open past the finished minion: the
+    # run drains after the tracker's last poll, not at the 30 s deadline
+    node.sim.run()
+    assert node.sim.now < 0.05
+    assert ssd.agent.watchdog_kills == 0
+
+
+def test_watchdog_kills_a_minion_blocked_forever():
+    """A minion waiting on an event that never fires is still killed at its
+    deadline: the tracker's polls keep the run live until the daemon
+    deadline fires."""
+    node = build_node(devices=1)
+    ssd = node.compstors[0]
+
+    class StuckApp:
+        name = "stuck"
+
+        def run(self, ctx):
+            yield ctx.sim.event(name="never")
+            return ExitStatus(code=0)
+
+    ssd.isps.os.install_executable(StuckApp())
+
+    def flow():
+        return (
+            yield from node.client.run("compstor0", "stuck", timeout_seconds=0.05)
+        )
+
+    response = drive(node, flow())
+    assert response.status == ResponseStatus.TIMEOUT
+    assert 0.05 <= node.sim.now < 0.06
+    assert ssd.agent.watchdog_kills == 1
+    assert ssd.isps.os.process_table == {}
 
 
 def test_negative_timeout_rejected():

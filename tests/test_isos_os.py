@@ -268,13 +268,33 @@ def test_script_runs_sequentially_and_stops_on_failure():
 
 
 def test_ps_and_process_table():
+    """The table lists live processes only; an exited one leaves it, and
+    its holder still reads the outcome from the record."""
     sim, os_ = make_os()
-    drive(sim, os_.run("echo a"))
-    drive(sim, os_.run("echo b"))
-    table = list(os_.process_table.values())
-    assert len(table) == 2
-    assert all(entry.state == ProcessState.EXITED for entry in table)
+    procs = [os_.spawn("echo a"), os_.spawn("echo b")]
+    assert sorted(os_.process_table) == sorted(p.pid for p in procs)
+    assert os_.running_processes() == 2
+
+    def waiter():
+        for p in procs:
+            yield from os_.wait(p)
+
+    drive(sim, waiter())
+    assert os_.process_table == {}
     assert os_.running_processes() == 0
+    assert [p.state for p in procs] == [ProcessState.EXITED] * 2
+    assert [p.exit_status.stdout for p in procs] == [b"a", b"b"]
+    assert all(p.finished_at == sim.now for p in procs)
+
+
+def test_failed_process_leaves_the_table():
+    sim, os_ = make_os()
+    process = os_.spawn("crash")
+    with pytest.raises(RuntimeError):
+        drive(sim, os_.wait(process))
+    assert os_.process_table == {}
+    assert process.state == ProcessState.FAILED
+    assert isinstance(process.error, RuntimeError)
 
 
 def test_concurrent_processes_share_cores():
@@ -360,4 +380,5 @@ def test_kill_unknown_or_dead_pid():
     sim, os_ = make_os()
     assert os_.kill(999999) is False
     status, process = drive(sim, os_.run("echo done"))
+    assert process.pid not in os_.process_table
     assert os_.kill(process.pid) is False  # already exited

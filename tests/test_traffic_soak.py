@@ -11,7 +11,9 @@ pinned drills never see.  The test asserts:
 - the scorecard digest matches the pinned value (the same line
   ``repro traffic --preset traffic-soak --mixes poisson`` prints);
 - a ``--workers 4`` cached replay through the parallel runner returns
-  byte-identical payloads with ``executed == 0``.
+  byte-identical payloads with ``executed == 0``;
+- the embedded OSes keep no exited process: probes over the run and a
+  check after it (``tests/test_process_retention.py``), on the same cell.
 
 Excluded from the default run by the ``slow`` marker (``addopts`` carries
 ``-m 'not slow'``); CI runs it as a separate non-blocking job::
@@ -30,6 +32,7 @@ from repro.config.presets import preset
 from repro.obs import MetricsRegistry
 from repro.families import FAMILIES
 from repro.parallel import ResultCache, payload_digest, run_jobs
+from tests.test_process_retention import serve_and_check
 
 pytestmark = pytest.mark.slow
 
@@ -64,3 +67,8 @@ def test_soak_conserves_requests_and_replays_from_cache(tmp_path) -> None:
     replay = run_jobs(specs, workers=4, cache=cache, metrics=MetricsRegistry())
     assert replay.executed == 0, "cached soak replay recomputed cells"
     assert replay.values() == values, "cached replay diverged byte-for-byte"
+
+
+def test_soak_keeps_no_exited_process() -> None:
+    payload = serve_and_check("traffic-soak", probes=10)
+    assert payload_digest([payload]) == SOAK_DIGEST

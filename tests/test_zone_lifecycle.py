@@ -211,3 +211,36 @@ def test_zone_lifecycle_holds_deep():
     run_state_machine_as_test(
         ZoneLifecycle, settings=settings(max_examples=200, stateful_step_count=50)
     )
+
+
+def test_second_zoned_collection_raises_while_one_runs():
+    """The zoned victim choice budgets relocation space for one collection
+    at a time, so a second collection started while the background one runs
+    raises, naming both zones, instead of stranding both; the background
+    collection still completes."""
+    machine = ZoneLifecycle()
+    for _ in range(4):
+        machine.host_write(0, 24)  # overwrites leave full zones to reclaim
+    machine.flush()
+    sim, ftl = machine.sim, machine.ftl
+    gc = ftl.gc
+    gc.high_watermark = ftl.free_units + 1
+    gc.kick()
+    for _ in range(MAX_EVENTS):
+        if ftl._reclaiming:
+            break
+        sim.step()
+    (busy,) = ftl._reclaiming
+    other = next(
+        zone for zone in range(ftl.zone_count)
+        if zone != busy and ftl._zone_state[zone] == ZoneState.FULL
+    )
+    with pytest.raises(RuntimeError, match=f"zone {other}: .* zone {busy} is being"):
+        next(gc._collect(other))
+    assert ftl._reclaiming == {busy}
+    for _ in range(MAX_EVENTS):
+        if gc.idle:
+            break
+        sim.step()
+    assert gc.idle and not ftl._reclaiming and gc.collections == 1
+    check_zones(ftl)
