@@ -210,7 +210,7 @@ class IspsAgent:
                 )
                 if command.timeout_seconds > 0:
                     self.sim.process(
-                        self._watchdog(process, command.timeout_seconds),
+                        self._watchdog(os_, process.pid, command.timeout_seconds),
                         name="agent.watchdog",
                     )
                 status = yield from os_.wait(process)
@@ -246,15 +246,17 @@ class IspsAgent:
             status=status_kind, exit_code=exit_code, stdout=stdout, detail=detail
         )
 
-    def _watchdog(self, process, timeout_seconds: float) -> Generator:
-        """Kill a runaway task: SIGKILL as an interrupt into its process.
+    def _watchdog(self, os_, pid: int, timeout_seconds: float) -> Generator:
+        """Kill a runaway task: SIGKILL (``os_.kill``) into its process.
 
         The deadline is a daemon timer, so it does not hold the simulation
         open past a minion that finished early; while the minion runs, the
-        tracker's polls keep the run live until the deadline fires."""
+        tracker's polls keep the run live until the deadline fires.  It
+        holds the pid, not the process, so a minion that exits early is
+        freed at once; at the deadline ``kill`` finds a finished pid gone
+        from the process table and does nothing."""
         yield self.sim.timeout(timeout_seconds, daemon=True)
-        if process.state == ProcessState.RUNNING:
-            process.sim_process.interrupt("agent watchdog timeout")
+        if os_.kill(pid, "agent watchdog timeout"):
             self.watchdog_kills += 1
         return None
 

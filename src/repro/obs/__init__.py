@@ -4,9 +4,10 @@ The operational layer the paper's STATUS story implies ("ARM cores
 utilization, or temperature of the cores ... used for load balancing"),
 grown to fleet scale:
 
-- :mod:`repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram`` instruments
-  and pull ``View`` families over components' own counts, in a
-  :class:`MetricsRegistry`, sampled against simulation time;
+- :mod:`repro.obs.metrics` — pull ``View`` families (every counter and
+  gauge, read from components' own counts at export) and pushed
+  ``Histogram`` instruments, in a :class:`MetricsRegistry`, sampled
+  against simulation time;
 - :mod:`repro.obs.spans` — causal span trees over :class:`repro.sim.Tracer`
   (a minion's life as one tree, per Table III);
 - :mod:`repro.obs.health` — :func:`fleet_health`, one pure rollup of a
@@ -24,8 +25,6 @@ from repro.obs.export import to_json_lines, to_prometheus
 from repro.obs.health import FleetHealth, fleet_health
 from repro.obs.metrics import (
     NULL_METRICS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     View,
@@ -42,9 +41,7 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "Counter",
     "FleetHealth",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",

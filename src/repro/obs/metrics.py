@@ -1,20 +1,25 @@
 """Fleet-wide metrics instruments.
 
-A :class:`MetricsRegistry` hands out :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments keyed by hierarchical dotted names (e.g.
-``"ftl.gc.collections"``) plus label dicts (``device="compstor0"``), the
-observability substrate the paper's operational story needs ("ARM cores
-utilization, or temperature of the cores ... used for load balancing").
+A :class:`MetricsRegistry` holds :class:`View` families (counters and
+gauges) and :class:`Histogram` instruments keyed by hierarchical dotted
+names (e.g. ``"ftl.gc.collections"``) plus label dicts
+(``device="compstor0"``), the observability substrate the paper's
+operational story needs ("ARM cores utilization, or temperature of the
+cores ... used for load balancing").
 
 Design constraints, in order:
 
-1. **One counter per fact; the default path pays nothing.**  Components
-   count in their own attributes and export counters and gauges as
-   :class:`View` families (``counter_view``/``gauge_view``) read only when
-   the registry is collected; a disabled registry such as
-   :data:`NULL_METRICS` registers none.  Histograms, which need every
-   observation, are pushed behind one ``metrics.enabled`` test.  The
-   overhead guard bench (``benchmarks/test_obs_overhead.py``) enforces this.
+1. **One counter per fact; the default path pays nothing.**  Every
+   counter and gauge is a count a component keeps in its own attributes
+   (the ``SloTracker``'s tallies included), exported as a :class:`View`
+   family (``counter_view``/``gauge_view``) that is read only when the
+   registry is collected; a disabled registry such as
+   :data:`NULL_METRICS` registers none.  There is no pushed counter or
+   gauge.  Histograms, which need every observation, are the only push
+   instruments, behind one ``metrics.enabled`` test.  The overhead guard
+   bench (``benchmarks/test_obs_overhead.py``) and the call budgets in
+   ``tests/test_default_off_calls.py`` and ``tests/test_serve_calls.py``
+   enforce this.
 2. **Simulation-time aware.**  Samples are stamped with the registry's
    clock (wire ``clock=lambda: sim.now``).
 3. **No new dependencies** — exporters (:mod:`repro.obs.export`) turn the
@@ -29,8 +34,6 @@ from functools import partialmethod
 from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
@@ -68,65 +71,7 @@ def _exact_quantile(samples: list[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * fraction
 
 
-class Instrument:
-    """Shared plumbing: a named family of per-label-set values."""
-
-    kind = "untyped"
-
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str = ""):
-        self.registry = registry
-        self.name = name
-        self.help = help
-        self._values: dict[LabelKey, Any] = {}
-        self._updated: dict[LabelKey, float] = {}
-
-    # -- sample access ------------------------------------------------------
-    def samples(self) -> list[tuple[dict[str, str], Any, float]]:
-        """``(labels, value, last_update_time)`` per label set, sorted."""
-        return [
-            (dict(key), self._values[key], self._updated.get(key, 0.0))
-            for key in sorted(self._values)
-        ]
-
-    def _stamp(self, key: LabelKey) -> None:
-        self._updated[key] = self.registry.now()
-
-
-class Counter(Instrument):
-    """Monotonically increasing count (events, pages, joules, ...)."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if not self.registry.enabled:
-            return
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for deltas")
-        key = _label_key(labels)
-        value = self._values.get(key, 0.0) + amount
-        self._values[key] = value
-        self._stamp(key)
-
-    def total(self) -> float:
-        """Sum across all label sets."""
-        return float(sum(self._values.values()))
-
-
-class Gauge(Instrument):
-    """A value that can go up and down (queue depth, utilisation, WA)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: Any) -> None:
-        if not self.registry.enabled:
-            return
-        key = _label_key(labels)
-        self._values[key] = float(value)
-        self._stamp(key)
-
-
-
-class View(Instrument):
+class View:
     """A counter or gauge family read from components when it is sampled.
 
     Each source is ``(labels, keys, read)``. Without ``keys``, ``read()``
@@ -162,8 +107,6 @@ class View(Instrument):
         values = self._values
         return [(dict(key), values[key], now) for key in sorted(values)]
 
-    total = Counter.total
-
 
 class _HistogramState:
     """Per-label-set histogram accumulator."""
@@ -181,7 +124,7 @@ class _HistogramState:
         self.samples: list[float] | None = [] if keep_samples else None
 
 
-class Histogram(Instrument):
+class Histogram:
     """Bucketed distribution with percentile estimation.
 
     Buckets are upper bounds (Prometheus ``le`` convention); one implicit
@@ -205,7 +148,11 @@ class Histogram(Instrument):
         buckets: Iterable[float] | None = None,
         exact_limit: int = 0,
     ):
-        super().__init__(registry, name, help)
+        self.registry = registry
+        self.name = name
+        self.help = help
+        self._values: dict[LabelKey, _HistogramState] = {}
+        self._updated: dict[LabelKey, float] = {}
         bounds = tuple(sorted(buckets)) if buckets is not None else DEFAULT_BUCKETS
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -235,8 +182,14 @@ class Histogram(Instrument):
             state.samples.append(value)
             if len(state.samples) > self.exact_limit:
                 state.samples = None  # degrade permanently; memory stays bounded
-        self._stamp(key)
+        self._updated[key] = self.registry.now()
 
+    def samples(self) -> list[tuple[dict[str, str], _HistogramState, float]]:
+        """``(labels, state, last_observation_time)`` per label set, sorted."""
+        return [
+            (dict(key), self._values[key], self._updated.get(key, 0.0))
+            for key in sorted(self._values)
+        ]
 
     # -- statistics ---------------------------------------------------------
     def _state(self, **labels: Any) -> _HistogramState | None:
@@ -335,7 +288,7 @@ class MetricsRegistry:
     ):
         self.enabled = enabled
         self._clock = clock
-        self._instruments: dict[str, Instrument] = {}
+        self._instruments: dict[str, Histogram | View] = {}
         self._scope: dict[str, Any] = {}
 
     def scoped(self, **labels: Any) -> "MetricsRegistry":
@@ -356,24 +309,6 @@ class MetricsRegistry:
         return self._clock() if self._clock is not None else 0.0
 
     # -- instrument factories ------------------------------------------------
-    def _instrument(self, cls: type, name: str, help: str, **kw: Any) -> Any:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not cls:
-                raise ValueError(
-                    f"instrument {name!r} already registered as {existing.kind}"
-                )
-            return existing
-        instrument = cls(self, name, help, **kw)
-        self._instruments[name] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._instrument(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._instrument(Gauge, name, help)
-
     def _view(
         self, kind: str, name: str, help: str, read: Callable[[], Any],
         keys: tuple[str, ...] = (), **labels: Any,
@@ -400,12 +335,17 @@ class MetricsRegistry:
         buckets: Iterable[float] | None = None,
         exact_limit: int = 0,
     ) -> Histogram:
-        return self._instrument(
-            Histogram, name, help, buckets=buckets, exact_limit=exact_limit
-        )
+        existing = self._instruments.get(name)
+        if existing is None:
+            existing = self._instruments[name] = Histogram(
+                self, name, help, buckets=buckets, exact_limit=exact_limit
+            )
+        elif not isinstance(existing, Histogram):
+            raise ValueError(f"instrument {name!r} already registered as {existing.kind}")
+        return existing
 
     # -- introspection -------------------------------------------------------
-    def collect(self) -> Iterator[Instrument]:
+    def collect(self) -> Iterator[Histogram | View]:
         """Instruments in name order (stable export)."""
         for name in sorted(self._instruments):
             yield self._instruments[name]
@@ -413,7 +353,7 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
 
-    def __getitem__(self, name: str) -> Instrument:
+    def __getitem__(self, name: str) -> Histogram | View:
         return self._instruments[name]
 
     def names(self, prefix: str = "") -> list[str]:

@@ -15,8 +15,8 @@ no whitespace, NaN rejected) and hashed; the digest is how the serial and
 parallel paths prove they produced bit-identical results.
 
 This module reads the host clock (``time.perf_counter``) deliberately: the
-per-job wall time it reports measures the host, not the model, and feeds
-the runner's ``parallel.job.wall_seconds`` histogram.
+per-job wall time it reports (``JobResult.wall_seconds``) measures the
+host, not the model.
 """
 
 from __future__ import annotations

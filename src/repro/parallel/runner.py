@@ -13,13 +13,13 @@ Failure policy: workers never raise across the pool boundary; every job
 reports, then the runner raises one :class:`JobError` carrying every
 traceback (canonical order).  A failed job is never cached.
 
-Per-job telemetry flows through :mod:`repro.obs` when a registry is
-passed: ``parallel.jobs.completed`` / ``parallel.jobs.cache_hits`` /
-``parallel.jobs.failed`` counters (labelled per job) and the
-``parallel.job.wall_seconds`` histogram.
+The returned :class:`RunReport` is the run's only telemetry: jobs
+executed, cache hits, the worker count, the whole-run wall time, and per
+job (:class:`~repro.parallel.jobs.JobResult`) its host wall seconds and
+whether it came from the cache.
 
-Wall-clock note: this module times the *host* on purpose (per-job wall
-seconds for the telemetry above); simulation time never appears here.
+Wall-clock note: this module times the *host* on purpose (the run's wall
+seconds above); simulation time never appears here.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import JobResult, JobSpec, execute_job
 
@@ -69,38 +68,6 @@ class RunReport:
         )
 
 
-@dataclass
-class _Instruments:
-    registry: MetricsRegistry = field(default=NULL_METRICS)
-
-    def __post_init__(self) -> None:
-        self.completed = self.registry.counter(
-            "parallel.jobs.completed", "jobs executed (cache misses)"
-        )
-        self.cache_hits = self.registry.counter(
-            "parallel.jobs.cache_hits", "jobs served from the result cache"
-        )
-        self.failed = self.registry.counter(
-            "parallel.jobs.failed", "jobs that raised in a worker"
-        )
-        self.wall = self.registry.histogram(
-            "parallel.job.wall_seconds", "per-job host wall time"
-        )
-        self.workers = self.registry.gauge(
-            "parallel.workers", "configured worker count of the last run"
-        )
-
-    def record(self, result: JobResult) -> None:
-        if result.error is not None:
-            self.failed.inc(job=result.name)
-            return
-        if result.cached:
-            self.cache_hits.inc(job=result.name)
-        else:
-            self.completed.inc(job=result.name)
-        self.wall.observe(result.wall_seconds, job=result.name)
-
-
 def _ensure_importable_children() -> tuple[str, str | None]:
     """Make sure spawn workers can ``import repro``; returns restore state.
 
@@ -132,7 +99,6 @@ def run_jobs(
     specs: Sequence[JobSpec],
     workers: int = 1,
     cache: ResultCache | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> RunReport:
     """Run every spec; return results in spec order regardless of workers.
 
@@ -144,8 +110,6 @@ def run_jobs(
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"job names must be unique, got {names}")
-    instruments = _Instruments(metrics if metrics is not None else NULL_METRICS)
-    instruments.workers.set(workers)
 
     start = time.perf_counter()
     results: dict[str, JobResult] = {}
@@ -182,7 +146,6 @@ def run_jobs(
     executed = 0
     for spec in specs:
         result = results[spec.name]
-        instruments.record(result)
         if result.cached or result.error is not None:
             continue
         executed += 1

@@ -193,6 +193,7 @@ class ServiceFrontend:
             self._worker_count = service.concurrency
             self._allowed = service.concurrency
             self._gated = False
+        self.tracker.on_concurrency(self._allowed)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -413,8 +414,8 @@ class ServiceFrontend:
         extras: dict = {}
         if self.driver is not None:
             counters = self.driver.counters()
-            counters["abandoned"] = self.tracker.abandoned_total
-            counters["stale"] = self.tracker.stale_total
+            counters["abandoned"] = self.tracker.abandoned.total()
+            counters["stale"] = self.tracker.stale.total()
             extras["closed"] = counters
             extras["goodput"] = self._goodput_windows(start, self.sim.now)
         if self.overload is not None:

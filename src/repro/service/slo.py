@@ -5,10 +5,15 @@ admission decision, completion, and loss lands here, and :meth:`report`
 freezes the run into a :class:`SloReport` — the JSON-able scorecard the
 CLI prints, the determinism tests digest, and the CI golden pins.
 
-Instruments are registered on the fleet's metrics registry when metrics
-are enabled (so traffic runs export through :mod:`repro.obs.export` like
-every other subsystem); with metrics off the tracker brings its own
-private enabled registry, because the scorecard itself is not optional.
+The tracker keeps its counts as plain tallies (a ``Counter`` per family,
+keyed by the labels it exports, and ints for queue depth and
+concurrency), which :meth:`SloTracker.report` reads directly.  It
+registers them as counter and gauge views on the fleet's metrics
+registry, so traffic runs export through :mod:`repro.obs.export` like
+every other subsystem; with metrics off that registers nothing.  The
+latency histograms are pushed, to the fleet registry when metrics are
+enabled and otherwise to a private enabled registry, because the
+scorecard's quantiles are not optional.
 
 Latency histograms use the exact-reservoir mode
 (:class:`repro.obs.metrics.Histogram` ``exact_limit``): p999 at a few
@@ -18,11 +23,12 @@ quantiles are also what makes the scorecard byte-stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.config.schema import PriorityClassConfig
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = ["OVERLOAD_SHED_REASONS", "SHED_REASONS", "SloReport", "SloTracker", "jain_index"]
 
@@ -143,6 +149,7 @@ class SloTracker:
         registry: MetricsRegistry | None = None,
         overload: bool = False,
     ):
+        views = registry if registry is not None else NULL_METRICS
         if registry is None or not registry.enabled:
             registry = MetricsRegistry(enabled=True)
         self.registry = registry
@@ -159,81 +166,81 @@ class SloTracker:
             "admission-queue wait (arrival to dispatch)",
             exact_limit=EXACT_LIMIT,
         )
-        self._requests = registry.counter(
-            "service.requests", "arrivals offered to admission"
-        )
-        self._shed = registry.counter("service.shed", "arrivals shed at admission")
-        self._completed = registry.counter(
-            "service.completed", "requests completed by the fleet"
-        )
-        self._lost = registry.counter(
-            "service.lost", "admitted requests the fleet could not serve"
-        )
-        self._violations = registry.counter(
-            "service.slo.violations", "completions over their class objective"
-        )
-        self._depth = registry.gauge("service.queue.depth", "admission queue depth")
+        # The tallies, keyed by the labels they export under.
+        self.requests: Counter[str] = Counter()  # cls
+        self.shed: Counter[tuple[str, str]] = Counter()  # cls, reason
+        self.completed: Counter[tuple[str, str]] = Counter()  # cls, path
+        self.lost: Counter[str] = Counter()  # cls
+        self.violations: Counter[str] = Counter()  # cls
+        self.dropped: Counter[tuple[str, str]] = Counter()  # cls, reason
+        self.stale: Counter[str] = Counter()  # cls
+        self.abandoned: Counter[str] = Counter()  # cls
+        self.retries: Counter[str] = Counter()  # cls
+        self.queue_depth = 0
+        self.concurrency = 0
+        views.counter_view("service.requests", "arrivals offered to admission",
+                           lambda: self.requests, keys=("cls",))
+        views.counter_view("service.shed", "arrivals shed at admission",
+                           lambda: self.shed, keys=("cls", "reason"))
+        views.counter_view("service.completed", "requests completed by the fleet",
+                           lambda: self.completed, keys=("cls", "path"))
+        views.counter_view("service.lost", "admitted requests the fleet could not serve",
+                           lambda: self.lost, keys=("cls",))
+        views.counter_view("service.slo.violations", "completions over their class objective",
+                           lambda: self.violations, keys=("cls",))
+        views.gauge_view("service.queue.depth", "admission queue depth",
+                         lambda: self.queue_depth)
         self._tenant_completions: dict[int, int] = {}
         self.peak_queue = 0
-        # Overload/closed-loop instruments and the (time, good) event
-        # series burn-rate alerting consumes — registered only when the
-        # defenses are engaged, so legacy runs export exactly what they
-        # always did.
+        # Overload/closed-loop families and the (time, good) event series
+        # burn-rate alerting consumes — registered only when the defenses
+        # are engaged, so legacy runs export exactly what they always did.
         if overload:
-            self._dropped = registry.counter(
-                "service.dropped", "admitted requests dropped at dispatch"
-            )
-            self._stale = registry.counter(
-                "service.stale", "completions delivered after client abandonment"
-            )
-            self._abandoned = registry.counter(
-                "service.abandoned", "requests whose client stopped waiting"
-            )
-            self._retries = registry.counter(
-                "service.retries", "retry attempts offered to admission"
-            )
-            self._concurrency = registry.gauge(
-                "service.concurrency", "AIMD-governed dispatch slots"
-            )
-        else:
-            self._dropped = self._stale = self._abandoned = None
-            self._retries = self._concurrency = None
+            views.counter_view("service.dropped", "admitted requests dropped at dispatch",
+                               lambda: self.dropped, keys=("cls", "reason"))
+            views.counter_view("service.stale",
+                               "completions delivered after client abandonment",
+                               lambda: self.stale, keys=("cls",))
+            views.counter_view("service.abandoned", "requests whose client stopped waiting",
+                               lambda: self.abandoned, keys=("cls",))
+            views.counter_view("service.retries", "retry attempts offered to admission",
+                               lambda: self.retries, keys=("cls",))
+            views.gauge_view("service.concurrency", "AIMD-governed dispatch slots",
+                             lambda: self.concurrency)
         self.events: list[tuple[float, bool]] = []  # (time, good)
         self.good_times: list[float] = []  # fresh-completion times
 
     # -- event sinks ---------------------------------------------------------
 
     def on_arrival(self, class_name: str) -> None:
-        self._requests.inc(cls=class_name)
+        self.requests[class_name] += 1
 
     def on_retry(self, class_name: str) -> None:
-        if self._retries is not None:
-            self._retries.inc(cls=class_name)
+        self.retries[class_name] += 1
 
     def on_shed(self, class_name: str, reason: str, at: float | None = None) -> None:
-        self._shed.inc(cls=class_name, reason=reason)
+        self.shed[class_name, reason] += 1
         if self.overload and at is not None:
             self.events.append((at, False))
 
     def on_queue_depth(self, depth: int) -> None:
         if depth > self.peak_queue:
             self.peak_queue = depth
-        self._depth.set(depth)
+        self.queue_depth = depth
 
     def on_concurrency(self, allowed: int) -> None:
-        if self._concurrency is not None:
-            self._concurrency.set(allowed)
+        self.concurrency = allowed
 
     def on_drop(self, class_name: str, at: float | None = None) -> None:
         """An admitted request dropped at dispatch (CoDel sojourn control)."""
-        self._dropped.inc(cls=class_name, reason="codel")
+        self.dropped[class_name, "codel"] += 1
         if at is not None:
             self.events.append((at, False))
 
     def on_abandon(self, class_name: str, at: float | None = None) -> None:
         """The client stopped waiting; the request may still be served
         (stale) — that later completion is wasted work, not a good event."""
-        self._abandoned.inc(cls=class_name)
+        self.abandoned[class_name] += 1
         if at is not None:
             self.events.append((at, False))
 
@@ -249,68 +256,49 @@ class SloTracker:
     ) -> None:
         self._latency.observe(latency_s, cls=class_name)
         self._wait.observe(wait_s, cls=class_name)
-        self._completed.inc(cls=class_name, path=path)
+        self.completed[class_name, path] += 1
         self._tenant_completions[tenant] = self._tenant_completions.get(tenant, 0) + 1
         if latency_s > self._slo_s[class_name]:
-            self._violations.inc(cls=class_name)
+            self.violations[class_name] += 1
         if stale:
-            self._stale.inc(cls=class_name)
+            self.stale[class_name] += 1
         elif self.overload and at is not None:
             self.events.append((at, True))
             self.good_times.append(at)
 
     def on_lost(self, class_name: str, at: float | None = None) -> None:
-        self._lost.inc(cls=class_name)
+        self.lost[class_name] += 1
         if self.overload and at is not None:
             self.events.append((at, False))
 
     # -- reporting -----------------------------------------------------------
 
-    def _class_count(self, counter, class_name: str, **extra: str) -> int:
-        total = 0.0
-        for labels, value, _t in counter.samples():
-            if labels.get("cls") != class_name:
-                continue
-            if any(labels.get(k) != v for k, v in extra.items()):
-                continue
-            total += value
-        return int(total)
-
-    @property
-    def dropped_total(self) -> int:
-        return int(self._dropped.total()) if self._dropped is not None else 0
-
-    @property
-    def stale_total(self) -> int:
-        return int(self._stale.total()) if self._stale is not None else 0
-
-    @property
-    def abandoned_total(self) -> int:
-        return int(self._abandoned.total()) if self._abandoned is not None else 0
-
     def report(self, pattern: str, peak_buckets: int = 0) -> SloReport:
         reasons = SHED_REASONS + (OVERLOAD_SHED_REASONS if self.overload else ())
         shed: dict[str, int] = {reason: 0 for reason in reasons}
-        for labels, value, _t in self._shed.samples():
-            reason = labels.get("reason", "unknown")
-            shed[reason] = shed.get(reason, 0) + int(value)
+        for (_cls, reason), count in sorted(self.shed.items()):
+            shed[reason] = shed.get(reason, 0) + count
+        completed: Counter[str] = Counter()
+        for (cls, _path), count in self.completed.items():
+            completed[cls] += count
         per_class: dict[str, dict[str, float]] = {}
         for cls in self.classes:
             name = cls.name
             per_class[name] = {
-                "requests": self._class_count(self._requests, name),
-                "completed": self._class_count(self._completed, name),
-                "violations": self._class_count(self._violations, name),
+                "requests": self.requests[name],
+                "completed": completed[name],
+                "violations": self.violations[name],
                 "p99_ms": self._latency.percentile(0.99, cls=name) * 1e3,
             }
+        requests = self.requests.total()
         return SloReport(
             pattern=pattern,
-            requests=int(self._requests.total()),
-            admitted=int(self._requests.total() - self._shed.total()),
+            requests=requests,
+            admitted=requests - self.shed.total(),
             shed=shed,
-            completed=int(self._completed.total()),
-            lost=int(self._lost.total()),
-            violations=int(self._violations.total()),
+            completed=completed.total(),
+            lost=self.lost.total(),
+            violations=self.violations.total(),
             p50_ms=self._latency.aggregate_percentile(0.50) * 1e3,
             p99_ms=self._latency.aggregate_percentile(0.99) * 1e3,
             p999_ms=self._latency.aggregate_percentile(0.999) * 1e3,
@@ -320,5 +308,5 @@ class SloTracker:
             peak_queue=self.peak_queue,
             peak_buckets=peak_buckets,
             per_class=per_class,
-            dropped=self.dropped_total if self.overload else None,
+            dropped=self.dropped.total() if self.overload else None,
         )

@@ -1,10 +1,13 @@
 """Integration tests: client -> NVMe -> agent -> ISPS -> flash and back."""
 
+import gc
+
 import pytest
 
 from repro.config import FlashConfig, FleetConfig, ScenarioConfig
 from repro.config import build_node as build_node_from
 from repro.isos.loader import ExitStatus
+from repro.isos.process import OsProcess
 from repro.proto import Command, QueryKind, ResponseStatus
 from repro.sim import Tracer
 
@@ -329,6 +332,30 @@ def test_minion_completes_before_watchdog():
     # run drains after the tracker's last poll, not at the 30 s deadline
     node.sim.run()
     assert node.sim.now < 0.05
+    assert ssd.agent.watchdog_kills == 0
+
+
+def test_watchdog_does_not_keep_finished_minions_alive():
+    """A deadline far in the future holds only its minion's pid: once the
+    minion exits, nothing keeps its process record, kernel process,
+    generator or exit status alive."""
+    node = build_node(devices=1)
+    ssd = node.compstors[0]
+    put_device_file(node, ssd, "small.txt", b"fox\n")
+
+    def flow():
+        for _ in range(50):
+            response = yield from node.client.run(
+                "compstor0", "grep fox small.txt", timeout_seconds=30.0
+            )
+            assert response.ok
+        return response
+
+    drive(node, flow())
+    node.sim.run()
+    assert ssd.isps.os.process_table == {}
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, OsProcess)]
     assert ssd.agent.watchdog_kills == 0
 
 

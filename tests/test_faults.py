@@ -30,6 +30,7 @@ from repro.obs import MetricsRegistry
 from repro.proto import Command, ResponseStatus
 from repro.sim import Simulator, Tracer
 from repro.workloads import BookCorpus, CorpusSpec
+from tests.test_obs_metrics import total
 
 
 # ---------------------------------------------------------------------------
@@ -411,5 +412,5 @@ def test_injector_counts_and_metrics():
         plan.events()[0].describe(),
         f"recovered: {plan.events()[0].describe()}",
     ]
-    assert metrics["faults.injected"].total() == 1
-    assert metrics["faults.recovered"].total() == 1
+    assert total(metrics["faults.injected"]) == 1
+    assert total(metrics["faults.recovered"]) == 1

@@ -34,7 +34,7 @@ from repro.faults import FaultInjector
 from repro.obs import NULL_METRICS, View, to_prometheus
 from repro.proto import Command
 from tests.test_ftl import drive
-from tests.test_obs_metrics import sample
+from tests.test_obs_metrics import sample, total
 
 METRICS_VERB_DIGEST = "a26fda73de299a99d991579862c000da04ec467d0a652ea619676e83a9f1f28f"
 CHAOS_DRILL_DIGEST = "a0b8f4073794d409b6656ececd730d1d7e8aaded842af22f8dbe5702d82986b8"
@@ -161,7 +161,7 @@ def test_chaos_drill_views_equal_the_attributes_they_read():
         "faults.recovered": sum(injector.recovered.values()),
     }
     for name, expected in counters.items():
-        assert metrics[name].total() == expected, name
+        assert total(metrics[name]) == expected, name
     for name in ("client.minion.retries", "client.breaker.transitions",
                  "cluster.failovers", "faults.injected", "faults.recovered"):
         assert counters[name] > 0, name

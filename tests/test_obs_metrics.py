@@ -15,46 +15,9 @@ def sample(instrument, default=None, **labels):
     return next((value for got, value, _ in instrument.samples() if got == want), default)
 
 
-# -- counters -----------------------------------------------------------------
-
-def test_counter_accumulates_per_label_set():
-    registry = MetricsRegistry()
-    counter = registry.counter("ftl.host_reads", "reads")
-    counter.inc(device="d0")
-    counter.inc(3, device="d0")
-    counter.inc(device="d1")
-    assert sample(counter, device="d0") == 4
-    assert sample(counter, device="d1") == 1
-    assert counter.total() == 5
-
-
-def test_counter_rejects_negative():
-    counter = MetricsRegistry().counter("c")
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
-def test_bound_counter_shares_state_with_family():
-    registry = MetricsRegistry()
-    counter = registry.counter("nvme.commands")
-    counter.inc(device="d0", opcode="READ")
-    counter.inc(2, opcode="READ", device="d0")
-    # label order must not matter: both calls feed one series of the family
-    assert sample(counter, device="d0", opcode="READ") == 3
-    assert sample(counter, opcode="READ", device="d0") == 3
-    assert registry.counter("nvme.commands") is counter
-    assert counter.total() == 3
-
-
-# -- gauges -------------------------------------------------------------------
-
-def test_gauge_set():
-    gauge = MetricsRegistry().gauge("queue.depth")
-    gauge.set(4, queue=0)
-    gauge.set(3, queue=0)
-    assert sample(gauge, queue=0) == 3
-    gauge.set(8, queue=1)
-    assert sample(gauge, queue=1) == 8
+def total(view):
+    """A view's samples summed over every label set."""
+    return sum(value for _, value, _ in view.samples())
 
 
 # -- views --------------------------------------------------------------------
@@ -78,7 +41,7 @@ def test_counter_view_reads_the_component_at_sampling_time():
     part.reads = 4
     t[0] = 2.5
     assert view.samples() == [({"device": "d0"}, 4.0, 2.5)]
-    assert sample(view, device="d0") == 4.0 and view.total() == 4.0
+    assert sample(view, device="d0") == 4.0 and total(view) == 4.0
     [record] = [json.loads(line) for line in to_json_lines(registry).splitlines()]
     assert record["value"] == 4.0 and isinstance(record["value"], float)
     assert record["time"] == 2.5  # the registry clock at export
@@ -100,7 +63,17 @@ def test_views_under_one_label_set_add_up_and_sort():
         {"device": "d0", "opcode": "READ", "status": "OK"},
         {"device": "d0", "opcode": "WRITE", "status": "OK"},
     ]
-    assert view.total() == 6.0
+    assert total(view) == 6.0
+
+
+def test_gauge_view_reads_the_current_value():
+    registry = MetricsRegistry()
+    part = _Component()
+    registry.gauge_view("depth", "", lambda: part.depth, queue=0)
+    part.depth = 4
+    assert sample(registry["depth"], queue=0) == 4.0
+    part.depth = 3  # a gauge goes down as well as up
+    assert sample(registry["depth"], queue=0) == 3.0
 
 
 def test_gauge_view_exports_zero_values():
@@ -117,10 +90,20 @@ def test_view_kind_mismatch_is_rejected():
     with pytest.raises(ValueError):
         registry.gauge_view("x", "", lambda: 1)
     with pytest.raises(ValueError):
-        registry.counter("x")
+        registry.histogram("x")
 
 
 # -- histograms ----------------------------------------------------------------
+
+def test_histogram_series_ignore_label_order():
+    registry = MetricsRegistry()
+    hist = registry.histogram("nvme.latency")
+    hist.observe(0.001, device="d0", opcode="READ")
+    hist.observe(0.002, opcode="READ", device="d0")
+    # label order must not matter: both calls feed one series of the family
+    assert sample(hist, device="d0", opcode="READ").count == 2
+    assert hist.aggregate_count() == 2
+
 
 def test_histogram_count_sum_percentiles():
     hist = MetricsRegistry().histogram("lat", buckets=(0.001, 0.01, 0.1, 1.0))
@@ -186,38 +169,33 @@ def test_histogram_default_buckets_are_sorted():
 
 def test_disabled_registry_is_noop():
     registry = MetricsRegistry(enabled=False)
-    counter = registry.counter("c")
-    gauge = registry.gauge("g")
     hist = registry.histogram("h")
-    counter.inc(device="d0")
-    gauge.set(1)
     hist.observe(0.5)
     registry.counter_view("v", "", lambda: 1)
-    assert counter.samples() == []
-    assert gauge.samples() == []
+    registry.gauge_view("g", "", lambda: 1)
     assert hist.samples() == []
-    assert "v" not in registry  # a disabled registry holds no view
+    assert "v" not in registry and "g" not in registry  # no view is held
 
 
 def test_null_metrics_is_shared_and_disabled():
     assert NULL_METRICS.enabled is False
-    NULL_METRICS.counter("anything").inc()
-    assert NULL_METRICS.counter("anything").samples() == []
+    NULL_METRICS.histogram("anything").observe(1.0)
+    assert NULL_METRICS.histogram("anything").samples() == []
 
 
 def test_registry_memoizes_and_rejects_kind_mismatch():
     registry = MetricsRegistry()
-    a = registry.counter("x")
-    assert registry.counter("x") is a
+    a = registry.histogram("x")
+    assert registry.histogram("x") is a
     with pytest.raises(ValueError):
-        registry.gauge("x")
+        registry.gauge_view("x", "", lambda: 1)
 
 
 def test_registry_names_prefix_filter():
     registry = MetricsRegistry()
-    registry.counter("ftl.reads")
-    registry.counter("ftl.writes")
-    registry.counter("nvme.commands")
+    registry.counter_view("ftl.reads", "", lambda: 1)
+    registry.counter_view("ftl.writes", "", lambda: 1)
+    registry.histogram("nvme.commands")
     assert registry.names("ftl.") == ["ftl.reads", "ftl.writes"]
     assert "nvme.commands" in registry
 
@@ -225,21 +203,21 @@ def test_registry_names_prefix_filter():
 def test_registry_clock_stamps_samples():
     t = [0.0]
     registry = MetricsRegistry(clock=lambda: t[0])
-    counter = registry.counter("c")
-    counter.inc()
+    hist = registry.histogram("h")
+    hist.observe(1.0)
     t[0] = 2.5
-    counter.inc()
-    [(labels, value, updated)] = counter.samples()
-    assert updated == 2.5
-    assert value == 2
+    hist.observe(1.0)
+    [(labels, state, updated)] = hist.samples()
+    assert updated == 2.5  # the clock at the last observation
+    assert state.count == 2
 
 
 # -- exporters -----------------------------------------------------------------
 
 def build_populated_registry():
     registry = MetricsRegistry(clock=lambda: 1.0)
-    registry.counter("ftl.gc.collections", "GC runs").inc(2, device="d0")
-    registry.gauge("ftl.write_amplification").set(1.25, device="d0")
+    registry.counter_view("ftl.gc.collections", "GC runs", lambda: 2, device="d0")
+    registry.gauge_view("ftl.write_amplification", "", lambda: 1.25, device="d0")
     hist = registry.histogram("nvme.command.latency_seconds", buckets=(0.001, 0.01))
     hist.observe(0.0005, device="d0")
     hist.observe(0.5, device="d0")
@@ -262,7 +240,7 @@ def test_prometheus_label_values_are_escaped():
     """Regression: label values hit the exposition text unescaped, so a
     quote/backslash/newline in a value corrupted every following line."""
     registry = MetricsRegistry()
-    registry.counter("jobs.completed").inc(job='say "hi"\\n', path="a\nb")
+    registry.counter_view("jobs.completed", "", lambda: 1, job='say "hi"\\n', path="a\nb")
     text = to_prometheus(registry)
     assert '\\"hi\\"' in text  # " -> \"
     assert "\\\\n" in text  # literal backslash-n -> \\n

@@ -16,15 +16,9 @@ workload, so one more call per page read exceeds the budget at both sizes.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-REPO = Path(__file__).resolve().parents[1]
+from tests.cold_calls import cold_calls
 
 #: Calls into ``repro/`` that do not scale with the file, and calls per page
 #: read, measured on this workload: 997 and 2,574 calls at ``SIZES`` (the
@@ -33,8 +27,8 @@ CONSTANT, PER_PAGE = 205, 99
 #: File sizes in pages.
 SIZES = (8, 24)
 
-PROFILE = """
-import cProfile, json, pstats, sys
+SCENARIO = """
+import sys
 from repro.config import build_node, preset
 from repro.proto import Command
 
@@ -56,35 +50,21 @@ reads = ssd.ftl.host_reads
 def scan():
     return (yield from node.client.send_minion(ssd.name, Command(command_line="grep 00000007 scan.txt")))
 
-profile = cProfile.Profile()
-response = profile.runcall(lambda: sim.run(sim.process(scan())))
-calls = sum(
-    ncalls
-    for (filename, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items()
-    if "/repro/" in filename.replace("\\\\", "/")
-)
-print(json.dumps({"calls": calls, "page_reads": ssd.ftl.host_reads - reads,
-                  "status": response.response.status.name}))
+def workload():
+    return sim.run(sim.process(scan()))
+
+def facts(response):
+    return {"page_reads": ssd.ftl.host_reads - reads,
+            "status": response.response.status.name}
 """
-
-
-def cold_scan(pages: int) -> dict:
-    """Calls into ``repro/`` over one scan of a ``pages``-page file, in a
-    fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", PROFILE, str(pages)],
-        cwd=REPO, env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
 
 
 @pytest.mark.parametrize("pages", SIZES)
 def test_page_reads_cost_a_constant_plus_a_budget_per_page(pages):
-    run = cold_scan(pages)
-    assert run["page_reads"] == pages, run
+    run = cold_calls(SCENARIO, pages)
+    assert run["facts"]["page_reads"] == pages, run["facts"]
     budget = CONSTANT + PER_PAGE * pages
-    assert 0 < run["calls"] <= budget, (
-        f"a {pages}-page scan made {run['calls']} calls into repro/; the budget "
+    assert 0 < run["repro"] <= budget, (
+        f"a {pages}-page scan made {run['repro']} calls into repro/; the budget "
         f"is {CONSTANT} + {PER_PAGE} per page read = {budget}"
     )

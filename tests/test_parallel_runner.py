@@ -22,8 +22,6 @@ from repro.parallel import (
     payload_digest,
     run_jobs,
 )
-from repro.obs import MetricsRegistry
-from tests.test_obs_metrics import sample
 
 
 def ping_spec(value, name="ping"):
@@ -141,20 +139,19 @@ def test_run_jobs_raises_job_error_after_all_jobs_report():
         run_jobs(specs, workers=2)
 
 
-def test_run_jobs_records_metrics(tmp_path):
-    registry = MetricsRegistry()
+def test_run_jobs_reports_executed_jobs_and_cache_hits(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     specs = [stream_spec(seed) for seed in (1, 2)]
-    run_jobs(specs, workers=1, cache=cache, metrics=registry)
-    assert registry["parallel.jobs.completed"].total() == 2
-    assert sample(registry["parallel.workers"]) == 1
-    assert sample(registry["parallel.job.wall_seconds"], job="stream1").count == 1
+    report = run_jobs(specs, workers=1, cache=cache)
+    assert (report.executed, report.cache_hits, report.workers) == (2, 0, 1)
+    assert [r.cached for r in report.results] == [False, False]
+    assert all(r.wall_seconds > 0 for r in report.results)
+    assert "executed=2, cache hits=0, workers=1" in report.summary()
     # rerun: everything comes from the cache
-    rerun = MetricsRegistry()
-    report = run_jobs(specs, workers=1, cache=cache, metrics=rerun)
-    assert report.cache_hits == 2 and report.executed == 0
-    assert rerun["parallel.jobs.cache_hits"].total() == 2
-    assert rerun["parallel.jobs.completed"].total() == 0
+    rerun = run_jobs(specs, workers=1, cache=cache)
+    assert (rerun.executed, rerun.cache_hits) == (0, 2)
+    assert [r.cached for r in rerun.results] == [True, True]
+    assert rerun.values() == report.values()
 
 
 # -- the cache ----------------------------------------------------------------

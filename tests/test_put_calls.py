@@ -21,15 +21,9 @@ both sizes.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-REPO = Path(__file__).resolve().parents[1]
+from tests.cold_calls import cold_calls
 
 #: Per backend, calls that do not scale with the payload and calls per page
 #: programmed, measured on this workload: 17,111 and 33,250 calls on the
@@ -38,8 +32,8 @@ BUDGETS = {"page": (8503, 269), "zoned": (1875, 196)}
 #: Payload sizes in KiB (16 KiB pages: 32 and 92 pages programmed).
 SIZES = (32, 96)
 
-PROFILE = """
-import cProfile, json, pstats, random, sys
+SCENARIO = """
+import random, sys
 from dataclasses import replace
 from repro.config import preset
 from repro.config.factory import build_fleet
@@ -57,47 +51,25 @@ payload = random.Random(7).randbytes(kib * 1024)
 devices = [ssd for node in fleet.nodes for ssd in node.compstors]
 programs = sum(ssd.flash.stats.programs for ssd in devices)
 
-profile = cProfile.Profile()
-recipe = profile.runcall(lambda: sim.run(sim.process(store.put("object", payload))))
+def workload():
+    return sim.run(sim.process(store.put("object", payload)))
 
-def in_repro(func):
-    return "/repro/" in func[0].replace("\\\\", "/")
-
-calls = sum(
-    ncalls
-    for func, (_, _, _, _, callers) in pstats.Stats(profile).stats.items()
-    for caller, (ncalls, *_) in callers.items()
-    if in_repro(func) or in_repro(caller)
-)
-print(json.dumps({
-    "calls": calls,
-    "programs": sum(ssd.flash.stats.programs for ssd in devices) - programs,
-    "chunks": len(recipe),
-}))
+def facts(recipe):
+    return {"programs": sum(ssd.flash.stats.programs for ssd in devices) - programs,
+            "chunks": len(recipe)}
 """
-
-
-def cold_put(backend: str, kib: int) -> dict:
-    """Calls into and out of ``repro/`` over one PUT of ``kib`` KiB, in a
-    fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", PROFILE, backend, str(kib)],
-        cwd=REPO, env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
 
 
 @pytest.mark.parametrize("backend", sorted(BUDGETS))
 @pytest.mark.parametrize("kib", SIZES)
 def test_put_costs_a_constant_plus_a_budget_per_page(backend, kib):
-    run = cold_put(backend, kib)
-    pages = run["programs"]
-    assert pages >= kib // 16 and run["chunks"] > 1, run
+    run = cold_calls(SCENARIO, backend, kib)
+    pages = run["facts"]["programs"]
+    assert pages >= kib // 16 and run["facts"]["chunks"] > 1, run["facts"]
     constant, per_page = BUDGETS[backend]
     budget = constant + per_page * pages
-    assert 0 < run["calls"] <= budget, (
-        f"a {kib} KiB PUT on the {backend} backend made {run['calls']} calls into "
+    assert 0 < run["repro_edges"] <= budget, (
+        f"a {kib} KiB PUT on the {backend} backend made {run['repro_edges']} calls into "
         f"or out of repro/; the budget is {constant} + {per_page} per page "
         f"programmed x {pages} = {budget}"
     )

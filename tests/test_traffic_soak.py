@@ -29,7 +29,6 @@ import pytest
 
 from repro.config.codec import to_dict
 from repro.config.presets import preset
-from repro.obs import MetricsRegistry
 from repro.families import FAMILIES
 from repro.parallel import ResultCache, payload_digest, run_jobs
 from tests.test_process_retention import serve_and_check
@@ -46,7 +45,7 @@ def test_soak_conserves_requests_and_replays_from_cache(tmp_path) -> None:
     )
     cache = ResultCache(tmp_path / "cache")
 
-    report = run_jobs(specs, workers=1, cache=cache, metrics=MetricsRegistry())
+    report = run_jobs(specs, workers=1, cache=cache)
     values = report.values()
     (value,) = values
 
@@ -64,7 +63,7 @@ def test_soak_conserves_requests_and_replays_from_cache(tmp_path) -> None:
         "SOAK_DIGEST from `repro traffic --preset traffic-soak --mixes poisson`"
     )
 
-    replay = run_jobs(specs, workers=4, cache=cache, metrics=MetricsRegistry())
+    replay = run_jobs(specs, workers=4, cache=cache)
     assert replay.executed == 0, "cached soak replay recomputed cells"
     assert replay.values() == values, "cached replay diverged byte-for-byte"
 
